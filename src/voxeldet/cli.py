@@ -38,7 +38,7 @@ def _build_parser() -> _Parser:
     parser.add_argument("--toy", action="store_true",
                         help="start from the reduced-extent toy defaults")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker parallelism cap; outputs are identical for any value")
+                        help="accepted and validated (>= 1) but has no effect yet")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("voxelize", help="dump the sparse voxel grid of a point cloud")

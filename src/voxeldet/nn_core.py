@@ -10,13 +10,14 @@ matrices.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-# Columns per im2col chunk; keeps the scratch buffer under ~128 MB for
-# full-resolution BEV maps.
+# Element budget of one conv2d im2col band (batch · c·k² · band columns);
+# keeps the scratch buffer under ~128 MB for full-resolution BEV maps.
 _IM2COL_CHUNK = 16 * 1024 * 1024
 
 
@@ -495,40 +496,27 @@ class ConvSpec:
         return (n + 2 * self.padding - eff) // self.stride + 1
 
 
-def _conv_indices(spec: ConvSpec, oh: int, ow: int):
+def _conv_windows(xp: np.ndarray, spec: ConvSpec, oh: int, ow: int) -> np.ndarray:
+    """Read-only (n, c, k, k, oh, ow) window view of the padded input ``xp``.
+
+    Element [..., i, j, y, x] is xp[..., i·d + y·s, j·d + x·s] for stride s
+    and dilation d; no index arrays are built for any geometry.
+    """
+    n, c = xp.shape[:2]
+    sn, sc, sh, sw = xp.strides
     k, s, d = spec.kernel, spec.stride, spec.dilation
-    ih = d * np.arange(k)[:, None, None, None] + s * np.arange(oh)[None, None, :, None]
-    iw = d * np.arange(k)[None, :, None, None] + s * np.arange(ow)[None, None, None, :]
-    ih = np.broadcast_to(ih, (k, k, oh, ow))
-    iw = np.broadcast_to(iw, (k, k, oh, ow))
-    return ih, iw
-
-
-# flat gather indices keyed by (spec geometry, input spatial shape); small maps only
-_FLAT_INDEX_CACHE: dict = {}
-_FLAT_CACHE_LIMIT = 4_000_000
-
-
-def _flat_conv_indices(spec: ConvSpec, c: int, h: int, w: int, oh: int, ow: int):
-    key = (spec.kernel, spec.stride, spec.padding, spec.dilation, c, h, w)
-    cached = _FLAT_INDEX_CACHE.get(key)
-    if cached is None:
-        hp, wp = h + 2 * spec.padding, w + 2 * spec.padding
-        ih, iw = _conv_indices(spec, oh, ow)
-        kk = spec.kernel * spec.kernel
-        plane = (ih * wp + iw).reshape(kk, oh * ow)
-        flat = plane[None, :, :] + (np.arange(c) * (hp * wp))[:, None, None]
-        cached = flat.reshape(c * kk, oh * ow)
-        _FLAT_INDEX_CACHE[key] = cached
-    return cached
+    return np.lib.stride_tricks.as_strided(
+        xp, (n, c, k, k, oh, ow), (sn, sc, d * sh, d * sw, s * sh, s * sw), writeable=False
+    )
 
 
 def conv2d(x, weight, bias, spec: ConvSpec) -> Tensor:
     """Cross-correlation with stride/padding/dilation.
 
     ``weight`` has shape (out_channels, in_channels, k, k); ``bias`` is a
-    (out_channels,) tensor or None. The im2col scratch is chunked along
-    output columns so large BEV maps stay within memory.
+    (out_channels,) tensor or None. The im2col columns are copied from a
+    strided window view of the padded input one band of output rows at a
+    time, so large BEV maps stay within the ``_IM2COL_CHUNK`` budget.
     """
     x, weight = _wrap(x), _wrap(weight)
     n, c, h, w = x.shape
@@ -540,43 +528,21 @@ def conv2d(x, weight, bias, spec: ConvSpec) -> Tensor:
     if oh < 1 or ow < 1:
         raise ValueError(f"conv2d output would be empty for input {x.shape} with {spec}")
 
-    p = spec.padding
+    p, k, s, d = spec.padding, spec.kernel, spec.stride, spec.dilation
+    oc, ckk = spec.out_channels, c * k * k
     xp = np.zeros((n, c, h + 2 * p, w + 2 * p))
     xp[:, :, p : p + h, p : p + w] = x.data
-    w2 = weight.data.reshape(spec.out_channels, -1)
+    win = _conv_windows(xp, spec, oh, ow)
+    w2 = weight.data.reshape(oc, ckk)
+    rows = max(1, _IM2COL_CHUNK // (n * ckk * ow))
+    bands = [(lo, min(lo + rows, oh)) for lo in range(0, oh, rows)]
 
-    ckk = c * spec.kernel * spec.kernel
-    l_total = oh * ow
-    small = ckk * l_total <= _FLAT_CACHE_LIMIT
+    def cols(lo, hi):   # (n, ckk, (hi - lo)·ow) copy of the window rows lo:hi
+        return win[:, :, :, :, lo:hi].reshape(n, ckk, (hi - lo) * ow)
 
-    if small:
-        if spec.stride == 1 and spec.dilation == 1:
-            win = np.lib.stride_tricks.sliding_window_view(
-                xp, (spec.kernel, spec.kernel), axis=(2, 3)
-            )
-            cols_full = win.transpose(0, 1, 4, 5, 2, 3).reshape(n, ckk, l_total)
-        else:
-            flat = _flat_conv_indices(spec, c, h, w, oh, ow)
-            cols_full = np.take(xp.reshape(n, -1), flat.reshape(-1), axis=1).reshape(
-                n, ckk, l_total
-            )
-        out_data = np.matmul(w2, cols_full)
-    else:
-        ih, iw = _conv_indices(spec, oh, ow)
-        kk = spec.kernel * spec.kernel
-        chunk = max(1, _IM2COL_CHUNK // max(1, n * ckk))
-
-        def _cols(lo, hi):
-            block_h = ih.reshape(kk, l_total)[:, lo:hi]
-            block_w = iw.reshape(kk, l_total)[:, lo:hi]
-            return xp[:, :, block_h, block_w].reshape(n, ckk, hi - lo)
-
-        out_data = np.empty((n, spec.out_channels, l_total))
-        for lo in range(0, l_total, chunk):
-            hi = min(lo + chunk, l_total)
-            out_data[:, :, lo:hi] = np.matmul(w2, _cols(lo, hi))
-
-    out_data = out_data.reshape(n, spec.out_channels, oh, ow)
+    out_data = np.empty((n, oc, oh, ow))
+    for lo, hi in bands:
+        out_data[:, :, lo:hi] = np.matmul(w2, cols(lo, hi)).reshape(n, oc, hi - lo, ow)
     if bias is not None:
         bias = _wrap(bias)
         out_data = out_data + bias.data.reshape(1, -1, 1, 1)
@@ -584,53 +550,23 @@ def conv2d(x, weight, bias, spec: ConvSpec) -> Tensor:
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def backward():
-        g = out.grad.reshape(n, spec.out_channels, l_total)
+        g = out.grad.reshape(n, oc, oh * ow)
         if bias is not None and bias.requires_grad:
             bias._accumulate(g.sum(axis=(0, 2)))
-        need_x = x.requires_grad
-        need_w = weight.requires_grad
-        if not (need_x or need_w):
-            return
-        hp, wp = xp.shape[2], xp.shape[3]
-        if small:
-            flat_idx = _flat_conv_indices(spec, c, h, w, oh, ow)
-            if need_w:
-                gw = np.tensordot(g, cols_full, axes=([0, 2], [0, 2]))
+        gxp = np.zeros_like(xp) if x.requires_grad else None
+        for lo, hi in bands:
+            gb = g[:, :, lo * ow : hi * ow]
+            if weight.requires_grad:
+                gw = np.tensordot(gb, cols(lo, hi), axes=([0, 2], [0, 2]))
                 weight._accumulate(gw.reshape(weight.shape))
-            if need_x:
-                dcols = np.matmul(w2.T, g)   # (n, ckk, l)
-                offsets = (np.arange(n) * (c * hp * wp))[:, None, None]
-                all_idx = (flat_idx[None, :, :] + offsets).reshape(-1)
-                gxp = np.bincount(all_idx, weights=dcols.reshape(-1),
-                                  minlength=xp.size).reshape(xp.shape)
-                x._accumulate(gxp[:, :, p : p + h, p : p + w])
-            return
-        gw = np.zeros((spec.out_channels, ckk)) if need_w else None
-        gxp = np.zeros_like(xp) if need_x else None
-        kk = spec.kernel * spec.kernel
-        ih, iw = _conv_indices(spec, oh, ow)
-        chunk = max(1, _IM2COL_CHUNK // max(1, n * ckk))
-        for lo in range(0, l_total, chunk):
-            hi = min(lo + chunk, l_total)
-            block_h = ih.reshape(kk, l_total)[:, lo:hi]
-            block_w = iw.reshape(kk, l_total)[:, lo:hi]
-            cols = xp[:, :, block_h, block_w].reshape(n, ckk, hi - lo)
-            gc = g[:, :, lo:hi]
-            if need_w:
-                gw += np.tensordot(gc, cols, axes=([0, 2], [0, 2]))
-            if need_x:
-                dcols = np.matmul(w2.T, gc)
-                flat = (block_h * wp + block_w)[None, :, :] + (
-                    np.arange(c)[:, None, None] * (hp * wp)
-                )
-                flat = np.broadcast_to(flat.reshape(1, ckk, hi - lo), dcols.shape)
-                flat = (flat + (np.arange(n) * (c * hp * wp))[:, None, None]).reshape(-1)
-                gxp += np.bincount(
-                    flat, weights=dcols.reshape(-1), minlength=gxp.size
-                ).reshape(gxp.shape)
-        if need_w:
-            weight._accumulate(gw.reshape(weight.shape))
-        if need_x:
+            if gxp is not None:
+                # col2im: within one kernel offset every output reads a distinct input
+                dcols = np.matmul(w2.T, gb).reshape(n, c, k, k, hi - lo, ow)
+                for i in range(k):
+                    for j in range(k):
+                        gxp[:, :, i * d + s * lo : i * d + s * (hi - 1) + 1 : s,
+                            j * d : j * d + s * (ow - 1) + 1 : s] += dcols[:, :, i, j]
+        if gxp is not None:
             x._accumulate(gxp[:, :, p : p + h, p : p + w])
 
     out = _node(out_data, parents, backward)
@@ -919,25 +855,26 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray]):
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
+    """Read a checkpoint; ValueError if any field runs past the end of the file."""
     tensors = {}
     with open(path, "rb") as f:
         data = f.read()
     pos = 0
+
+    def take(size: int, what: str) -> bytes:
+        """The next ``size`` bytes; ValueError if fewer are left."""
+        nonlocal pos
+        if size > len(data) - pos:
+            raise ValueError(f"truncated checkpoint: {what} needs {size} bytes at offset {pos}, "
+                             f"{len(data) - pos} left")
+        pos += size
+        return data[pos - size : pos]
+
     while pos < len(data):
-        if pos + 4 > len(data):
-            raise ValueError("truncated checkpoint: bad name header")
-        (nlen,) = struct.unpack_from("<I", data, pos)
-        pos += 4
-        name = data[pos : pos + nlen].decode("utf-8")
-        pos += nlen
-        (rank,) = struct.unpack_from("<I", data, pos)
-        pos += 4
-        dims = struct.unpack_from(f"<{rank}Q", data, pos)
-        pos += 8 * rank
-        count = int(np.prod(dims)) if rank else 1
-        end = pos + 8 * count
-        if end > len(data):
-            raise ValueError(f"truncated checkpoint: tensor {name!r}")
-        tensors[name] = np.frombuffer(data[pos:end], dtype="<f8").reshape(dims).copy()
-        pos = end
+        (nlen,) = struct.unpack("<I", take(4, "name header"))
+        name = take(nlen, "name").decode("utf-8")
+        (rank,) = struct.unpack("<I", take(4, f"rank of {name!r}"))
+        dims = struct.unpack(f"<{rank}Q", take(8 * rank, f"dims of {name!r}"))
+        raw = take(8 * math.prod(dims), f"tensor {name!r}")
+        tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(dims).copy()
     return tensors

@@ -142,9 +142,10 @@ def sparse_conv_forward(features: np.ndarray, weights: np.ndarray, bias,
             f"({len(rulebook.offsets)} offsets) and features {features.shape}"
         )
     out = np.zeros((rulebook.n_out, weights.shape[2]))
+    # within one offset the output ordinals are unique, so a fancy-index += is exact
     for k, (in_idx, out_idx) in enumerate(rulebook.pairs):
         if len(in_idx):
-            np.add.at(out, out_idx, features[in_idx] @ weights[k])
+            out[out_idx] += features[in_idx] @ weights[k]
     if bias is not None:
         out += bias
     return out
@@ -162,7 +163,7 @@ def sparse_conv_backward(upstream: np.ndarray, rulebook: Rulebook, features: np.
         if len(in_idx):
             g = upstream[out_idx]
             d_w[k] = features[in_idx].T @ g
-            np.add.at(d_feat, in_idx, g @ weights[k].T)
+            d_feat[in_idx] += g @ weights[k].T   # input ordinals are unique per offset
     return d_feat, d_w, upstream.sum(axis=0)
 
 
@@ -377,11 +378,6 @@ class VfeEncoder(Module):
 
     def __call__(self, grids) -> Tensor:
         return self.forward(self.build_plan(grids))
-
-
-def run_vfe(grids, encoder: VfeEncoder) -> Tensor:
-    """Encode one grid or a batch of grids into the BEV feature map."""
-    return encoder(grids)
 
 
 def densify_grid(grid: SparseVoxelGrid) -> np.ndarray:

@@ -16,6 +16,7 @@ from voxeldet.kitti_io import (
     write_point_cloud,
 )
 from voxeldet.cli import main, read_simple_detections, write_simple_detections
+from voxeldet.nn_core import save_checkpoint
 from voxeldet.synthetic import make_toy_dataset
 
 from helpers import child_env
@@ -107,6 +108,19 @@ class TestSubcommands:
         cfg = _toy_cfg_file(tmp_path)
         assert run_cli("--config", str(cfg), "voxelize", "--cloud",
                        str(tmp_path / "nope.bin"), "--out", str(tmp_path / "o.txt")) == 2
+
+    def test_forward_truncated_checkpoint_exits_2(self, tmp_path):
+        cfg = _toy_cfg_file(tmp_path)
+        cloud = _golden_cloud(tmp_path)
+        full = tmp_path / "full.bin"
+        save_checkpoint(full, {"b": np.zeros(1), "w": np.ones((1, 1))})
+        raw = full.read_bytes()
+        cut_path = tmp_path / "cut.bin"
+        for cut in range(len(raw)):
+            cut_path.write_bytes(raw[:cut])
+            code = run_cli("--config", str(cfg), "forward", "--cloud", str(cloud),
+                           "--checkpoint", str(cut_path), "--out", str(tmp_path / "d.txt"))
+            assert code == 2, f"cut at byte {cut} of {len(raw)}"
 
     def test_usage_error_exit_code(self):
         assert run_cli("voxelize", "--cloud") == 1

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,59 @@ class TestConv2d:
         w = Tensor(np.zeros((2, 5, 3, 3)))
         with pytest.raises(ValueError):
             conv2d(x, w, None, ConvSpec(5, 2, kernel=3))
+
+
+# (stride, padding, dilation, kernel); every case has an odd number (>= 5) of output rows
+_BAND_CASES = [(1, 1, 1, 3), (2, 1, 1, 3), (1, 2, 2, 3), (1, 0, 1, 1)]
+
+
+def _two_row_bands(monkeypatch, spec, n, h, w):
+    """Shrink the im2col budget to 2 output rows per band: >= 3 bands, the last partial."""
+    oh, ow = spec.out_size(h), spec.out_size(w)
+    assert oh >= 5 and oh % 2 == 1
+    monkeypatch.setattr(nn_core, "_IM2COL_CHUNK", 2 * n * spec.in_channels * spec.kernel**2 * ow)
+
+
+class TestConv2dBands:
+    @pytest.mark.parametrize("stride,padding,dilation,kernel", _BAND_CASES)
+    def test_multi_band_matches_oracle_and_single_band(self, monkeypatch, stride, padding,
+                                                        dilation, kernel):
+        rng = np.random.default_rng(20 + stride * 10 + padding * 3 + dilation + kernel)
+        x = rng.normal(size=(2, 3, 9, 8))
+        w = rng.normal(size=(4, 3, kernel, kernel))
+        b = rng.normal(size=4)
+        spec = ConvSpec(3, 4, kernel=kernel, stride=stride, padding=padding, dilation=dilation)
+        cot = Tensor(rng.normal(size=(2, 4, spec.out_size(9), spec.out_size(8))))
+
+        def run():
+            xt, wt, bt = _param(x.copy()), _param(w.copy()), _param(b.copy())
+            out = conv2d(xt, wt, bt, spec)
+            projected_loss(out, cot).backward()
+            return out.data, xt.grad, wt.grad, bt.grad
+
+        single = run()
+        _two_row_bands(monkeypatch, spec, 2, 9, 8)
+        multi = run()
+        expected = conv2d_naive(x, w, b, stride, padding, dilation)
+        np.testing.assert_allclose(multi[0], expected, atol=1e-12)
+        for got, ref in zip(multi, single):
+            np.testing.assert_allclose(got, ref, atol=1e-12)
+
+    @pytest.mark.parametrize("stride,padding,dilation,kernel", _BAND_CASES)
+    def test_multi_band_gradients_match_finite_differences(self, monkeypatch, stride, padding,
+                                                           dilation, kernel):
+        rng = np.random.default_rng(40 + stride * 10 + padding * 3 + dilation + kernel)
+        spec = ConvSpec(3, 4, kernel=kernel, stride=stride, padding=padding, dilation=dilation)
+        x = _param(rng.normal(size=(2, 3, 9, 8)))
+        w = _param(rng.normal(size=(4, 3, kernel, kernel)) * 0.3)
+        b = _param(rng.normal(size=4))
+        cot = random_cotangent((2, 4, spec.out_size(9), spec.out_size(8)), seed=8)
+        _two_row_bands(monkeypatch, spec, 2, 9, 8)
+
+        def loss():
+            return projected_loss(conv2d(x, w, b, spec), cot)
+
+        assert finite_diff_error(loss, [x, w, b], max_entries=40) < 1e-5
 
 
 class TestBatchNorm:
@@ -275,6 +330,17 @@ class TestCheckpoint:
         save_checkpoint(path, {"w": np.ones(4)})
         raw = path.read_bytes()
         path.write_bytes(raw[:-5])
+        with pytest.raises(ValueError, match="truncated"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("raw", [
+        struct.pack("<I", 2**31) + b"w",                              # name past the end
+        struct.pack("<I", 1) + b"w" + struct.pack("<I", 2**31),        # absurd rank
+        struct.pack("<I", 1) + b"w" + struct.pack("<IQ", 1, 2**40),    # payload past the end
+    ], ids=["name", "rank", "payload"])
+    def test_oversized_header_fields_rejected(self, tmp_path, raw):
+        path = tmp_path / "ckpt.bin"
+        path.write_bytes(raw)
         with pytest.raises(ValueError, match="truncated"):
             load_checkpoint(path)
 

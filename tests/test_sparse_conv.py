@@ -90,6 +90,25 @@ class TestRulebook:
             assert rb.n_out == rb.n_in == len(coords)
             np.testing.assert_array_equal(out_coords, coords)
 
+    @pytest.mark.parametrize("mode", ["submanifold", "strided"])
+    def test_ordinals_unique_within_each_offset(self, mode):
+        # sparse_conv_forward/backward scatter with a fancy-index +=, exact only if this holds
+        rng = np.random.default_rng(6)
+        for _ in range(25):
+            shape = tuple(int(v) for v in rng.integers(2, 7, size=3))
+            coords = np.concatenate([_random_sites(rng, shape, 40) + [b, 0, 0, 0]
+                                     for b in range(2)])
+            if mode == "submanifold":
+                kernel, stride = 3, 1
+            else:
+                kernel = tuple(int(k) for k in rng.integers(1, 4, size=3))
+                stride = tuple(int(s) for s in rng.integers(1, 3, size=3))
+            rb, _, _ = build_rulebook(coords, shape, kernel, stride, mode)
+            assert rb.total_pairs > 0
+            for in_idx, out_idx in rb.pairs:
+                assert len(np.unique(in_idx)) == len(in_idx)
+                assert len(np.unique(out_idx)) == len(out_idx)
+
 
 class TestSparseForward:
     def test_identity_center_weight(self):
