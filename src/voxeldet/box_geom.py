@@ -56,111 +56,112 @@ class Detection:
             raise ValueError(f"score out of range: {self.score}")
 
 
-def bev_corners(box) -> np.ndarray:
-    """Counterclockwise BEV rectangle corners, (4, 2)."""
-    x, y, _, w, l, _, theta = np.asarray(box if not isinstance(box, Box3D) else box.as_array())
-    dx = np.array([l, -l, -l, l]) / 2.0
-    dy = np.array([w, w, -w, -w]) / 2.0
+def _as_array(box) -> np.ndarray:
+    return box.as_array() if isinstance(box, Box3D) else np.asarray(box, dtype=np.float64)
+
+
+def bev_corners(boxes) -> np.ndarray:
+    """Counterclockwise BEV rectangle corners of (..., 7) boxes or a Box3D, (..., 4, 2)."""
+    b = _as_array(boxes)
+    x, y, w, l, theta = (b[..., k, None] for k in (0, 1, 3, 4, 6))
+    dx = l * np.array([1.0, -1.0, -1.0, 1.0]) / 2.0
+    dy = w * np.array([1.0, 1.0, -1.0, -1.0]) / 2.0
     c, s = np.cos(theta), np.sin(theta)
-    return np.stack([x + c * dx - s * dy, y + s * dx + c * dy], axis=1)
+    return np.stack([x + c * dx - s * dy, y + s * dx + c * dy], axis=-1)
 
 
-def polygon_area(poly: np.ndarray) -> float:
-    """Shoelace area of a polygon given as (n, 2) vertices."""
-    if len(poly) < 3:
-        return 0.0
-    x, y = poly[:, 0], poly[:, 1]
-    return 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+def _bev_overlap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """BEV intersection area of each row pair of two (P, 7) box arrays.
 
-
-def clip_polygon(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
-    """Sutherland-Hodgman clip of ``subject`` by a convex CCW ``clip`` polygon."""
-    output = [tuple(p) for p in subject]
-    n = len(clip)
-    for i in range(n):
-        if not output:
-            break
-        ax, ay = clip[i]
-        bx, by = clip[(i + 1) % n]
-        ex, ey = bx - ax, by - ay
-        points = output
-        output = []
-        prev = points[-1]
-        prev_in = ex * (prev[1] - ay) - ey * (prev[0] - ax) >= 0.0
-        for cur in points:
-            cur_in = ex * (cur[1] - ay) - ey * (cur[0] - ax) >= 0.0
-            if cur_in != prev_in:
-                # segment crosses the clip edge
-                dx, dy = cur[0] - prev[0], cur[1] - prev[1]
-                denom = ex * dy - ey * dx
-                if denom != 0.0:
-                    t = -(ex * (prev[1] - ay) - ey * (prev[0] - ax)) / denom
-                    output.append((prev[0] + t * dx, prev[1] + t * dy))
-            if cur_in:
-                output.append(cur)
-            prev, prev_in = cur, cur_in
-    return np.array(output) if output else np.zeros((0, 2))
-
-
-def bev_intersection_area(a, b) -> float:
-    return polygon_area(clip_polygon(bev_corners(a), bev_corners(b)))
+    One Sutherland-Hodgman clip of every ``a`` rectangle by its convex CCW
+    ``b`` rectangle, all rows at once. Row p's polygon fills the first
+    ``n[p]`` vertex slots. After each clip edge the slot count becomes the
+    largest polygon in the batch: an exact clip has at most 8 vertices, but
+    float sign flicker on near-degenerate pairs can emit more.
+    """
+    poly = bev_corners(a)
+    clip = bev_corners(b)
+    rows = np.arange(len(poly))[:, None]
+    n = np.full(len(poly), 4)
+    for i in range(4):
+        ax, ay = clip[:, i, 0, None], clip[:, i, 1, None]
+        ex = clip[:, (i + 1) % 4, 0, None] - ax
+        ey = clip[:, (i + 1) % 4, 1, None] - ay
+        slot = np.arange(poly.shape[1])
+        valid = slot < n[:, None]
+        prev = (rows, (slot - 1) % np.maximum(n, 1)[:, None])
+        side = ex * (poly[..., 1] - ay) - ey * (poly[..., 0] - ax)
+        inside = side >= 0.0
+        d = poly - poly[prev]
+        denom = ex * d[..., 1] - ey * d[..., 0]
+        crosses = valid & (inside != inside[prev]) & (denom != 0.0)
+        t = -side[prev] / np.where(crosses, denom, 1.0)
+        # each vertex emits its incoming edge's crossing point, then itself if inside
+        cand = np.empty(poly.shape[:2] + (2, 2))
+        cand[:, :, 0] = poly[prev] + t[..., None] * d
+        cand[:, :, 1] = poly
+        keep = np.empty(poly.shape[:2] + (2,), dtype=bool)
+        keep[:, :, 0] = crosses
+        keep[:, :, 1] = valid & inside
+        keep = keep.reshape(len(poly), -1)
+        n = keep.sum(axis=1)
+        order = np.argsort(~keep, axis=1, kind="stable")[:, : n.max(initial=0)]
+        poly = cand.reshape(len(poly), -1, 2)[rows, order]
+    slot = np.arange(poly.shape[1])
+    nxt = poly[rows, (slot + 1) % np.maximum(n, 1)[:, None]]
+    terms = np.where(slot < n[:, None],
+                     poly[..., 0] * nxt[..., 1] - poly[..., 1] * nxt[..., 0], 0.0)
+    # shoelace sum slot by slot, so a row's area does not depend on the batch width
+    twice_area = np.zeros(len(poly))
+    for k in range(poly.shape[1]):
+        twice_area += terms[:, k]
+    return 0.5 * np.abs(twice_area)
 
 
 def bev_iou(a, b) -> float:
     """Exact rotated-rectangle IoU in the BEV plane."""
-    aa = a.as_array() if isinstance(a, Box3D) else np.asarray(a)
-    bb = b.as_array() if isinstance(b, Box3D) else np.asarray(b)
-    area_a = aa[3] * aa[4]
-    area_b = bb[3] * bb[4]
-    if area_a <= 0.0 or area_b <= 0.0:
-        return 0.0
-    inter = bev_intersection_area(aa, bb)
-    union = area_a + area_b - inter
-    if union <= 0.0:
-        return 0.0
-    return min(max(inter / union, 0.0), 1.0)
+    return float(_pairwise(_as_array(a), _as_array(b), volumetric=False)[0, 0])
 
 
 def iou3d(a, b) -> float:
     """Volumetric IoU: rotated BEV overlap times vertical overlap."""
-    aa = a.as_array() if isinstance(a, Box3D) else np.asarray(a)
-    bb = b.as_array() if isinstance(b, Box3D) else np.asarray(b)
-    z_overlap = min(aa[2] + aa[5] / 2, bb[2] + bb[5] / 2) - max(aa[2] - aa[5] / 2, bb[2] - bb[5] / 2)
-    if z_overlap <= 0.0:
-        return 0.0
-    inter = bev_intersection_area(aa, bb) * z_overlap
-    vol_a = aa[3] * aa[4] * aa[5]
-    vol_b = bb[3] * bb[4] * bb[5]
-    union = vol_a + vol_b - inter
-    if union <= 0.0:
-        return 0.0
-    return min(max(inter / union, 0.0), 1.0)
+    return float(_pairwise(_as_array(a), _as_array(b), volumetric=True)[0, 0])
 
 
 def pairwise_bev_iou(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
     """(N, M) rotated BEV IoU matrix with a center-distance prefilter."""
-    return _pairwise(boxes_a, boxes_b, bev_iou)
+    return _pairwise(boxes_a, boxes_b, volumetric=False)
 
 
 def pairwise_iou3d(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
-    return _pairwise(boxes_a, boxes_b, iou3d)
+    return _pairwise(boxes_a, boxes_b, volumetric=True)
 
 
-def _pairwise(boxes_a, boxes_b, iou_fn) -> np.ndarray:
+def _pairwise(boxes_a, boxes_b, volumetric: bool) -> np.ndarray:
+    """IoU matrix; only pairs whose circumscribed BEV circles meet are clipped."""
     boxes_a = np.atleast_2d(np.asarray(boxes_a, dtype=np.float64))
     boxes_b = np.atleast_2d(np.asarray(boxes_b, dtype=np.float64))
     out = np.zeros((len(boxes_a), len(boxes_b)))
-    if out.size == 0:
-        return out
     rad_a = 0.5 * np.hypot(boxes_a[:, 3], boxes_a[:, 4])
     rad_b = 0.5 * np.hypot(boxes_b[:, 3], boxes_b[:, 4])
     dist = np.hypot(
         boxes_a[:, 0, None] - boxes_b[None, :, 0],
         boxes_a[:, 1, None] - boxes_b[None, :, 1],
     )
-    cand = dist <= rad_a[:, None] + rad_b[None, :]
-    for i, j in zip(*np.nonzero(cand)):
-        out[i, j] = iou_fn(boxes_a[i], boxes_b[j])
+    rows, cols = np.nonzero(dist <= rad_a[:, None] + rad_b[None, :])
+    if len(rows) == 0:
+        return out
+    a, b = boxes_a[rows], boxes_b[cols]
+    inter = _bev_overlap(a, b)
+    size_a, size_b = a[:, 3] * a[:, 4], b[:, 3] * b[:, 4]
+    if volumetric:
+        z_overlap = (np.minimum(a[:, 2] + a[:, 5] / 2, b[:, 2] + b[:, 5] / 2)
+                     - np.maximum(a[:, 2] - a[:, 5] / 2, b[:, 2] - b[:, 5] / 2))
+        inter = inter * np.maximum(z_overlap, 0.0)
+        size_a, size_b = size_a * a[:, 5], size_b * b[:, 5]
+    union = size_a + size_b - inter
+    ok = (size_a > 0.0) & (size_b > 0.0) & (union > 0.0)
+    out[rows[ok], cols[ok]] = np.clip(inter[ok] / union[ok], 0.0, 1.0)
     return out
 
 

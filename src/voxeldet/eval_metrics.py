@@ -143,7 +143,7 @@ def accumulate_matches(frames, iou_fn, threshold: float = CAR_IOU_THRESHOLD,
         for kind, delta, di in zip(kinds, deltas, order):
             if kind == "ignored":
                 continue
-            scores.append(detections_score(dets, di))
+            scores.append(float(dets.scores[di]))
             is_tp.append(kind == "tp")
             is_fp.append(kind == "fp")
             sims.append((1.0 + np.cos(delta)) / 2.0 if kind == "tp" else 0.0)
@@ -154,10 +154,6 @@ def accumulate_matches(frames, iou_fn, threshold: float = CAR_IOU_THRESHOLD,
         np.asarray(sims, dtype=np.float64),
         n_gt,
     ).sorted_by_score()
-
-
-def detections_score(dets: FrameDetections, index: int) -> float:
-    return float(dets.scores[index])
 
 
 def _recall_samples(mode: str) -> np.ndarray:
@@ -205,15 +201,6 @@ def aos(matches: RankedMatches, mode: str = "R11"):
     return float(np.mean(_envelope(sim_prec, recall, samples)) * 100.0)
 
 
-def precision_recall_curve(matches: RankedMatches) -> np.ndarray:
-    tp_cum = np.cumsum(matches.is_tp)
-    counted = np.cumsum(matches.is_tp | matches.is_fp)
-    valid = counted > 0
-    precision = np.where(valid, tp_cum / np.maximum(counted, 1), 0.0)
-    recall = tp_cum / max(matches.n_gt, 1)
-    return np.column_stack([recall, precision])
-
-
 @dataclass
 class EvalResult:
     """AP (3D and BEV) plus AOS per difficulty stratum, in percent."""
@@ -221,7 +208,6 @@ class EvalResult:
     ap_3d: dict
     ap_bev: dict
     aos: dict
-    curves: dict
 
     def as_flat_dict(self) -> dict[str, float | None]:
         out = {}
@@ -239,7 +225,7 @@ def evaluate_frames(frames, mode: str = "R11", threshold: float = CAR_IOU_THRESH
     AOS shares the BEV-matched ranking, so aos <= ap_bev stratum by stratum.
     """
     rules = rules or DIFFICULTY_RULES
-    ap_3d, ap_bev, aos_out, curves = {}, {}, {}, {}
+    ap_3d, ap_bev, aos_out = {}, {}, {}
     for name in rules:
         masks = [stratify(gt, rules)[name] for _, gt in frames]
         m3d = accumulate_matches(frames, iou3d, threshold, masks)
@@ -247,8 +233,7 @@ def evaluate_frames(frames, mode: str = "R11", threshold: float = CAR_IOU_THRESH
         ap_3d[name] = average_precision(m3d, mode)
         ap_bev[name] = average_precision(mbev, mode)
         aos_out[name] = aos(mbev, mode)
-        curves[name] = precision_recall_curve(mbev)
-    return EvalResult(ap_3d, ap_bev, aos_out, curves)
+    return EvalResult(ap_3d, ap_bev, aos_out)
 
 
 def format_report(result: EvalResult) -> str:

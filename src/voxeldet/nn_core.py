@@ -845,13 +845,13 @@ class AdamW:
 def save_checkpoint(path, tensors: dict[str, np.ndarray]):
     with open(path, "wb") as f:
         for name in sorted(tensors):
-            arr = np.ascontiguousarray(tensors[name], dtype=np.float64)
+            arr = np.asarray(tensors[name], dtype="<f8")
             raw = name.encode("utf-8")
             f.write(struct.pack("<I", len(raw)))
             f.write(raw)
             f.write(struct.pack("<I", arr.ndim))
             f.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-            f.write(arr.astype("<f8").tobytes())
+            f.write(arr.tobytes())
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:

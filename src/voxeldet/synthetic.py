@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,9 +17,6 @@ GROUND_Z = -1.7
 class Scene:
     cloud: PointCloud
     gt_boxes: tuple
-
-    def with_cloud(self, points: np.ndarray) -> "Scene":
-        return replace(self, cloud=PointCloud(points))
 
 
 def _car_surface_points(rng, box: Box3D, n: int) -> np.ndarray:

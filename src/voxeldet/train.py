@@ -52,10 +52,6 @@ class TargetAssignment:
     residuals: np.ndarray       # (n, 7)
     direction_bits: np.ndarray  # (n,) int64
 
-    @property
-    def num_positive(self) -> int:
-        return int((self.labels == 1).sum())
-
 
 def assign_targets(anchors: AnchorGrid, gts, positive_iou: float = 0.6,
                    negative_iou: float = 0.45, match_in_bev: bool = False) -> TargetAssignment:

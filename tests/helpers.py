@@ -153,6 +153,27 @@ def _bev_corners(box):
     return np.stack([x + c * dx - s * dy, y + s * dx + c * dy], axis=1)
 
 
+def clipped_bev_area(box_a, box_b):
+    """Scalar Sutherland-Hodgman oracle: BEV area of ``box_a`` clipped by ``box_b``."""
+    poly = [tuple(p) for p in _bev_corners(box_a)]
+    clip = _bev_corners(box_b)[::-1]                     # counterclockwise
+    for (ax, ay), (bx, by) in zip(clip, np.roll(clip, -1, axis=0)):
+        def side(p):
+            return (bx - ax) * (p[1] - ay) - (by - ay) * (p[0] - ax)
+
+        points, poly = poly, []
+        for prev, cur in zip(points[-1:] + points[:-1], points):
+            if (side(cur) >= 0.0) != (side(prev) >= 0.0):
+                t = side(prev) / (side(prev) - side(cur))
+                poly.append((prev[0] + t * (cur[0] - prev[0]), prev[1] + t * (cur[1] - prev[1])))
+            if side(cur) >= 0.0:
+                poly.append(cur)
+    if len(poly) < 3:
+        return 0.0
+    x, y = np.array(poly).T
+    return 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+
+
 # samples per block of the Monte-Carlo oracle: its buffers (~0.8 MB) stay in cache
 _MC_BLOCK = 16_384
 

@@ -14,15 +14,37 @@ from voxeldet.box_geom import (
     encode,
     iou3d,
     oriented_nms,
+    pairwise_bev_iou,
     pairwise_iou3d,
     wrap_angle,
 )
+from voxeldet.box_geom import _bev_overlap
 
-from helpers import monte_carlo_bev_iou
+from helpers import clipped_bev_area, monte_carlo_bev_iou
 
 
 def _box(x=0.0, y=0.0, z=0.0, w=1.0, l=1.0, h=1.0, theta=0.0):
     return Box3D(x, y, z, w, l, h, theta)
+
+
+def _random_boxes(rng, n, span):
+    return np.column_stack([rng.uniform(-span, span, (n, 2)), rng.uniform(-1, 1, n),
+                            rng.uniform(0.5, 4, (n, 3)), rng.uniform(-np.pi, np.pi, n)])
+
+
+def _near_degenerate_pairs(n, seed):
+    """Row pairs up to 60 m out: a box and itself shifted by 0, 1/2 or 1 length and
+    width, turned 1e-16 to 1e-6 rad. Inside tests flicker on the shared edges, and
+    some batches of 20k clip a polygon to more than 8 vertices."""
+    rng = np.random.default_rng(seed)
+    a = _random_boxes(rng, n, 60.0)
+    along, across = rng.choice([0.0, 0.0, 0.0, 0.5, 1.0], (2, n)) * a[:, [4, 3]].T
+    c, s = np.cos(a[:, 6]), np.sin(a[:, 6])
+    b = a.copy()
+    b[:, 0] += c * along - s * across
+    b[:, 1] += s * along + c * across
+    b[:, 6] += rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-16, -6, n)
+    return a, b
 
 
 box_strategy = st.builds(
@@ -51,8 +73,25 @@ class TestWrapAngle:
 
 class TestBevIou:
     def test_identical(self):
-        b = _box(w=1.6, l=3.9, theta=0.3)
-        assert bev_iou(b, b) == pytest.approx(1.0)
+        for theta in (0.3, np.pi / 4, np.pi / 2, -np.pi + 1e-9):
+            b = _box(w=1.6, l=3.9, theta=theta)
+            assert bev_iou(b, b) == pytest.approx(1.0, abs=1e-12)
+
+    def test_square_and_its_45_degree_turn_meet_in_an_octagon(self):
+        inter = 2.0 * (np.sqrt(2.0) - 1.0)
+        assert bev_iou(_box(), _box(theta=np.pi / 4)) == pytest.approx(inter / (2.0 - inter),
+                                                                        abs=1e-12)
+
+    def test_containment(self):
+        big = _box(x=1.0, w=4.0, l=6.0, theta=0.3)
+        small = _box(x=1.5, y=0.2, w=1.0, l=2.0, theta=-0.9)
+        assert bev_iou(big, small) == pytest.approx(2.0 / 24.0, abs=1e-12)
+        assert bev_iou(small, big) == pytest.approx(2.0 / 24.0, abs=1e-12)
+
+    @pytest.mark.parametrize("other", [_box(x=1.0), _box(x=1.0, y=1.0)], ids=["edge", "corner"])
+    def test_touching(self, other):
+        assert bev_iou(_box(), other) == 0.0
+        assert bev_iou(other, _box()) == 0.0
 
     def test_half_shifted_unit_squares(self):
         a = _box()
@@ -85,6 +124,37 @@ class TestBevIou:
             exact = bev_iou(a, b)
             approx = monte_carlo_bev_iou(a, b, n_samples=200_000, seed=trial)
             assert exact == pytest.approx(approx, abs=5e-3)
+
+    def test_overlap_matches_scalar_clipper(self):
+        a, b = _near_degenerate_pairs(1000, 5)
+        rng = np.random.default_rng(6)
+        a = np.vstack([a, _random_boxes(rng, 300, 3.0)])
+        b = np.vstack([b, _random_boxes(rng, 300, 3.0)])
+        want = [clipped_bev_area(x, y) for x, y in zip(a, b)]
+        np.testing.assert_allclose(_bev_overlap(a, b), want, rtol=0.0, atol=1e-10)
+
+    def test_pairwise_equals_scalar(self):
+        rng = np.random.default_rng(3)
+        a, b = _near_degenerate_pairs(8, 4)
+        boxes_a = np.vstack([_random_boxes(rng, 16, 6.0), a])
+        boxes_b = np.vstack([_random_boxes(rng, 16, 6.0), b])
+        for pairwise, scalar in ((pairwise_bev_iou, bev_iou), (pairwise_iou3d, iou3d)):
+            got = pairwise(boxes_a, boxes_b)
+            want = np.array([[scalar(x, y) for y in boxes_b] for x in boxes_a])
+            assert np.array_equal(got, want)
+            assert 0 < np.count_nonzero(got) < got.size / 2
+            assert pairwise(boxes_a[:0], boxes_b).shape == (0, len(boxes_b))
+            assert pairwise(boxes_a, boxes_b[:0]).shape == (len(boxes_a), 0)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_near_degenerate_stress(self, seed):
+        a, b = _near_degenerate_pairs(20_000, 100 + seed)
+        area = _bev_overlap(a, b)
+        smaller = np.minimum(a[:, 3] * a[:, 4], b[:, 3] * b[:, 4])
+        assert np.all((area >= 0.0) & (area <= smaller + 1e-9))
+        for pairwise in (pairwise_bev_iou, pairwise_iou3d):
+            iou = pairwise(a[:200], b[:200])
+            assert np.all((iou >= 0.0) & (iou <= 1.0))
 
 
 class TestIou3d:

@@ -323,6 +323,7 @@ class TestCheckpoint:
         loaded = load_checkpoint(path)
         assert set(loaded) == set(tensors)
         for k in tensors:
+            assert loaded[k].shape == np.shape(tensors[k])
             np.testing.assert_array_equal(loaded[k], np.asarray(tensors[k], dtype=np.float64))
 
     def test_truncated_rejected(self, tmp_path):
