@@ -261,12 +261,6 @@ class AnchorGrid:
     def count(self) -> int:
         return len(self.boxes)
 
-    def cell_of(self, flat_index: int) -> tuple[int, int, int]:
-        a = flat_index % 2
-        ix = (flat_index // 2) % self.n_x
-        iy = flat_index // (2 * self.n_x)
-        return iy, ix, a
-
 
 def build_anchor_grid(x_min: float, y_min: float, n_x: int, n_y: int, cell_size: float,
                       size=(1.6, 3.9, 1.56), z_center: float = -1.0,

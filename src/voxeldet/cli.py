@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -137,6 +138,8 @@ def read_simple_detections(path):
             if len(fields) != 8:
                 raise ValueError(f"{path}:{lineno}: expected 8 fields, got {len(fields)}")
             vals = [float(v) for v in fields]
+            if not all(math.isfinite(v) for v in vals):
+                raise ValueError(f"{path}:{lineno}: fields must be finite")
             dets.append(Detection(Box3D(*vals[:7]), vals[7]))
     return dets
 

@@ -1,11 +1,11 @@
 """Average precision and orientation similarity under the KITTI protocol.
 
 Ground truths are stratified into easy/moderate/hard by image-box height,
-occlusion and truncation; detections are matched greedily per frame by
-rotated IoU (volumetric or BEV) at a fixed threshold. Precision is sampled
-on an 11-point (or 40-point) interpolated envelope. Orientation quality
-replaces precision with the mean (1 + cos(dtheta)) / 2 over true positives,
-false positives contributing zero.
+occlusion and truncation; detections are matched greedily per frame over
+one rotated-IoU matrix (volumetric or BEV) at a fixed threshold. Precision
+is sampled on an 11-point (or 40-point) interpolated envelope. Orientation
+quality replaces precision with the mean (1 + cos(dtheta)) / 2 over true
+positives, false positives contributing zero.
 """
 
 from __future__ import annotations
@@ -14,12 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .box_geom import Box3D, bev_iou, iou3d, wrap_angle
+from .box_geom import pairwise_bev_iou, pairwise_iou3d, wrap_angle
+# not called here; bound because the traced benchmark wraps eval_metrics.bev_iou/iou3d
+from .box_geom import bev_iou, iou3d  # noqa: F401
 
 CAR_IOU_THRESHOLD = 0.7
-
-# Detections matching these classes are neither hits nor false alarms.
-IGNORED_CLASSES = ("Van", "DontCare")
 
 
 @dataclass(frozen=True)
@@ -71,37 +70,57 @@ def stratify(gt: FrameGroundTruth, rules=None) -> dict[str, np.ndarray]:
     return out
 
 
-def match_frame(detections: FrameDetections, gt_boxes, ignored_boxes, iou_fn,
+def _box_array(boxes) -> np.ndarray:
+    """(n, 7) array of Box3D rows; (0, 7) when there are none."""
+    return np.array([b.as_array() for b in boxes], dtype=np.float64).reshape(-1, 7)
+
+
+def _frame_ious(detections: FrameDetections, gt: FrameGroundTruth, pairwise_fn) -> np.ndarray:
+    """(dets x columns) IoU matrix; columns are ``gt.boxes`` then ``gt.ignored_boxes``."""
+    columns = list(gt.boxes) + list(gt.ignored_boxes)
+    return pairwise_fn(_box_array(detections.boxes), _box_array(columns))
+
+
+def _greedy_match(detections: FrameDetections, ious, target, target_theta, threshold):
+    """Greedy pass over one frame's IoU matrix.
+
+    ``target`` marks the columns that may be matched (``target_theta`` holds
+    their yaws in column order); every other column is an ignore region.
+    A detection takes the unmatched target with the highest IoU >= threshold,
+    the last such column on a tie.
+    """
+    order = np.argsort(-np.asarray(detections.scores), kind="stable")
+    hits = ious[:, target]
+    hits = np.where(hits >= threshold, hits, -np.inf)
+    near_ignored = (ious[:, ~target] >= threshold).any(axis=1)
+    kinds, deltas = [], []
+    for di in order:
+        best = hits[di].max(initial=-np.inf)
+        if best > -np.inf:
+            gi = np.flatnonzero(hits[di] == best)[-1]
+            hits[:, gi] = -np.inf
+            kinds.append("tp")
+            deltas.append(float(wrap_angle(detections.boxes[di].theta - target_theta[gi])))
+            continue
+        kinds.append("ignored" if near_ignored[di] else "fp")
+        deltas.append(0.0)
+    return kinds, deltas, order
+
+
+def match_frame(detections: FrameDetections, gt_boxes, ignored_boxes, pairwise_fn,
                 threshold: float = CAR_IOU_THRESHOLD):
     """Greedy score-descending matching; each ground truth matches at most once.
 
-    Returns (kinds, orientation_deltas, order): per detection (in descending
-    score order) a kind in {"tp", "fp", "ignored"} and, for TPs, the yaw
-    error against the matched ground truth.
+    ``pairwise_fn`` is ``pairwise_iou3d`` or ``pairwise_bev_iou``. Returns
+    (kinds, orientation_deltas, order): per detection (in descending score
+    order) a kind in {"tp", "fp", "ignored"} and, for TPs, the yaw error
+    against the matched ground truth.
     """
-    order = np.argsort(-np.asarray(detections.scores), kind="stable")
-    matched = np.zeros(len(gt_boxes), dtype=bool)
-    kinds, deltas = [], []
-    for di in order:
-        det_box = detections.boxes[di]
-        best_iou, best_gi = threshold, -1
-        for gi, gt_box in enumerate(gt_boxes):
-            if matched[gi]:
-                continue
-            iou = iou_fn(det_box, gt_box)
-            if iou >= best_iou:
-                best_iou, best_gi = iou, gi
-        if best_gi >= 0:
-            matched[best_gi] = True
-            kinds.append("tp")
-            deltas.append(float(wrap_angle(det_box.theta - gt_boxes[best_gi].theta)))
-            continue
-        if any(iou_fn(det_box, ib) >= threshold for ib in ignored_boxes):
-            kinds.append("ignored")
-        else:
-            kinds.append("fp")
-        deltas.append(0.0)
-    return kinds, deltas, order
+    gt_boxes = list(gt_boxes)
+    columns = gt_boxes + list(ignored_boxes)
+    ious = pairwise_fn(_box_array(detections.boxes), _box_array(columns))
+    target = np.arange(len(columns)) < len(gt_boxes)
+    return _greedy_match(detections, ious, target, [b.theta for b in gt_boxes], threshold)
 
 
 @dataclass
@@ -120,26 +139,16 @@ class RankedMatches:
                              self.similarities[order], self.n_gt)
 
 
-def accumulate_matches(frames, iou_fn, threshold: float = CAR_IOU_THRESHOLD,
-                       include_masks=None) -> RankedMatches:
-    """Match every frame and pool the outcomes into one global ranking.
-
-    ``frames`` is a sequence of (FrameDetections, FrameGroundTruth);
-    ``include_masks``, when given, selects the stratum's ground truths per
-    frame (excluded ones become ignored regions).
-    """
+def _pool_matches(frames, matrices, include_masks, threshold) -> RankedMatches:
+    """Match every frame on its IoU matrix and pool the outcomes into one ranking."""
     scores, is_tp, is_fp, sims = [], [], [], []
     n_gt = 0
-    for fi, (dets, gt) in enumerate(frames):
-        mask = (
-            np.ones(len(gt.boxes), dtype=bool)
-            if include_masks is None
-            else include_masks[fi]
-        )
-        gt_boxes = [b for b, m in zip(gt.boxes, mask) if m]
-        ignored = [b for b, m in zip(gt.boxes, mask) if not m] + list(gt.ignored_boxes)
-        n_gt += len(gt_boxes)
-        kinds, deltas, order = match_frame(dets, gt_boxes, ignored, iou_fn, threshold)
+    for (dets, gt), ious, mask in zip(frames, matrices, include_masks):
+        mask = np.asarray(mask, dtype=bool)
+        target = np.concatenate([mask, np.zeros(len(gt.ignored_boxes), dtype=bool)])
+        theta = [b.theta for b, m in zip(gt.boxes, mask) if m]
+        n_gt += len(theta)
+        kinds, deltas, order = _greedy_match(dets, ious, target, theta, threshold)
         for kind, delta, di in zip(kinds, deltas, order):
             if kind == "ignored":
                 continue
@@ -154,6 +163,21 @@ def accumulate_matches(frames, iou_fn, threshold: float = CAR_IOU_THRESHOLD,
         np.asarray(sims, dtype=np.float64),
         n_gt,
     ).sorted_by_score()
+
+
+def accumulate_matches(frames, pairwise_fn, threshold: float = CAR_IOU_THRESHOLD,
+                       include_masks=None) -> RankedMatches:
+    """Match every frame and pool the outcomes into one global ranking.
+
+    ``frames`` is a sequence of (FrameDetections, FrameGroundTruth);
+    ``pairwise_fn`` is ``pairwise_iou3d`` or ``pairwise_bev_iou``;
+    ``include_masks``, when given, selects the stratum's ground truths per
+    frame (excluded ones become ignored regions).
+    """
+    if include_masks is None:
+        include_masks = [np.ones(len(gt.boxes), dtype=bool) for _, gt in frames]
+    matrices = [_frame_ious(dets, gt, pairwise_fn) for dets, gt in frames]
+    return _pool_matches(frames, matrices, include_masks, threshold)
 
 
 def _recall_samples(mode: str) -> np.ndarray:
@@ -222,14 +246,19 @@ def evaluate_frames(frames, mode: str = "R11", threshold: float = CAR_IOU_THRESH
                     rules=None) -> EvalResult:
     """Full protocol: stratify, match in 3D and BEV, sample AP and AOS.
 
-    AOS shares the BEV-matched ranking, so aos <= ap_bev stratum by stratum.
+    Each frame's 3D and BEV IoU matrices are computed once and shared by
+    every stratum. AOS shares the BEV-matched ranking, so aos <= ap_bev
+    stratum by stratum.
     """
     rules = rules or DIFFICULTY_RULES
+    strata = [stratify(gt, rules) for _, gt in frames]
+    ious_3d = [_frame_ious(dets, gt, pairwise_iou3d) for dets, gt in frames]
+    ious_bev = [_frame_ious(dets, gt, pairwise_bev_iou) for dets, gt in frames]
     ap_3d, ap_bev, aos_out = {}, {}, {}
     for name in rules:
-        masks = [stratify(gt, rules)[name] for _, gt in frames]
-        m3d = accumulate_matches(frames, iou3d, threshold, masks)
-        mbev = accumulate_matches(frames, bev_iou, threshold, masks)
+        masks = [s[name] for s in strata]
+        m3d = _pool_matches(frames, ious_3d, masks, threshold)
+        mbev = _pool_matches(frames, ious_bev, masks, threshold)
         ap_3d[name] = average_precision(m3d, mode)
         ap_bev[name] = average_precision(mbev, mode)
         aos_out[name] = aos(mbev, mode)

@@ -1,4 +1,5 @@
-"""Shared test oracles: finite differences, dense 3D convolution, Monte-Carlo IoU."""
+"""Shared test oracles: finite differences, dense 3D convolution, Monte-Carlo IoU,
+per-pair KITTI matching."""
 
 import os
 from pathlib import Path
@@ -6,7 +7,8 @@ from pathlib import Path
 import numpy as np
 
 import voxeldet
-from voxeldet import nn_core
+from voxeldet import eval_metrics, nn_core
+from voxeldet.box_geom import bev_iou, iou3d, wrap_angle
 
 
 def child_env():
@@ -230,3 +232,66 @@ def monte_carlo_bev_iou(box_a, box_b, n_samples=1_000_000, seed=0):
     if union == 0:
         return 0.0
     return inter / union
+
+
+def match_frame_per_pair(detections, gt_boxes, ignored_boxes, iou_fn, threshold):
+    """Greedy matching oracle: one scalar ``iou_fn(det, gt)`` call per pair.
+
+    Detections go in stable descending-score order; each takes the unmatched
+    ground truth with the highest IoU >= threshold (the last one on a tie),
+    else is "ignored" when an ignored box reaches the threshold, else "fp".
+    """
+    order = np.argsort(-np.asarray(detections.scores), kind="stable")
+    matched = np.zeros(len(gt_boxes), dtype=bool)
+    kinds, deltas = [], []
+    for di in order:
+        det_box = detections.boxes[di]
+        best_iou, best_gi = threshold, -1
+        for gi, gt_box in enumerate(gt_boxes):
+            if matched[gi]:
+                continue
+            iou = iou_fn(det_box, gt_box)
+            if iou >= best_iou:
+                best_iou, best_gi = iou, gi
+        if best_gi >= 0:
+            matched[best_gi] = True
+            kinds.append("tp")
+            deltas.append(float(wrap_angle(det_box.theta - gt_boxes[best_gi].theta)))
+            continue
+        if any(iou_fn(det_box, ib) >= threshold for ib in ignored_boxes):
+            kinds.append("ignored")
+        else:
+            kinds.append("fp")
+        deltas.append(0.0)
+    return kinds, deltas, order
+
+
+def evaluate_frames_per_pair(frames, mode, threshold):
+    """KITTI protocol oracle: every stratum re-matches every frame pair by pair."""
+    ap_3d, ap_bev, aos_out = {}, {}, {}
+    for name in eval_metrics.DIFFICULTY_RULES:
+        pooled = {}
+        for key, iou_fn in (("3d", iou3d), ("bev", bev_iou)):
+            scores, is_tp, is_fp, sims, n_gt = [], [], [], [], 0
+            for dets, gt in frames:
+                mask = eval_metrics.stratify(gt)[name]
+                gt_boxes = [b for b, m in zip(gt.boxes, mask) if m]
+                ignored = [b for b, m in zip(gt.boxes, mask) if not m] + list(gt.ignored_boxes)
+                n_gt += len(gt_boxes)
+                kinds, deltas, order = match_frame_per_pair(dets, gt_boxes, ignored, iou_fn,
+                                                            threshold)
+                for kind, delta, di in zip(kinds, deltas, order):
+                    if kind == "ignored":
+                        continue
+                    scores.append(float(dets.scores[di]))
+                    is_tp.append(kind == "tp")
+                    is_fp.append(kind == "fp")
+                    sims.append((1.0 + np.cos(delta)) / 2.0 if kind == "tp" else 0.0)
+            pooled[key] = eval_metrics.RankedMatches(
+                np.asarray(scores, dtype=np.float64), np.asarray(is_tp, dtype=bool),
+                np.asarray(is_fp, dtype=bool), np.asarray(sims, dtype=np.float64), n_gt,
+            ).sorted_by_score()
+        ap_3d[name] = eval_metrics.average_precision(pooled["3d"], mode)
+        ap_bev[name] = eval_metrics.average_precision(pooled["bev"], mode)
+        aos_out[name] = eval_metrics.aos(pooled["bev"], mode)
+    return eval_metrics.EvalResult(ap_3d, ap_bev, aos_out)

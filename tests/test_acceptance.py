@@ -24,6 +24,8 @@ from voxeldet.box_geom import (
     direction_bit,
     encode,
     iou3d,
+    pairwise_bev_iou,
+    pairwise_iou3d,
 )
 from voxeldet.config import dump_config, toy_config
 from voxeldet.depth_head import DEFAULT_PARTS, PartOutput, PartSpec, check_coverage, fuse_scores
@@ -461,17 +463,18 @@ def test_criterion_9_metric_protocol():
 
     # perfect
     gt = [car(10.0), car(20.0)]
-    m = accumulate_matches([(dets(gt, [0.9, 0.8]), gt_frame(gt))], iou3d)
+    m = accumulate_matches([(dets(gt, [0.9, 0.8]), gt_frame(gt))], pairwise_iou3d)
     assert average_precision(m, "R11") == 100.0
 
     # one higher-ranked FP: envelope 0.5 everywhere -> 50
     gt = [car(10.0)]
-    m = accumulate_matches([(dets([car(50.0), gt[0]], [0.9, 0.8]), gt_frame(gt))], iou3d)
+    m = accumulate_matches([(dets([car(50.0), gt[0]], [0.9, 0.8]), gt_frame(gt))], pairwise_iou3d)
     assert average_precision(m, "R11") == 50.0
 
     # flipped orientation: AP 100, AOS 0
     gt = [car(10.0, theta=0.0)]
-    m = accumulate_matches([(dets([car(10.0, theta=np.pi)], [0.9]), gt_frame(gt))], bev_iou)
+    m = accumulate_matches([(dets([car(10.0, theta=np.pi)], [0.9]), gt_frame(gt))],
+                           pairwise_bev_iou)
     assert average_precision(m, "R11") == 100.0
     assert aos(m, "R11") == pytest.approx(0.0, abs=1e-12)
 
@@ -479,12 +482,12 @@ def test_criterion_9_metric_protocol():
     gt = [car(10.0)]
     shifted = car(10.7)
     assert iou3d(shifted, gt[0]) < 0.7
-    m = accumulate_matches([(dets([shifted], [0.9]), gt_frame(gt))], iou3d)
+    m = accumulate_matches([(dets([shifted], [0.9]), gt_frame(gt))], pairwise_iou3d)
     assert average_precision(m, "R11") == 0.0
 
     # empty detections
     gt = [car(10.0)]
-    m = accumulate_matches([(dets([], []), gt_frame(gt))], iou3d)
+    m = accumulate_matches([(dets([], []), gt_frame(gt))], pairwise_iou3d)
     assert average_precision(m, "R11") == 0.0
 
     rng = np.random.default_rng(4)
@@ -498,7 +501,8 @@ def test_criterion_9_metric_protocol():
             det_boxes.append(Box3D(src.x + rng.uniform(-1.5, 1.5),
                                    src.y + rng.uniform(-1.5, 1.5), src.z, src.w, src.l,
                                    src.h, rng.uniform(-np.pi, np.pi)))
-        m = accumulate_matches([(dets(det_boxes, rng.random(n_det)), gt_frame(gt))], bev_iou)
+        m = accumulate_matches([(dets(det_boxes, rng.random(n_det)), gt_frame(gt))],
+                               pairwise_bev_iou)
         ap = average_precision(m, "R11")
         o = aos(m, "R11")
         assert o <= ap + 1e-9

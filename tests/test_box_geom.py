@@ -268,8 +268,8 @@ class TestAnchors:
         assert grid.boxes[0, 6] == 0.0
         assert grid.boxes[1, 6] == pytest.approx(np.pi / 2)
         # row-major (iy, ix, a)
-        iy, ix, a = grid.cell_of(2 * 3 * 1 + 2 * 2 + 1)
-        assert (iy, ix, a) == (1, 2, 1)
+        box = grid.boxes.reshape(2, 3, 2, 7)[1, 2, 1]
+        np.testing.assert_allclose(box[[0, 1, 6]], [1.0, -1.4, np.pi / 2])
 
     def test_anchor_matches_itself(self):
         grid = build_anchor_grid(0.0, 0.0, n_x=2, n_y=2, cell_size=0.4)

@@ -46,6 +46,12 @@ def run_cli(*argv) -> int:
     return main(list(argv))
 
 
+GOOD_LINE = "10.0 0.0 -1.0 1.6 3.9 1.56 0.0 0.9\n"
+# a non-finite x, then a non-finite z
+NON_FINITE_LINES = ["nan 0.0 -1.0 1.6 3.9 1.56 0.0 0.8\n",
+                    "12.0 0.0 inf 1.6 3.9 1.56 0.0 0.8\n"]
+
+
 class TestConfigFile:
     def test_dump_load_dump_identity(self, tmp_path):
         text = dump_config(RunConfig())
@@ -90,6 +96,13 @@ class TestSimpleDetections:
         path = tmp_path / "dets.txt"
         path.write_text("1 2 3\n")
         with pytest.raises(ValueError, match="expected 8 fields"):
+            read_simple_detections(path)
+
+    @pytest.mark.parametrize("line", NON_FINITE_LINES, ids=["nan_x", "inf_z"])
+    def test_non_finite_field(self, tmp_path, line):
+        path = tmp_path / "dets.txt"
+        path.write_text(GOOD_LINE + line)
+        with pytest.raises(ValueError, match=r"dets\.txt:2: fields must be finite"):
             read_simple_detections(path)
 
 
@@ -156,6 +169,32 @@ class TestSubcommands:
                        "--out", str(out)) == 0
         kept = read_simple_detections(out)
         assert len(kept) == 1 and kept[0].score == pytest.approx(0.9)
+
+    @pytest.mark.parametrize("line", NON_FINITE_LINES, ids=["nan_x", "inf_z"])
+    def test_nms_non_finite_field_exits_2(self, tmp_path, line):
+        cfg = _toy_cfg_file(tmp_path)
+        src = tmp_path / "in.txt"
+        src.write_text(GOOD_LINE + line)
+        out = tmp_path / "out.txt"
+        assert run_cli("--config", str(cfg), "nms", "--detections", str(src),
+                       "--out", str(out)) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", NON_FINITE_LINES, ids=["nan_x", "inf_z"])
+    def test_eval_non_finite_field_exits_2(self, tmp_path, line):
+        cfg = _toy_cfg_file(tmp_path)
+        for d in ("dets", "labels", "calib"):
+            os.makedirs(tmp_path / d, exist_ok=True)
+        (tmp_path / "dets" / "000000.txt").write_text(GOOD_LINE + line)
+        write_calib(tmp_path / "calib" / "000000.txt", _calib())
+        (tmp_path / "labels" / "000000.txt").write_text("")
+        report = tmp_path / "report.txt"
+        assert run_cli("--config", str(cfg), "eval",
+                       "--detections-dir", str(tmp_path / "dets"),
+                       "--labels-dir", str(tmp_path / "labels"),
+                       "--calib-dir", str(tmp_path / "calib"),
+                       "--out", str(report)) == 2
+        assert not report.exists()
 
     def test_eval_perfect_ap(self, tmp_path):
         cfg = _toy_cfg_file(tmp_path)
