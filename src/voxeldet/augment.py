@@ -9,23 +9,12 @@ the whole scene rotated about z.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .box_geom import Box3D, pairwise_bev_iou, points_in_box3d, wrap_angle
-from .kitti_io import (
-    CalibMatrices,
-    LabelRecord,
-    PointCloud,
-    camera_box_to_lidar,
-    format_label_line,
-    lidar_box_to_camera,
-    read_labels,
-    read_point_cloud,
-    write_point_cloud,
-)
+from .kitti_io import PointCloud
 from .synthetic import Scene
 
 
@@ -122,34 +111,6 @@ def build_gt_database(scenes) -> list[GtSample]:
         for box in scene.gt_boxes:
             inside = points_in_box3d(pts[:, :3], box)
             samples.append(GtSample(box, pts[inside]))
-    return samples
-
-
-def save_gt_database(directory, samples):
-    """One binary point file plus one label line (identity calibration) each."""
-    os.makedirs(directory, exist_ok=True)
-    calib = CalibMatrices.identity()
-    for i, sample in enumerate(samples):
-        write_point_cloud(os.path.join(directory, f"{i:06d}.bin"),
-                          PointCloud(sample.points))
-        location, rotation_y = lidar_box_to_camera(sample.box, calib)
-        rec = LabelRecord("Car", 0.0, 0, 0.0, (0.0, 0.0, 50.0, 50.0),
-                          (sample.box.h, sample.box.w, sample.box.l),
-                          tuple(location), rotation_y)
-        with open(os.path.join(directory, f"{i:06d}.txt"), "w") as f:
-            f.write(format_label_line(rec) + "\n")
-
-
-def load_gt_database(directory) -> list[GtSample]:
-    calib = CalibMatrices.identity()
-    samples = []
-    for name in sorted(os.listdir(directory)):
-        if not name.endswith(".bin"):
-            continue
-        stem = name[:-4]
-        cloud = read_point_cloud(os.path.join(directory, name))
-        (rec,) = read_labels(os.path.join(directory, stem + ".txt"))
-        samples.append(GtSample(camera_box_to_lidar(rec, calib), cloud.points))
     return samples
 
 

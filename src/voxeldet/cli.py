@@ -250,6 +250,9 @@ def _cmd_forward(args, cfg) -> int:
 
     from .nn_core import no_grad
 
+    if args.kitti_out and not args.calib:
+        raise UsageError("--kitti-out requires --calib")
+    calib = read_calib(args.calib) if args.kitti_out else None
     model = _load_model(cfg, args.checkpoint)
     grid = voxelize(read_point_cloud(args.cloud), cfg.voxelizer())
     with no_grad():
@@ -257,9 +260,7 @@ def _cmd_forward(args, cfg) -> int:
     detections = model.detect(output)[0]
     write_simple_detections(args.out, detections)
     if args.kitti_out:
-        if not args.calib:
-            raise UsageError("--kitti-out requires --calib")
-        write_detections(args.kitti_out, detections, read_calib(args.calib))
+        write_detections(args.kitti_out, detections, calib)
     return EXIT_OK
 
 
@@ -271,6 +272,8 @@ def _cmd_train_toy(args, cfg) -> int:
     from .synthetic import make_toy_dataset
     from .train import LossReport, train_toy
 
+    if args.steps is not None and args.steps < 1:
+        raise UsageError("--steps must be >= 1")
     scenes = make_toy_dataset(cfg)
     if args.augment:
         rng = np.random.default_rng([cfg.data_seed, 0xA6])

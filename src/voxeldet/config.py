@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .depth_head import PartSpec
+from .depth_head import ANCHORS_PER_CELL, PartSpec, check_coverage
 from .sparse_conv import VfeBlockSpec
 from .voxel_grid import VoxelizerConfig
 
@@ -42,7 +42,6 @@ class RunConfig:
     # target assignment
     positive_iou: float = 0.6
     negative_iou: float = 0.45
-    match_in_bev: bool = False
     # losses
     lambda_loc: float = 2.0
     lambda_dir: float = 0.2
@@ -118,8 +117,6 @@ class RunConfig:
         )
 
     def validate(self) -> "RunConfig":
-        from .depth_head import check_coverage  # local to avoid import noise at module load
-
         vox = self.voxelizer()
         nx, ny, _ = vox.grid_shape
         if nx % self.bev_stride or ny % self.bev_stride:
@@ -135,6 +132,11 @@ class RunConfig:
         if blocks[0].in_channels != 4:
             raise ValueError("first block must accept the 4 voxel feature channels")
         check_coverage(self.parts(), self.bev_width)
+        if not len(self.part_kernels) == len(self.part_dilations) == len(self.part_bounds):
+            raise ValueError(
+                f"need one kernel and one dilation per part: {len(self.part_bounds)} parts, "
+                f"{len(self.part_kernels)} kernels, {len(self.part_dilations)} dilations"
+            )
         if not 0.0 <= self.negative_iou <= self.positive_iou <= 1.0:
             raise ValueError(
                 f"need 0 <= negative_iou <= positive_iou <= 1, got "
@@ -144,6 +146,10 @@ class RunConfig:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
+        if len(self.anchor_yaws) != ANCHORS_PER_CELL:
+            raise ValueError(
+                f"need {ANCHORS_PER_CELL} anchor yaws, got {len(self.anchor_yaws)}"
+            )
         if min(self.anchor_size) <= 0:
             raise ValueError(f"anchor size must be positive: {self.anchor_size}")
         if self.ap_mode not in ("R11", "R40"):

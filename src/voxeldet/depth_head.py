@@ -137,19 +137,10 @@ class DepthAwareHead(Module):
 class FusedOutput:
     """Full-width maps after cross-part max fusion (plain arrays, inference only)."""
 
-    scores: np.ndarray       # (B, 2, H, W) fused class probabilities
+    scores: np.ndarray       # (B, 2, H, W) fused class scores after the sigmoid
     box: np.ndarray          # (B, 14, H, W) residuals from the winning part
     dir_logits: np.ndarray   # (B, 4, H, W)
     part_index: np.ndarray   # (B, 2, H, W) which part won each cell/anchor
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
 
 
 def fuse_scores(part_outputs, parts, map_width: int) -> FusedOutput:
@@ -164,7 +155,7 @@ def fuse_scores(part_outputs, parts, map_width: int) -> FusedOutput:
     n_parts = len(parts)
     stacked = np.full((n_parts, b, ANCHORS_PER_CELL, h, map_width), -np.inf)
     for pi, (spec, out) in enumerate(zip(parts, part_outputs)):
-        stacked[pi, :, :, :, spec.lo : spec.hi] = _sigmoid(out.cls_logits.data)
+        stacked[pi, :, :, :, spec.lo : spec.hi] = nn_core.sigmoid(out.cls_logits.data).data
     part_index = stacked.argmax(axis=0)          # first max wins ties
     scores = np.take_along_axis(stacked, part_index[None], axis=0)[0]
 

@@ -42,10 +42,6 @@ class PointCloud:
     def xyz(self) -> np.ndarray:
         return self.points[:, :3]
 
-    @property
-    def intensity(self) -> np.ndarray:
-        return self.points[:, 3]
-
 
 @dataclass(frozen=True)
 class CalibMatrices:
@@ -135,6 +131,8 @@ def _parse_label_line(line: str, lineno: int) -> LabelRecord:
         raise ValueError(f"line {lineno}: expected 15 or 16 fields, got {len(fields)}")
     cls = fields[0]
     vals = [float(v) for v in fields[1:]]
+    if not np.isfinite(vals).all():
+        raise ValueError(f"line {lineno}: numeric fields must be finite")
     rec = LabelRecord(
         cls=cls,
         truncation=vals[0],

@@ -252,17 +252,6 @@ def power(a, p: float) -> Tensor:
     return out
 
 
-def exp(a) -> Tensor:
-    a = _wrap(a)
-    out_data = np.exp(a.data)
-
-    def backward():
-        a._accumulate(out.grad * out_data)
-
-    out = _node(out_data, (a,), backward)
-    return out
-
-
 def log(a) -> Tensor:
     a = _wrap(a)
     out_data = np.log(a.data)
@@ -319,21 +308,6 @@ def sigmoid(a) -> Tensor:
 
     def backward():
         a._accumulate(out.grad * out_data * (1.0 - out_data))
-
-    out = _node(out_data, (a,), backward)
-    return out
-
-
-def softmax(a, axis: int = 1) -> Tensor:
-    a = _wrap(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=axis, keepdims=True)
-
-    def backward():
-        g = out.grad
-        dot = (g * out_data).sum(axis=axis, keepdims=True)
-        a._accumulate(out_data * (g - dot))
 
     out = _node(out_data, (a,), backward)
     return out
@@ -427,49 +401,6 @@ def concat(tensors, axis: int = 1) -> Tensor:
 
 def concat_channels(tensors) -> Tensor:
     return concat(tensors, axis=1)
-
-
-def matmul(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    out_data = a.data @ b.data
-
-    def backward():
-        if a.requires_grad:
-            a._accumulate(out.grad @ b.data.T)
-        if b.requires_grad:
-            b._accumulate(a.data.T @ out.grad)
-
-    out = _node(out_data, (a, b), backward)
-    return out
-
-
-# -- row gather / scatter (sparse feature plumbing) -------------------------------
-
-
-def take_rows(a, index: np.ndarray) -> Tensor:
-    a = _wrap(a)
-    out_data = a.data[index]
-
-    def backward():
-        g = np.zeros_like(a.data)
-        np.add.at(g, index, out.grad)
-        a._accumulate(g)
-
-    out = _node(out_data, (a,), backward)
-    return out
-
-
-def index_add_rows(a, index: np.ndarray, n_out: int) -> Tensor:
-    """Scatter-add rows of ``a`` into ``n_out`` output rows at ``index``."""
-    a = _wrap(a)
-    out_data = np.zeros((n_out,) + a.shape[1:], dtype=np.float64)
-    np.add.at(out_data, index, a.data)
-
-    def backward():
-        a._accumulate(out.grad[index])
-
-    out = _node(out_data, (a,), backward)
-    return out
 
 
 # -- 2D feature-map operations -----------------------------------------------------

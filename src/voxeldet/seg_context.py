@@ -28,21 +28,12 @@ class MaskKind(enum.Enum):
 
 @dataclass(frozen=True)
 class SemanticMask:
-    """Per-BEV-cell foreground labels, optionally with predicted probabilities."""
+    """Per-BEV-cell foreground labels."""
 
     labels: np.ndarray                    # (h, w) bool
-    probabilities: np.ndarray | None = None
 
     def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=bool)
-        object.__setattr__(self, "labels", labels)
-        if self.probabilities is not None:
-            p = np.asarray(self.probabilities, dtype=np.float64)
-            if p.shape != labels.shape:
-                raise ValueError(f"probability shape {p.shape} != label shape {labels.shape}")
-            if p.min() < 0.0 or p.max() > 1.0:
-                raise ValueError("probabilities must lie in [0, 1]")
-            object.__setattr__(self, "probabilities", p)
+        object.__setattr__(self, "labels", np.asarray(self.labels, dtype=bool))
 
     @property
     def shape(self):
@@ -209,7 +200,7 @@ def fuse(features: Tensor, probability: Tensor) -> Tensor:
 
 
 def seg_loss(probability: Tensor, labels: np.ndarray, clamp_at: float = 1e-7) -> Tensor:
-    """Mean binary cross-entropy over all cells, probabilities clamped."""
+    """Mean binary cross-entropy over all cells, with each probability clamped."""
     y = np.asarray(labels, dtype=np.float64).reshape(probability.shape)
     p = nn_core.clamp(probability, clamp_at, 1.0 - clamp_at)
     y_t = Tensor(y)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import nn_core
 from .nn_core import BatchNorm, Module, Tensor, he_normal, relu
-from .voxel_grid import SparseVoxelGrid, make_grid
+from .voxel_grid import SparseVoxelGrid
 
 
 def _as_triple(v) -> tuple[int, int, int]:
@@ -387,10 +387,3 @@ def densify_grid(grid: SparseVoxelGrid) -> np.ndarray:
     dense[grid.indices[:, 0], grid.indices[:, 1], grid.indices[:, 2]] = grid.features
     return dense
 
-
-def sparsify_dense(dense: np.ndarray) -> SparseVoxelGrid:
-    """Inverse of :func:`densify_grid` for arrays without zero-feature sites."""
-    nx, ny, nz, _ = dense.shape
-    mask = np.any(dense != 0.0, axis=3)
-    ix, iy, iz = np.nonzero(mask)
-    return make_grid((nx, ny, nz), np.stack([ix, iy, iz], 1), dense[ix, iy, iz])

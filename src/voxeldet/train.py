@@ -14,13 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn_core
-from .box_geom import (
-    AnchorGrid,
-    direction_bit,
-    encode,
-    pairwise_bev_iou,
-    pairwise_iou3d,
-)
+from .box_geom import AnchorGrid, direction_bit, encode, pairwise_iou3d
 from .config import RunConfig
 from .model import ModelOutput, VehicleDetector
 from .nn_core import AdamW, Tensor
@@ -54,7 +48,7 @@ class TargetAssignment:
 
 
 def assign_targets(anchors: AnchorGrid, gts, positive_iou: float = 0.6,
-                   negative_iou: float = 0.45, match_in_bev: bool = False) -> TargetAssignment:
+                   negative_iou: float = 0.45) -> TargetAssignment:
     """Threshold matching on IoU with a forced best anchor per ground truth."""
     n = anchors.count
     labels = np.zeros(n, dtype=np.int8)
@@ -63,8 +57,7 @@ def assign_targets(anchors: AnchorGrid, gts, positive_iou: float = 0.6,
     bits = np.zeros(n, dtype=np.int64)
     if gts:
         gt_arr = np.stack([b.as_array() for b in gts])
-        iou_fn = pairwise_bev_iou if match_in_bev else pairwise_iou3d
-        ious = iou_fn(anchors.boxes, gt_arr)    # (n, m)
+        ious = pairwise_iou3d(anchors.boxes, gt_arr)    # (n, m)
         best_gt = ious.argmax(axis=1)
         best_iou = ious[np.arange(n), best_gt]
         labels[best_iou >= positive_iou] = 1
@@ -100,8 +93,8 @@ def focal_loss(logits: Tensor, labels: np.ndarray, alpha: float = 0.25,
     p = nn_core.sigmoid(logits)
     log_p = nn_core.log(nn_core.clamp(p, 1e-12, 1.0))
     log_q = nn_core.log(nn_core.clamp(1.0 - p, 1e-12, 1.0))
-    loss_pos = pos * ((1.0 - p) ** 2 if gamma == 2.0 else (1.0 - p) ** gamma) * log_p * (-alpha)
-    loss_neg = neg * (p ** 2 if gamma == 2.0 else p ** gamma) * log_q * (-(1.0 - alpha))
+    loss_pos = pos * (1.0 - p) ** gamma * log_p * (-alpha)
+    loss_neg = neg * p ** gamma * log_q * (-(1.0 - alpha))
     return (loss_pos + loss_neg).sum() * (1.0 / n_pos)
 
 
@@ -266,7 +259,7 @@ def prepare_batches(cfg: RunConfig, model: VehicleDetector, scenes) -> list[Prep
         masks.append(make_mask(grid, list(scene.gt_boxes), kind, vox, cfg.bev_stride))
         assignments.append(
             assign_targets(model.anchors, list(scene.gt_boxes), cfg.positive_iou,
-                           cfg.negative_iou, cfg.match_in_bev)
+                           cfg.negative_iou)
         )
     batches = []
     h, w = model.bev_height, model.bev_width

@@ -7,8 +7,6 @@ from voxeldet.augment import (
     augment_scene,
     build_gt_database,
     fit_ground_plane,
-    load_gt_database,
-    save_gt_database,
 )
 from voxeldet.box_geom import Box3D, bev_iou, points_in_box3d
 from voxeldet.config import toy_config
@@ -88,15 +86,6 @@ class TestGtDatabase:
         assert len(samples) == 1
         assert len(samples[0].points) == 40
         assert points_in_box3d(samples[0].points[:, :3], samples[0].box).all()
-
-    def test_save_load_roundtrip(self, tmp_path):
-        samples = build_gt_database([_scene_with_car()])
-        save_gt_database(tmp_path / "db", samples)
-        loaded = load_gt_database(tmp_path / "db")
-        assert len(loaded) == 1
-        np.testing.assert_allclose(loaded[0].box.as_array(), samples[0].box.as_array(),
-                                   atol=1e-3)
-        np.testing.assert_allclose(loaded[0].points, samples[0].points, atol=1e-3)
 
 
 class TestAugmentScene:

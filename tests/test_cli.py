@@ -16,6 +16,7 @@ from voxeldet.kitti_io import (
     write_point_cloud,
 )
 from voxeldet.cli import main, read_simple_detections, write_simple_detections
+from voxeldet.model import VehicleDetector
 from voxeldet.nn_core import save_checkpoint
 from voxeldet.synthetic import make_toy_dataset
 
@@ -73,6 +74,26 @@ class TestConfigFile:
     def test_part_coverage_validation(self):
         with pytest.raises(ValueError, match="covered by no part"):
             parse_config("part_bounds = 0,50;60,176\n")
+
+    def test_match_in_bev_is_no_longer_a_key(self, tmp_path):
+        with pytest.raises(ValueError, match="unknown key 'match_in_bev'"):
+            parse_config("match_in_bev = false\n")
+        path = tmp_path / "old.cfg"
+        path.write_text(dump_config(RunConfig()) + "match_in_bev = false\n")
+        assert run_cli("--config", str(path), "dump-config",
+                       "--out", str(tmp_path / "o.cfg")) == 2
+        assert not (tmp_path / "o.cfg").exists()
+
+    @pytest.mark.parametrize("text, match", [
+        ("part_kernels = 1,3,3,3\n", "3 parts, 4 kernels, 3 dilations"),
+        ("part_dilations = 1,1,2,2\n", "3 parts, 3 kernels, 4 dilations"),
+        ("part_bounds = 0,17;7,24\n", "2 parts, 3 kernels, 3 dilations"),
+        ("anchor_yaws = 0.0\n", "need 2 anchor yaws, got 1"),
+        ("anchor_yaws = 0.0,0.5,1.0\n", "need 2 anchor yaws, got 3"),
+    ], ids=["4_kernels", "4_dilations", "2_bounds", "1_yaw", "3_yaws"])
+    def test_length_mismatch_rejected(self, text, match):
+        with pytest.raises(ValueError, match=match):
+            parse_config(text, base=toy_config())
 
     def test_comments_and_blanks(self):
         cfg = parse_config("# comment\n\nlambda_seg = 0.7\n")
@@ -196,6 +217,36 @@ class TestSubcommands:
                        "--out", str(report)) == 2
         assert not report.exists()
 
+    @pytest.mark.parametrize("field, value", [(11, "nan"), (13, "inf"), (1, "nan"),
+                                              (10, "inf")],
+                             ids=["nan_x", "inf_z", "nan_truncation", "inf_length"])
+    def test_eval_non_finite_label_exits_2(self, tmp_path, field, value):
+        cfg = _toy_cfg_file(tmp_path)
+        for d in ("dets", "labels", "calib"):
+            os.makedirs(tmp_path / d, exist_ok=True)
+        (tmp_path / "dets" / "000000.txt").write_text(GOOD_LINE)
+        write_calib(tmp_path / "calib" / "000000.txt", _calib())
+        fields = "Car 0.00 0 1.57 0.0 0.0 100.0 100.0 1.56 1.6 3.9 0.0 1.78 10.0 -1.57".split()
+        fields[field] = value
+        (tmp_path / "labels" / "000000.txt").write_text(" ".join(fields) + "\n")
+        report = tmp_path / "report.txt"
+        assert run_cli("--config", str(cfg), "eval",
+                       "--detections-dir", str(tmp_path / "dets"),
+                       "--labels-dir", str(tmp_path / "labels"),
+                       "--calib-dir", str(tmp_path / "calib"),
+                       "--out", str(report)) == 2
+        assert not report.exists()
+
+    def test_forward_kitti_out_without_calib_writes_nothing(self, tmp_path):
+        cfg_path = _toy_cfg_file(tmp_path)
+        ckpt = tmp_path / "model.bin"
+        save_checkpoint(ckpt, VehicleDetector(toy_config()).state_dict())
+        out, kitti = tmp_path / "dets.txt", tmp_path / "kitti.txt"
+        assert run_cli("--config", str(cfg_path), "forward",
+                       "--cloud", str(_golden_cloud(tmp_path)), "--checkpoint", str(ckpt),
+                       "--out", str(out), "--kitti-out", str(kitti)) == 1
+        assert not out.exists() and not kitti.exists()
+
     def test_eval_perfect_ap(self, tmp_path):
         cfg = _toy_cfg_file(tmp_path)
         calib = _calib()
@@ -290,6 +341,14 @@ class TestTrainForwardPipeline:
                        "--cloud", str(cloud_path), "--checkpoint", str(ckpt),
                        "--out", str(dets)) == 0
         read_simple_detections(dets)   # parses
+
+    @pytest.mark.parametrize("steps", ["-3", "0"])
+    def test_train_toy_rejects_non_positive_steps(self, micro_cfg_file, tmp_path, steps):
+        ckpt = tmp_path / "model.bin"
+        trace = tmp_path / "trace.csv"
+        assert run_cli("--config", str(micro_cfg_file), "train-toy", "--steps", steps,
+                       "--checkpoint", str(ckpt), "--trace", str(trace)) == 1
+        assert not ckpt.exists() and not trace.exists()
 
     def test_train_toy_deterministic(self, micro_cfg_file, tmp_path):
         outs = []

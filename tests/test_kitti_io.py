@@ -108,6 +108,23 @@ class TestLabels:
         (rec,) = read_labels(p)
         assert rec.score == pytest.approx(0.87)
 
+    @pytest.mark.parametrize("field, value", [
+        (11, "nan"),    # location x
+        (13, "inf"),    # location z
+        (1, "nan"),     # truncation
+        (2, "inf"),     # occlusion
+        (10, "inf"),    # length
+        (14, "-inf"),   # rotation_y
+        (15, "nan"),    # score
+    ])
+    def test_non_finite_field_names_line(self, tmp_path, field, value):
+        fields = (CANONICAL_LABEL + " 0.87").split()
+        fields[field] = value
+        p = tmp_path / "label.txt"
+        p.write_text(CANONICAL_LABEL + "\n" + " ".join(fields) + "\n")
+        with pytest.raises(ValueError, match="line 2: numeric fields must be finite"):
+            read_labels(p)
+
 
 class TestFrameConversion:
     def test_identity_calib_yaw(self):

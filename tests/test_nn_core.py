@@ -22,7 +22,6 @@ from voxeldet.nn_core import (
     relu,
     save_checkpoint,
     sigmoid,
-    softmax,
     upsample_nearest2,
 )
 
@@ -212,15 +211,6 @@ class TestActivations:
     def test_sigmoid_extreme_stable(self):
         out = sigmoid(Tensor([-800.0, 800.0]))
         assert np.all(np.isfinite(out.data))
-
-    def test_softmax_equal_logits(self):
-        out = softmax(Tensor(np.zeros((1, 2, 2, 2))), axis=1)
-        np.testing.assert_allclose(out.data, 0.5)
-
-    def test_softmax_sums_to_one(self):
-        rng = np.random.default_rng(3)
-        out = softmax(Tensor(rng.normal(scale=30.0, size=(2, 5, 3, 3))), axis=1)
-        np.testing.assert_allclose(out.data.sum(axis=1), 1.0, atol=1e-12)
 
     def test_logsumexp_matches_numpy(self):
         rng = np.random.default_rng(4)

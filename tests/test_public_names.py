@@ -1,0 +1,60 @@
+"""Every top-level public function and class in ``voxeldet`` has a reader.
+
+A name counts as read when it appears as a whole word in a ``.py`` file under
+``src/``, ``tests/`` or ``benchmark/`` on any line other than its own
+definition, either bare (``voxelize(...)``, ``from .x import voxelize``,
+``"voxelize"``) or qualified by its own module (``voxel_grid.voxelize``).
+An attribute of anything else (``np.matmul``) is a different name.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def public_definitions(package: Path):
+    """(module, name, path, line) of each top-level public def and class."""
+    out = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                out.append((path.stem, node.name, path, node.lineno))
+    return out
+
+
+def unread_names(package: Path, search_roots) -> list[str]:
+    sources = {p: p.read_text().splitlines()
+               for root in search_roots for p in sorted(root.rglob("*.py"))
+               if p != Path(__file__).resolve()}
+    unread = []
+    for module, name, def_path, def_line in public_definitions(package):
+        word = re.compile(rf"(?:(?<![\w.])|(?<![\w.]){module}\.){name}\b")
+        if not any(word.search(line)
+                   for path, lines in sources.items()
+                   for lineno, line in enumerate(lines, start=1)
+                   if (path, lineno) != (def_path, def_line)):
+            unread.append(f"{module}.{name}")
+    return unread
+
+
+def test_every_public_name_is_read():
+    package = ROOT / "src" / "voxeldet"
+    roots = [ROOT / "src", ROOT / "tests", ROOT / "benchmark"]
+    assert public_definitions(package), "no definitions found"
+    assert unread_names(package, roots) == []
+
+
+def test_scanner_flags_unread_and_foreign_attributes(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "ops.py").write_text(
+        "def used():\n    pass\n\n\n"
+        "def qualified():\n    pass\n\n\n"
+        "def matmul(a, b):\n    return np.matmul(a, b)\n\n\n"
+        "class _Private:\n    pass\n"
+    )
+    (tmp_path / "reader.py").write_text("from pkg.ops import used\nops.qualified()\n")
+    assert unread_names(package, [tmp_path]) == ["ops.matmul"]

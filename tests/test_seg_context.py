@@ -9,7 +9,6 @@ from voxeldet.seg_context import (
     MaskKind,
     SegmentationBranch,
     SemanticContextEncoder,
-    SemanticMask,
     fuse,
     make_mask,
     seg_loss,
@@ -252,13 +251,3 @@ class TestEncoder:
         labels = np.random.default_rng(3).random(m.shape) < 0.3
         seg_loss(m, labels).backward()
         assert all(g is not None and np.any(g) for g in self._grads(enc.segmentation))
-
-
-class TestSemanticMaskValidation:
-    def test_probability_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            SemanticMask(np.zeros((2, 2), bool), np.zeros((3, 3)))
-
-    def test_probability_range(self):
-        with pytest.raises(ValueError):
-            SemanticMask(np.zeros((2, 2), bool), np.full((2, 2), 1.5))
