@@ -394,36 +394,38 @@ def _cmd_bench(args, cfg) -> int:
     t0 = time.perf_counter()
     grid = voxelize(cloud, cfg.voxelizer())
     timings.append(("voxelize", time.perf_counter() - t0))
-    rows.append(("voxelize", f"sites={grid.num_sites}", digest(grid.features)))
+    rows.append(("voxelize", f"sites={grid.num_sites} {grid.features.dtype}",
+                 digest(grid.features)))
 
     t0 = time.perf_counter()
     with no_grad():
         plan = model.vfe.build_plan([grid])
         bev = model.vfe.forward(plan)
     timings.append(("vfe", time.perf_counter() - t0))
-    rows.append(("vfe", f"shape={bev.shape}", digest(bev.data)))
+    rows.append(("vfe", f"shape={bev.shape} {bev.data.dtype}", digest(bev.data)))
 
     t0 = time.perf_counter()
     with no_grad():
         fused, probability = model.sce(bev)
     timings.append(("sce", time.perf_counter() - t0))
-    rows.append(("sce", f"shape={fused.shape}", digest(fused.data)))
+    rows.append(("sce", f"shape={fused.shape} {fused.data.dtype}", digest(fused.data)))
 
     t0 = time.perf_counter()
     with no_grad():
         parts = model.head(fused)
     fused_scores = model.fuse(ModelOutput(bev, probability, fused, parts))
     timings.append(("head", time.perf_counter() - t0))
-    rows.append(("head", f"scores={fused_scores.scores.shape}", digest(fused_scores.scores)))
+    scores = fused_scores.scores
+    rows.append(("head", f"scores={scores.shape} {scores.dtype}", digest(scores)))
 
     t0 = time.perf_counter()
     detections = model.detect(ModelOutput(bev, probability, fused, parts))[0]
     timings.append(("nms", time.perf_counter() - t0))
     rows.append(("nms", f"kept={len(detections)}", "-"))
 
-    table = ["stage            summary                          digest"]
+    table = [f"{'stage':<16} {'summary':<40} digest"]
     for (name, summary, dig) in rows:
-        table.append(f"{name:<16} {summary:<32} {dig}")
+        table.append(f"{name:<16} {summary:<40} {dig}")
     _write_text(args.out, "\n".join(table) + "\n")
     sys.stderr.write("stage timings (machine-dependent):\n")
     for name, dt in timings:

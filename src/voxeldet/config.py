@@ -156,6 +156,9 @@ class RunConfig:
             raise ValueError(f"ap_mode must be R11 or R40, got {self.ap_mode!r}")
         if self.mask_kind not in ("box_type", "voxel_type"):
             raise ValueError(f"mask_kind must be box_type or voxel_type, got {self.mask_kind!r}")
+        for name in ("train_steps", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.learning_rate <= 0 or self.weight_decay < 0:
             raise ValueError("learning_rate must be positive, weight_decay non-negative")
         if min(self.lambda_loc, self.lambda_dir, self.lambda_seg,

@@ -135,7 +135,10 @@ class DepthAwareHead(Module):
 
 @dataclass
 class FusedOutput:
-    """Full-width maps after cross-part max fusion (plain arrays, inference only)."""
+    """Full-width maps after cross-part max fusion (plain arrays, inference only).
+
+    The arrays keep the dtype of the part outputs.
+    """
 
     scores: np.ndarray       # (B, 2, H, W) fused class scores after the sigmoid
     box: np.ndarray          # (B, 14, H, W) residuals from the winning part
@@ -153,14 +156,14 @@ def fuse_scores(part_outputs, parts, map_width: int) -> FusedOutput:
     first = part_outputs[0].cls_logits.data
     b, _, h, _ = first.shape
     n_parts = len(parts)
-    stacked = np.full((n_parts, b, ANCHORS_PER_CELL, h, map_width), -np.inf)
+    stacked = np.full((n_parts, b, ANCHORS_PER_CELL, h, map_width), -np.inf, first.dtype)
     for pi, (spec, out) in enumerate(zip(parts, part_outputs)):
         stacked[pi, :, :, :, spec.lo : spec.hi] = nn_core.sigmoid(out.cls_logits.data).data
     part_index = stacked.argmax(axis=0)          # first max wins ties
     scores = np.take_along_axis(stacked, part_index[None], axis=0)[0]
 
-    box = np.zeros((b, BOX_CHANNELS, h, map_width))
-    dir_logits = np.zeros((b, DIR_CHANNELS, h, map_width))
+    box = np.zeros((b, BOX_CHANNELS, h, map_width), first.dtype)
+    dir_logits = np.zeros((b, DIR_CHANNELS, h, map_width), first.dtype)
     for pi, (spec, out) in enumerate(zip(parts, part_outputs)):
         for a in range(ANCHORS_PER_CELL):
             win = part_index[:, a, :, spec.lo : spec.hi] == pi

@@ -125,14 +125,14 @@ def write_point_cloud(path, cloud: PointCloud):
         f.write(np.ascontiguousarray(cloud.points, dtype="<f4").tobytes())
 
 
-def _parse_label_line(line: str, lineno: int) -> LabelRecord:
+def _parse_label_line(line: str) -> LabelRecord:
     fields = line.split()
     if len(fields) not in (15, 16):
-        raise ValueError(f"line {lineno}: expected 15 or 16 fields, got {len(fields)}")
+        raise ValueError(f"expected 15 or 16 fields, got {len(fields)}")
     cls = fields[0]
     vals = [float(v) for v in fields[1:]]
     if not np.isfinite(vals).all():
-        raise ValueError(f"line {lineno}: numeric fields must be finite")
+        raise ValueError("numeric fields must be finite")
     rec = LabelRecord(
         cls=cls,
         truncation=vals[0],
@@ -147,20 +147,26 @@ def _parse_label_line(line: str, lineno: int) -> LabelRecord:
     if not rec.is_dontcare:
         left, top, right, bottom = rec.bbox
         if not (right > left and bottom > top):
-            raise ValueError(f"line {lineno}: degenerate image bbox {rec.bbox}")
+            raise ValueError(f"degenerate image bbox {rec.bbox}")
         if not all(d > 0 for d in rec.dims):
-            raise ValueError(f"line {lineno}: non-positive box dims {rec.dims}")
+            raise ValueError(f"non-positive box dims {rec.dims}")
     return rec
 
 
 def read_labels(path) -> list[LabelRecord]:
-    """One record per non-empty line; DontCare rows are kept and flagged."""
+    """One record per non-empty line; DontCare rows are kept and flagged.
+
+    A malformed line raises ValueError prefixed with ``<path>:<line>:``.
+    """
     records = []
     with open(path, "r") as f:
         for lineno, line in enumerate(f, start=1):
             if not line.strip():
                 continue
-            records.append(_parse_label_line(line, lineno))
+            try:
+                records.append(_parse_label_line(line))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return records
 
 

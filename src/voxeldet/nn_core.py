@@ -1,11 +1,14 @@
 """Dense tensor engine with reverse-mode differentiation.
 
-Everything runs on float64 numpy arrays. A :class:`Tensor` wraps a value
-buffer plus an optional gradient buffer; operations record closures that
-accumulate gradients when :meth:`Tensor.backward` is called on a scalar.
-Feature maps follow the (batch, channel, height, width) layout; sparse
-voxel features travel through the same engine as (sites, channels)
-matrices.
+A :class:`Tensor` wraps a float64 or float32 numpy buffer plus an optional
+gradient buffer; operations record closures that accumulate gradients when
+:meth:`Tensor.backward` is called on a scalar. Every op keeps the dtype of
+its input and casts parameters at use, so the float64 parameters, running
+statistics, gradients and checkpoints serve float64 training and float32
+eval-mode inference alike. For a fixed dtype and BLAS thread count the
+outputs are byte-identical from run to run. Feature maps follow the
+(batch, channel, height, width) layout; sparse voxel features travel
+through the same engine as (sites, channels) matrices.
 """
 
 from __future__ import annotations
@@ -22,15 +25,19 @@ _IM2COL_CHUNK = 16 * 1024 * 1024
 
 
 def _as_array(x) -> np.ndarray:
+    """float32 arrays pass through; everything else becomes float64."""
+    if isinstance(x, np.ndarray) and x.dtype == np.float32:
+        return x
     return np.asarray(x, dtype=np.float64)
 
 
 class Tensor:
-    """A float64 array with an optional gradient slot.
+    """A float64 (or float32) array with an optional gradient slot.
 
-    Tensors produced by engine operations remember their parents and a
-    backward closure; leaves created with ``requires_grad=True`` collect
-    gradients.
+    Training, gradients and checkpoints use float64; eval-mode inference
+    runs in float32. Tensors produced by engine operations remember their
+    parents and a backward closure; leaves created with
+    ``requires_grad=True`` collect gradients.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -112,16 +119,16 @@ class Tensor:
         return mul(self, -1.0)
 
     def __sub__(self, other):
-        return add(self, -_wrap(other))
+        return add(self, -other)
 
     def __rsub__(self, other):
-        return add(_wrap(other), -self)
+        return add(other, -self)
 
     def __truediv__(self, other):
         return div(self, other)
 
     def __rtruediv__(self, other):
-        return div(_wrap(other), self)
+        return div(other, self)
 
     def __pow__(self, p):
         return power(self, p)
@@ -138,6 +145,19 @@ class Tensor:
 
 def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def _wrap_pair(a, b) -> tuple[Tensor, Tensor]:
+    """Wrap two operands; a Python number takes the other operand's dtype.
+
+    numpy treats Python numbers as weak scalars (NEP 50); a wrapped 0-d
+    float64 array would instead promote a float32 operand to float64.
+    """
+    if isinstance(a, Tensor) and isinstance(b, (int, float)):
+        b = Tensor(np.asarray(b, a.data.dtype))
+    elif isinstance(b, Tensor) and isinstance(a, (int, float)):
+        a = Tensor(np.asarray(a, b.data.dtype))
+    return _wrap(a), _wrap(b)
 
 
 def _toposort(root: Tensor) -> list[Tensor]:
@@ -200,7 +220,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def add(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
+    a, b = _wrap_pair(a, b)
     out_data = a.data + b.data
 
     def backward():
@@ -214,7 +234,7 @@ def add(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
+    a, b = _wrap_pair(a, b)
     out_data = a.data * b.data
 
     def backward():
@@ -228,7 +248,7 @@ def mul(a, b) -> Tensor:
 
 
 def div(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
+    a, b = _wrap_pair(a, b)
     out_data = a.data / b.data
 
     def backward():
@@ -461,22 +481,23 @@ def conv2d(x, weight, bias, spec: ConvSpec) -> Tensor:
 
     p, k, s, d = spec.padding, spec.kernel, spec.stride, spec.dilation
     oc, ckk = spec.out_channels, c * k * k
-    xp = np.zeros((n, c, h + 2 * p, w + 2 * p))
+    dtype = x.data.dtype
+    xp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype)
     xp[:, :, p : p + h, p : p + w] = x.data
     win = _conv_windows(xp, spec, oh, ow)
-    w2 = weight.data.reshape(oc, ckk)
+    w2 = weight.data.reshape(oc, ckk).astype(dtype, copy=False)
     rows = max(1, _IM2COL_CHUNK // (n * ckk * ow))
     bands = [(lo, min(lo + rows, oh)) for lo in range(0, oh, rows)]
 
     def cols(lo, hi):   # (n, ckk, (hi - lo)·ow) copy of the window rows lo:hi
         return win[:, :, :, :, lo:hi].reshape(n, ckk, (hi - lo) * ow)
 
-    out_data = np.empty((n, oc, oh, ow))
+    out_data = np.empty((n, oc, oh, ow), dtype)
     for lo, hi in bands:
         out_data[:, :, lo:hi] = np.matmul(w2, cols(lo, hi)).reshape(n, oc, hi - lo, ow)
     if bias is not None:
         bias = _wrap(bias)
-        out_data = out_data + bias.data.reshape(1, -1, 1, 1)
+        out_data = out_data + bias.data.reshape(1, -1, 1, 1).astype(dtype, copy=False)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
 
@@ -547,7 +568,8 @@ def batch_norm(x, gamma, beta, state: "BatchNormState", training: bool,
     """Normalize over all axes except channel axis 1.
 
     Training mode uses batch statistics and folds them into ``state``'s
-    running estimates; eval mode reads the running estimates.
+    running estimates; eval mode reads the running estimates. γ, β and the
+    running estimates are cast to the dtype of ``x`` at use.
     ``momentum`` is the weight kept by the old estimate:
     ``running = momentum * running + (1 - momentum) * batch``. At 0.9 the
     initial (0, 1) estimates fade to under 1% within 50 steps.
@@ -556,8 +578,9 @@ def batch_norm(x, gamma, beta, state: "BatchNormState", training: bool,
     c = x.shape[1]
     axes = tuple(ax for ax in range(x.ndim) if ax != 1)
     pshape = tuple(c if ax == 1 else 1 for ax in range(x.ndim))
-    gamma_b = gamma.data.reshape(pshape)
-    beta_b = beta.data.reshape(pshape)
+    dtype = x.data.dtype
+    gamma_b = gamma.data.reshape(pshape).astype(dtype, copy=False)
+    beta_b = beta.data.reshape(pshape).astype(dtype, copy=False)
 
     if training:
         mean = x.data.mean(axis=axes)
@@ -565,7 +588,8 @@ def batch_norm(x, gamma, beta, state: "BatchNormState", training: bool,
         state.running_mean[:] = momentum * state.running_mean + (1 - momentum) * mean
         state.running_var[:] = momentum * state.running_var + (1 - momentum) * var
     else:
-        mean, var = state.running_mean, state.running_var
+        mean = state.running_mean.astype(dtype, copy=False)
+        var = state.running_var.astype(dtype, copy=False)
 
     ivar = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mean.reshape(pshape)) * ivar.reshape(pshape)

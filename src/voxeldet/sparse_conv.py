@@ -23,6 +23,9 @@ from . import nn_core
 from .nn_core import BatchNorm, Module, Tensor, he_normal, relu
 from .voxel_grid import SparseVoxelGrid
 
+# Feature dtype of eval-mode forward passes; training stays float64.
+_INFERENCE_DTYPE = np.float32
+
 
 def _as_triple(v) -> tuple[int, int, int]:
     if np.isscalar(v):
@@ -135,19 +138,24 @@ def build_rulebook(coords: np.ndarray, shape, kernel, stride=1,
 
 def sparse_conv_forward(features: np.ndarray, weights: np.ndarray, bias,
                         rulebook: Rulebook) -> np.ndarray:
-    """Gather-scatter sparse convolution; ``weights`` is (offsets, c_in, c_out)."""
+    """Gather-scatter sparse convolution; ``weights`` is (offsets, c_in, c_out).
+
+    The output has the dtype of ``features``; weights and bias are cast to it.
+    """
     if weights.shape[0] != len(rulebook.offsets) or weights.shape[1] != features.shape[1]:
         raise ValueError(
             f"weight shape {weights.shape} incompatible with rulebook "
             f"({len(rulebook.offsets)} offsets) and features {features.shape}"
         )
-    out = np.zeros((rulebook.n_out, weights.shape[2]))
+    dtype = features.dtype
+    weights = weights.astype(dtype, copy=False)
+    out = np.zeros((rulebook.n_out, weights.shape[2]), dtype)
     # within one offset the output ordinals are unique, so a fancy-index += is exact
     for k, (in_idx, out_idx) in enumerate(rulebook.pairs):
         if len(in_idx):
             out[out_idx] += features[in_idx] @ weights[k]
     if bias is not None:
-        out += bias
+        out += bias.astype(dtype, copy=False)
     return out
 
 
@@ -191,7 +199,7 @@ def densify_bev(features: Tensor, coords: np.ndarray, shape, batch_size: int) ->
     nx, ny, nz = shape
     _, c = features.shape
     dense_shape = (batch_size, c * nz, ny, nx)
-    out_data = np.zeros((batch_size, nz, c, ny, nx))
+    out_data = np.zeros((batch_size, nz, c, ny, nx), features.data.dtype)
     flat = out_data.reshape(batch_size * nz, c, ny * nx)
     b_z = coords[:, 0] * nz + coords[:, 3]
     yx = coords[:, 2] * nx + coords[:, 1]
@@ -363,10 +371,15 @@ class VfeEncoder(Module):
         )
 
     def forward(self, plan: VfePlan) -> Tensor:
+        """BEV map of the plan's grids: float64 in training, else ``_INFERENCE_DTYPE``.
+
+        The dense layers downstream follow the dtype of this map.
+        """
         c, h, w = self.bev_shape
+        dtype = plan.init_features.dtype if self.training else _INFERENCE_DTYPE
         if plan.empty:
-            return Tensor(np.zeros((plan.batch_size, c, h, w)))
-        x = Tensor(plan.init_features)
+            return Tensor(np.zeros((plan.batch_size, c, h, w), dtype))
+        x = Tensor(plan.init_features.astype(dtype, copy=False))
         for bi, spec in enumerate(self.blocks):
             bp = plan.blocks[bi]
             for li in range(spec.n_submanifold):

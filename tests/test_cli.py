@@ -237,6 +237,32 @@ class TestSubcommands:
                        "--out", str(report)) == 2
         assert not report.exists()
 
+    @pytest.mark.parametrize("value, message", [
+        ("nan", "numeric fields must be finite"),
+        ("abc", "could not convert string to float: 'abc'"),
+    ])
+    def test_eval_bad_label_file_names_file_and_line(self, tmp_path, capsys, value, message):
+        cfg = _toy_cfg_file(tmp_path)
+        for d in ("dets", "labels", "calib"):
+            os.makedirs(tmp_path / d, exist_ok=True)
+        good = "Car 0.00 0 1.57 0.0 0.0 100.0 100.0 1.56 1.6 3.9 0.0 1.78 10.0 -1.57"
+        bad = good.split()
+        bad[11] = value
+        for stem in ("000000", "000001"):
+            (tmp_path / "dets" / f"{stem}.txt").write_text(GOOD_LINE)
+            write_calib(tmp_path / "calib" / f"{stem}.txt", _calib())
+        (tmp_path / "labels" / "000000.txt").write_text(good + "\n")
+        (tmp_path / "labels" / "000001.txt").write_text(good + "\n\n" + " ".join(bad) + "\n")
+        report = tmp_path / "report.txt"
+        assert run_cli("--config", str(cfg), "eval",
+                       "--detections-dir", str(tmp_path / "dets"),
+                       "--labels-dir", str(tmp_path / "labels"),
+                       "--calib-dir", str(tmp_path / "calib"),
+                       "--out", str(report)) == 2
+        assert not report.exists()
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'labels' / '000001.txt'}:3: {message}" in err
+
     def test_forward_kitti_out_without_calib_writes_nothing(self, tmp_path):
         cfg_path = _toy_cfg_file(tmp_path)
         ckpt = tmp_path / "model.bin"
@@ -349,6 +375,27 @@ class TestTrainForwardPipeline:
         assert run_cli("--config", str(micro_cfg_file), "train-toy", "--steps", steps,
                        "--checkpoint", str(ckpt), "--trace", str(trace)) == 1
         assert not ckpt.exists() and not trace.exists()
+
+    @pytest.mark.parametrize("key, value", [("train_steps", "0"), ("train_steps", "-1"),
+                                            ("batch_size", "0")])
+    def test_train_toy_rejects_non_positive_config(self, micro_cfg_file, tmp_path, capsys,
+                                                   monkeypatch, key, value):
+        import voxeldet.synthetic
+
+        def no_dataset(*args, **kwargs):
+            raise AssertionError("dataset built before the config was checked")
+
+        monkeypatch.setattr(voxeldet.synthetic, "make_toy_dataset", no_dataset)
+        lines = micro_cfg_file.read_text().splitlines()
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("\n".join(f"{key} = {value}" if line.split("=")[0].strip() == key
+                                 else line for line in lines) + "\n")
+        ckpt = tmp_path / "model.bin"
+        trace = tmp_path / "trace.csv"
+        assert run_cli("--config", str(cfg), "train-toy",
+                       "--checkpoint", str(ckpt), "--trace", str(trace)) == 2
+        assert not ckpt.exists() and not trace.exists()
+        assert f"{key} must be >= 1, got {value}" in capsys.readouterr().err
 
     def test_train_toy_deterministic(self, micro_cfg_file, tmp_path):
         outs = []

@@ -93,7 +93,7 @@ class TestLabels:
     def test_wrong_field_count_names_line(self, tmp_path):
         p = tmp_path / "label.txt"
         p.write_text(CANONICAL_LABEL + "\n" + CANONICAL_LABEL.rsplit(" ", 1)[0] + "\n")
-        with pytest.raises(ValueError, match="line 2"):
+        with pytest.raises(ValueError, match=r"label\.txt:2: expected 15 or 16 fields"):
             read_labels(p)
 
     def test_dontcare_flagged(self, tmp_path):
@@ -122,7 +122,7 @@ class TestLabels:
         fields[field] = value
         p = tmp_path / "label.txt"
         p.write_text(CANONICAL_LABEL + "\n" + " ".join(fields) + "\n")
-        with pytest.raises(ValueError, match="line 2: numeric fields must be finite"):
+        with pytest.raises(ValueError, match=r"label\.txt:2: numeric fields must be finite"):
             read_labels(p)
 
 
