@@ -383,6 +383,8 @@ def _cmd_bench(args, cfg) -> int:
     from .synthetic import make_benchmark_cloud
     from .voxel_grid import voxelize
 
+    if args.points < 0:
+        raise UsageError("--points must be >= 0")
     model = _load_model(cfg)
     cloud = make_benchmark_cloud(cfg, n_points=args.points, seed=cfg.seed)
 
@@ -398,8 +400,15 @@ def _cmd_bench(args, cfg) -> int:
                  digest(grid.features)))
 
     t0 = time.perf_counter()
+    plan = model.vfe.build_plan([grid])
+    timings.append(("plan", time.perf_counter() - t0))
+    sites = ",".join(str(bp.subm_rulebook.n_in) for bp in plan.blocks)
+    pairs = ",".join(str(bp.subm_rulebook.total_pairs + bp.strided_rulebook.total_pairs)
+                     for bp in plan.blocks)
+    rows.append(("plan", f"sites={sites} pairs={pairs}", digest(plan.final_coords)))
+
+    t0 = time.perf_counter()
     with no_grad():
-        plan = model.vfe.build_plan([grid])
         bev = model.vfe.forward(plan)
     timings.append(("vfe", time.perf_counter() - t0))
     rows.append(("vfe", f"shape={bev.shape} {bev.data.dtype}", digest(bev.data)))

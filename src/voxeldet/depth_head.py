@@ -108,8 +108,8 @@ class PartTower(Module):
         self.cls_head.bias.data[:] = -np.log((1.0 - prior_prob) / prior_prob)
 
     def __call__(self, part_slice: Tensor) -> PartOutput:
-        x = nn_core.relu(self.norm1(self.conv1(part_slice)))
-        x = nn_core.relu(self.norm2(self.conv2(x)))
+        x = nn_core.conv_bn(part_slice, self.conv1, self.norm1)
+        x = nn_core.conv_bn(x, self.conv2, self.norm2)
         return PartOutput(self.cls_head(x), self.box_head(x), self.dir_head(x))
 
 

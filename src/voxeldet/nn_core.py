@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Element budget of one conv2d im2col band (batch · c·k² · band columns);
-# keeps the scratch buffer under ~128 MB for full-resolution BEV maps.
-_IM2COL_CHUNK = 16 * 1024 * 1024
+# Element budget of one conv2d im2col band of one image (c·k² · band columns):
+# 4 MB in float32, sized so that a band is still in L2 when its GEMM reads it.
+_IM2COL_CHUNK = 1024 * 1024
 
 
 def _as_array(x) -> np.ndarray:
@@ -461,13 +461,16 @@ def _conv_windows(xp: np.ndarray, spec: ConvSpec, oh: int, ow: int) -> np.ndarra
     )
 
 
-def conv2d(x, weight, bias, spec: ConvSpec) -> Tensor:
-    """Cross-correlation with stride/padding/dilation.
+def conv2d(x, weight, bias, spec: ConvSpec, *, relu: bool = False) -> Tensor:
+    """Cross-correlation with stride/padding/dilation, then a ReLU if ``relu``.
 
     ``weight`` has shape (out_channels, in_channels, k, k); ``bias`` is a
     (out_channels,) tensor or None. The im2col columns are copied from a
-    strided window view of the padded input one band of output rows at a
-    time, so large BEV maps stay within the ``_IM2COL_CHUNK`` budget.
+    strided window view of the padded input, one band of output rows of one
+    image at a time, and each band feeds one GEMM. ``_IM2COL_CHUNK`` is the
+    per-image element budget of a band, sized to L2 so that the GEMM reads
+    the columns back from cache; bias and ReLU are applied in place to each
+    output band while it is still in cache.
     """
     x, weight = _wrap(x), _wrap(weight)
     n, c, h, w = x.shape
@@ -482,27 +485,38 @@ def conv2d(x, weight, bias, spec: ConvSpec) -> Tensor:
     p, k, s, d = spec.padding, spec.kernel, spec.stride, spec.dilation
     oc, ckk = spec.out_channels, c * k * k
     dtype = x.data.dtype
-    xp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype)
-    xp[:, :, p : p + h, p : p + w] = x.data
+    if p:
+        xp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype)
+        xp[:, :, p : p + h, p : p + w] = x.data
+    else:
+        xp = x.data
     win = _conv_windows(xp, spec, oh, ow)
     w2 = weight.data.reshape(oc, ckk).astype(dtype, copy=False)
-    rows = max(1, _IM2COL_CHUNK // (n * ckk * ow))
+    if bias is not None:
+        bias = _wrap(bias)
+        b2 = bias.data.reshape(oc, 1).astype(dtype, copy=False)
+    rows = max(1, _IM2COL_CHUNK // (ckk * ow))
     bands = [(lo, min(lo + rows, oh)) for lo in range(0, oh, rows)]
 
     def cols(lo, hi):   # (n, ckk, (hi - lo)·ow) copy of the window rows lo:hi
         return win[:, :, :, :, lo:hi].reshape(n, ckk, (hi - lo) * ow)
 
     out_data = np.empty((n, oc, oh, ow), dtype)
-    for lo, hi in bands:
-        out_data[:, :, lo:hi] = np.matmul(w2, cols(lo, hi)).reshape(n, oc, hi - lo, ow)
-    if bias is not None:
-        bias = _wrap(bias)
-        out_data = out_data + bias.data.reshape(1, -1, 1, 1).astype(dtype, copy=False)
+    for b in range(n):
+        for lo, hi in bands:
+            band = out_data[b, :, lo:hi].reshape(oc, (hi - lo) * ow)
+            np.matmul(w2, win[b, :, :, :, lo:hi].reshape(ckk, (hi - lo) * ow), out=band)
+            if bias is not None:
+                band += b2
+            if relu:
+                np.maximum(band, 0, out=band)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def backward():
         g = out.grad.reshape(n, oc, oh * ow)
+        if relu:
+            g = g * (out_data.reshape(n, oc, oh * ow) > 0)
         if bias is not None and bias.requires_grad:
             bias._accumulate(g.sum(axis=(0, 2)))
         gxp = np.zeros_like(xp) if x.requires_grad else None
@@ -745,6 +759,32 @@ class BatchNorm(Module):
     def __call__(self, x: Tensor) -> Tensor:
         return batch_norm(x, self.gamma, self.beta, self.state, self.training,
                           self.momentum, self.eps)
+
+    def fold(self) -> tuple[np.ndarray, np.ndarray]:
+        """The eval-mode norm as a float64 per-channel affine map (scale, shift).
+
+        ``norm(y) = y·scale + shift`` with ``scale = γ/√(running_var + eps)``
+        and ``shift = β − running_mean·scale``. A bias-free conv whose
+        weight is scaled per output channel, with ``shift`` as its bias,
+        computes the conv and the norm in one pass.
+        """
+        scale = self.gamma.data / np.sqrt(self.state.running_var + self.eps)
+        return scale, self.beta.data - self.state.running_mean * scale
+
+
+def conv_bn(x, conv: Conv2d, norm: BatchNorm, with_relu: bool = True) -> Tensor:
+    """``relu(norm(conv(x)))``, or ``norm(conv(x))`` when not ``with_relu``.
+
+    ``conv`` has no bias. Training runs the three ops as written. In eval
+    mode the norm is folded into the conv (:meth:`BatchNorm.fold`), so one
+    conv2d pass applies the shift and the ReLU to each output band in place.
+    """
+    if norm.training:
+        y = norm(conv(x))
+        return relu(y) if with_relu else y
+    scale, shift = norm.fold()
+    return conv2d(x, conv.weight.data * scale.reshape(-1, 1, 1, 1), shift, conv.spec,
+                  relu=with_relu)
 
 
 class AdamW:

@@ -111,8 +111,8 @@ class ResidualBlock(Module):
         self.norm2 = BatchNorm(channels)
 
     def __call__(self, x: Tensor) -> Tensor:
-        y = nn_core.relu(self.norm1(self.conv1(x)))
-        y = self.norm2(self.conv2(y))
+        y = nn_core.conv_bn(x, self.conv1, self.norm1)
+        y = nn_core.conv_bn(y, self.conv2, self.norm2, with_relu=False)
         return nn_core.relu(x + y)
 
 
@@ -153,9 +153,9 @@ class SegmentationBranch(Module):
         half = self.res_half_b(self.res_half_a(nn_core.maxpool2(full)))
         quarter = self.res_quarter_b(self.res_quarter_a(nn_core.maxpool2(half)))
         merged_half = half + nn_core.upsample_nearest2(quarter)
-        merged_half = nn_core.relu(self.fuse_half_norm(self.fuse_half(merged_half)))
+        merged_half = nn_core.conv_bn(merged_half, self.fuse_half, self.fuse_half_norm)
         merged_full = full + nn_core.upsample_nearest2(merged_half)
-        merged_full = nn_core.relu(self.fuse_full_norm(self.fuse_full(merged_full)))
+        merged_full = nn_core.conv_bn(merged_full, self.fuse_full, self.fuse_full_norm)
         return nn_core.sigmoid(self.head(merged_full))
 
 
@@ -183,10 +183,10 @@ class DetectionBranch(Module):
             raise ValueError(f"expected {self.channels} channels, got {c}")
         if h % 2 or w % 2:
             raise ValueError(f"spatial dims must be even, got {(h, w)}")
-        x = nn_core.relu(self.down_norm(self.down(bev)))
-        x = nn_core.relu(self.mid_norm(self.mid(x)))
+        x = nn_core.conv_bn(bev, self.down, self.down_norm)
+        x = nn_core.conv_bn(x, self.mid, self.mid_norm)
         x = nn_core.upsample_nearest2(x)
-        x = nn_core.relu(self.up_norm(self.up(x)))
+        x = nn_core.conv_bn(x, self.up, self.up_norm)
         return nn_core.concat_channels([bev, x])
 
 

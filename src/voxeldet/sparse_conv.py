@@ -60,14 +60,19 @@ class Rulebook:
         return sum(len(i) for i, _ in self.pairs)
 
 
-def _sorted_coord_keys(coords: np.ndarray, shape) -> np.ndarray:
+def _coord_keys(coords: np.ndarray, shape) -> np.ndarray:
+    """int64 keys of (batch, ix, iy, iz) rows, increasing in (batch, iz, iy, ix) order."""
     nx, ny, nz = shape
     return ((coords[:, 0] * nz + coords[:, 3]) * ny + coords[:, 2]) * nx + coords[:, 1]
 
 
-def _sort_coords(coords: np.ndarray, shape) -> np.ndarray:
-    keys = _sorted_coord_keys(coords, shape)
-    return np.argsort(keys, kind="stable")
+def _decode_keys(keys: np.ndarray, shape) -> np.ndarray:
+    """Inverse of :func:`_coord_keys`: (n, 4) rows (batch, ix, iy, iz)."""
+    nx, ny, nz = shape
+    rest, ix = np.divmod(keys, nx)
+    rest, iy = np.divmod(rest, ny)
+    batch, iz = np.divmod(rest, nz)
+    return np.column_stack([batch, ix, iy, iz])
 
 
 def build_rulebook(coords: np.ndarray, shape, kernel, stride=1,
@@ -77,57 +82,62 @@ def build_rulebook(coords: np.ndarray, shape, kernel, stride=1,
     ``coords`` is (n, 4) int64 rows (batch, ix, iy, iz) sorted by
     (batch, iz, iy, ix); returns the rulebook, the output coordinates in the
     same ordering, and the output spatial shape.
+
+    Every candidate input key is an output's base key plus the offset's key
+    step, so only the per-axis bounds test touches coordinates. Pairs are
+    listed in increasing output ordinal, and because the key map is
+    monotone their input ordinals increase too. In submanifold mode the
+    centre offset is the identity and offset -d pairs are the swapped pairs
+    of +d, so only half of the offsets need a lookup.
     """
-    kx, ky, kz = _as_triple(kernel)
-    nx, ny, nz = shape
+    kernel = _as_triple(kernel)
     n_in = len(coords)
-    keys = _sorted_coord_keys(coords, shape)
+    keys = _coord_keys(coords, shape)
     if n_in and (np.diff(keys) <= 0).any():
         raise ValueError("site coordinates must be unique and sorted by (batch, iz, iy, ix)")
 
     if mode == "submanifold":
-        if kx % 2 == 0 or ky % 2 == 0 or kz % 2 == 0:
+        if any(k % 2 == 0 for k in kernel):
             raise ValueError("submanifold mode requires odd kernel sizes")
         if _as_triple(stride) != (1, 1, 1):
             raise ValueError("submanifold mode requires stride 1")
-        out_coords, out_shape = coords, (nx, ny, nz)
-        out_keys = keys
-        offsets = kernel_offsets((kx, ky, kz), centered=True)
-
-        def input_coords_for(out_c, off):
-            return out_c[:, 1:] + np.array(off)
-
+        out_coords, out_shape, base_keys = coords, tuple(shape), keys
+        offsets = kernel_offsets(kernel, centered=True)
+        support = coords[:, 1:]
     elif mode == "strided":
-        sx, sy, sz = _as_triple(stride)
-        out_shape = tuple(
-            max(1, (n - k) // s + 1) for n, k, s in ((nx, kx, sx), (ny, ky, sy), (nz, kz, sz))
-        )
-        s_arr = np.array([sx, sy, sz])
-        down = coords[:, 1:] // s_arr
-        down = np.minimum(down, np.array(out_shape) - 1)
-        out_coords = np.unique(np.column_stack([coords[:, 0], down]), axis=0)
-        order = _sort_coords(out_coords, out_shape)
-        out_coords = out_coords[order]
-        offsets = kernel_offsets((kx, ky, kz), centered=False)
-
-        def input_coords_for(out_c, off):
-            return out_c[:, 1:] * s_arr + np.array(off)
-
+        s_arr = np.array(_as_triple(stride))
+        out_shape = tuple(max(1, (n - k) // s + 1) for n, k, s in zip(shape, kernel, s_arr))
+        down = np.minimum(coords[:, 1:] // s_arr, np.array(out_shape) - 1)
+        out_keys = np.unique(_coord_keys(np.column_stack([coords[:, 0], down]), out_shape))
+        out_coords = _decode_keys(out_keys, out_shape)
+        offsets = kernel_offsets(kernel, centered=False)
+        support = out_coords[:, 1:] * s_arr
+        base_keys = _coord_keys(np.column_stack([out_coords[:, 0], support]), shape)
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    pairs = []
-    in_extent = np.array([nx, ny, nz])
-    for off in offsets:
-        cand = input_coords_for(out_coords, off)
-        valid = ((cand >= 0) & (cand < in_extent)).all(axis=1)
+    # in_axis[a][d]: whether support coordinate + d stays inside axis a
+    in_axis = [
+        {d: (support[:, a] + d >= 0) & (support[:, a] + d < shape[a])
+         for d in sorted({off[a] for off in offsets})}
+        for a in range(3)
+    ]
+    pairs = [None] * len(offsets)
+    lookups = range(len(offsets) // 2 if mode == "submanifold" else len(offsets))
+    for k in lookups:
+        off = offsets[k]
+        valid = in_axis[0][off[0]] & in_axis[1][off[1]] & in_axis[2][off[2]]
         out_ord = np.flatnonzero(valid)
-        cand_coords = np.column_stack([out_coords[out_ord, 0], cand[out_ord]])
-        cand_keys = _sorted_coord_keys(cand_coords, shape)
-        pos = np.searchsorted(keys, cand_keys)
-        pos = np.minimum(pos, max(n_in - 1, 0))
+        # within bounds, key(c + off) = key(c) + key step of off
+        cand_keys = base_keys[out_ord] + (off[2] * shape[1] + off[1]) * shape[0] + off[0]
+        pos = np.minimum(np.searchsorted(keys, cand_keys), max(n_in - 1, 0))
         found = (keys[pos] == cand_keys) if n_in else np.zeros(len(cand_keys), bool)
-        pairs.append((pos[found].astype(np.int64), out_ord[found].astype(np.int64)))
+        pairs[k] = (pos[found].astype(np.int64), out_ord[found].astype(np.int64))
+    if mode == "submanifold":   # offsets are listed so that offsets[-1 - k] = -offsets[k]
+        identity = np.arange(n_in, dtype=np.int64)
+        pairs[len(offsets) // 2] = (identity, identity)
+        for k in lookups:
+            pairs[-1 - k] = pairs[k][::-1]
 
     rb = Rulebook(tuple(offsets), tuple(pairs), n_in=n_in, n_out=len(out_coords))
     return rb, out_coords, out_shape
@@ -383,11 +393,18 @@ class VfeEncoder(Module):
         for bi, spec in enumerate(self.blocks):
             bp = plan.blocks[bi]
             for li in range(spec.n_submanifold):
-                x = self._children[f"block{bi}.subm{li}"](x, bp.subm_rulebook)
-                x = relu(self._children[f"block{bi}.subm{li}.norm"](x))
-            x = self._children[f"block{bi}.down"](x, bp.strided_rulebook)
-            x = relu(self._children[f"block{bi}.down.norm"](x))
+                x = self._conv_bn_relu(f"block{bi}.subm{li}", x, bp.subm_rulebook)
+            x = self._conv_bn_relu(f"block{bi}.down", x, bp.strided_rulebook)
         return densify_bev(x, plan.final_coords, plan.final_shape, plan.batch_size)
+
+    def _conv_bn_relu(self, name: str, x: Tensor, rulebook: Rulebook) -> Tensor:
+        """``relu(norm(conv(x)))`` of bias-free layer ``name``; eval mode folds the norm in."""
+        conv, norm = self._children[name], self._children[name + ".norm"]
+        if norm.training:
+            return relu(norm(conv(x, rulebook)))
+        scale, shift = norm.fold()
+        out = sparse_conv_forward(x.data, conv.weight.data * scale, shift, rulebook)
+        return Tensor(np.maximum(out, 0, out=out))
 
     def __call__(self, grids) -> Tensor:
         return self.forward(self.build_plan(grids))

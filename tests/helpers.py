@@ -1,5 +1,5 @@
-"""Shared test oracles: finite differences, dense 3D convolution, Monte-Carlo IoU,
-per-pair KITTI matching."""
+"""Shared test oracles: finite differences, dense 3D convolution, a per-offset
+rulebook, Monte-Carlo IoU, per-pair KITTI matching."""
 
 import os
 from pathlib import Path
@@ -9,6 +9,7 @@ import numpy as np
 import voxeldet
 from voxeldet import eval_metrics, nn_core
 from voxeldet.box_geom import bev_iou, iou3d, wrap_angle
+from voxeldet.sparse_conv import Rulebook, kernel_offsets
 
 
 def child_env():
@@ -145,6 +146,46 @@ def dense_conv3d_shift_oracle(dense, weights, bias, offsets, out_shape, stride=(
     if bias is not None:
         out += bias
     return out
+
+
+def build_rulebook_per_offset(coords, shape, kernel, stride=1, mode="submanifold"):
+    """Rulebook oracle: rebuild and look up the candidate coordinates of every offset.
+
+    Same contract as ``sparse_conv.build_rulebook``; output sites come from
+    ``np.unique(axis=0)`` on the coordinate rows, re-sorted by
+    (batch, iz, iy, ix), and each of the offsets gets its own bounds test
+    and key lookup.
+    """
+    def keys_of(c, extent):
+        nx, ny, nz = extent
+        return ((c[:, 0] * nz + c[:, 3]) * ny + c[:, 2]) * nx + c[:, 1]
+
+    kernel = (kernel,) * 3 if np.isscalar(kernel) else tuple(kernel)
+    stride = (stride,) * 3 if np.isscalar(stride) else tuple(stride)
+    n_in = len(coords)
+    keys = keys_of(coords, shape)
+    if mode == "submanifold":
+        out_coords, out_shape = coords, tuple(shape)
+        offsets = kernel_offsets(kernel, centered=True)
+        s_arr = np.ones(3, np.int64)
+    else:
+        s_arr = np.array(stride)
+        out_shape = tuple(max(1, (n - k) // s + 1) for n, k, s in zip(shape, kernel, stride))
+        down = np.minimum(coords[:, 1:] // s_arr, np.array(out_shape) - 1)
+        out_coords = np.unique(np.column_stack([coords[:, 0], down]), axis=0)
+        out_coords = out_coords[np.argsort(keys_of(out_coords, out_shape), kind="stable")]
+        offsets = kernel_offsets(kernel, centered=False)
+    pairs = []
+    for off in offsets:
+        cand = out_coords[:, 1:] * s_arr + np.array(off)
+        valid = ((cand >= 0) & (cand < np.array(shape))).all(axis=1)
+        out_ord = np.flatnonzero(valid)
+        cand_keys = keys_of(np.column_stack([out_coords[out_ord, 0], cand[out_ord]]), shape)
+        pos = np.minimum(np.searchsorted(keys, cand_keys), max(n_in - 1, 0))
+        found = (keys[pos] == cand_keys) if n_in else np.zeros(len(cand_keys), bool)
+        pairs.append((pos[found].astype(np.int64), out_ord[found].astype(np.int64)))
+    rb = Rulebook(tuple(offsets), tuple(pairs), n_in=n_in, n_out=len(out_coords))
+    return rb, out_coords, out_shape
 
 
 def _bev_corners(box):

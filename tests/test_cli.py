@@ -419,6 +419,20 @@ class TestBench:
             tables.append(out.read_text())
         assert tables[0] == tables[1]
         assert "voxelize" in tables[0] and "nms" in tables[0]
+        plan_row = next(line for line in tables[0].splitlines() if line.startswith("plan "))
+        assert "sites=" in plan_row and "pairs=" in plan_row
+
+    def test_negative_points_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "bench.txt"
+        assert run_cli("--toy", "bench", "--points", "-5", "--out", str(out)) == 1
+        assert "--points" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_points_is_an_empty_cloud(self, tmp_path):
+        out = tmp_path / "bench.txt"
+        assert run_cli("--toy", "bench", "--points", "0", "--out", str(out)) == 0
+        table = out.read_text()
+        assert "sites=0 " in table and "sites=0,0,0,0 pairs=0,0,0,0" in table
 
 
 class TestConsoleEntry:

@@ -100,11 +100,11 @@ class TestConv2d:
 _BAND_CASES = [(1, 1, 1, 3), (2, 1, 1, 3), (1, 2, 2, 3), (1, 0, 1, 1)]
 
 
-def _two_row_bands(monkeypatch, spec, n, h, w):
-    """Shrink the im2col budget to 2 output rows per band: >= 3 bands, the last partial."""
+def _two_row_bands(monkeypatch, spec, h, w):
+    """Shrink the per-image im2col budget to 2 rows per band: >= 3 bands, the last partial."""
     oh, ow = spec.out_size(h), spec.out_size(w)
     assert oh >= 5 and oh % 2 == 1
-    monkeypatch.setattr(nn_core, "_IM2COL_CHUNK", 2 * n * spec.in_channels * spec.kernel**2 * ow)
+    monkeypatch.setattr(nn_core, "_IM2COL_CHUNK", 2 * spec.in_channels * spec.kernel**2 * ow)
 
 
 class TestConv2dBands:
@@ -125,7 +125,7 @@ class TestConv2dBands:
             return out.data, xt.grad, wt.grad, bt.grad
 
         single = run()
-        _two_row_bands(monkeypatch, spec, 2, 9, 8)
+        _two_row_bands(monkeypatch, spec, 9, 8)
         multi = run()
         expected = conv2d_naive(x, w, b, stride, padding, dilation)
         np.testing.assert_allclose(multi[0], expected, atol=1e-12)
@@ -141,7 +141,7 @@ class TestConv2dBands:
         w = _param(rng.normal(size=(4, 3, kernel, kernel)) * 0.3)
         b = _param(rng.normal(size=4))
         cot = random_cotangent((2, 4, spec.out_size(9), spec.out_size(8)), seed=8)
-        _two_row_bands(monkeypatch, spec, 2, 9, 8)
+        _two_row_bands(monkeypatch, spec, 9, 8)
 
         def loss():
             return projected_loss(conv2d(x, w, b, spec), cot)

@@ -74,7 +74,7 @@ class TestEngineDtype:
         b = rng.normal(size=4)
         spec = ConvSpec(3, 4, kernel=kernel, stride=stride, padding=padding, dilation=dilation)
         if bands == "multi":
-            _two_row_bands(monkeypatch, spec, 2, 9, 8)
+            _two_row_bands(monkeypatch, spec, 9, 8)
         out64 = conv2d(Tensor(x), Tensor(w), Tensor(b), spec).data
         assert out64.dtype == np.float64
         if bands == "single":

@@ -16,7 +16,13 @@ from voxeldet.sparse_conv import (
 )
 from voxeldet.voxel_grid import make_grid
 
-from helpers import dense_conv3d_oracle, finite_diff_error, projected_loss, random_cotangent
+from helpers import (
+    build_rulebook_per_offset,
+    dense_conv3d_oracle,
+    finite_diff_error,
+    projected_loss,
+    random_cotangent,
+)
 
 
 def _coords(rows):
@@ -107,6 +113,97 @@ class TestRulebook:
             for in_idx, out_idx in rb.pairs:
                 assert len(np.unique(in_idx)) == len(in_idx)
                 assert len(np.unique(out_idx)) == len(out_idx)
+
+
+def _seeded_sites(seed, shape, counts):
+    """Sorted (batch, ix, iy, iz) rows with counts[b] distinct random sites in batch b."""
+    rng = np.random.default_rng(seed)
+    parts = [np.empty((0, 4), np.int64)]
+    for b, n in enumerate(counts):
+        cells = rng.choice(int(np.prod(shape)), size=n, replace=False)
+        parts.append(np.column_stack([np.full(n, b), *np.unravel_index(cells, shape)]))
+    return _sort_batched(np.concatenate(parts).astype(np.int64), shape)
+
+
+def _border_sites(shape, batches=2):
+    """Every site with at least one coordinate on a face of the grid, in each batch."""
+    cells = np.array(np.meshgrid(*(np.arange(n) for n in shape), indexing="ij")).reshape(3, -1).T
+    on_face = ((cells == 0) | (cells == np.array(shape) - 1)).any(axis=1)
+    rows = [np.column_stack([np.full(on_face.sum(), b), cells[on_face]]) for b in range(batches)]
+    return _sort_batched(np.concatenate(rows).astype(np.int64), shape)
+
+
+# (name, grid shape, coords); z extents 5 and 7 are odd, 4 and 6 even
+_RULEBOOK_GRIDS = [
+    ("batch1", (7, 6, 5), _seeded_sites(11, (7, 6, 5), [60])),
+    ("batch3_empty_middle", (6, 7, 4), _seeded_sites(12, (6, 7, 4), [40, 0, 35])),
+    ("borders_odd_z", (5, 4, 7), _border_sites((5, 4, 7))),
+    ("borders_even_z", (4, 5, 6), _border_sites((4, 5, 6))),
+    ("dense_batch3", (3, 3, 3), _seeded_sites(13, (3, 3, 3), [27, 27, 27])),
+    ("single_site", (6, 6, 6), _batched([[5, 0, 3]])),
+    ("no_sites", (6, 6, 5), np.empty((0, 4), np.int64)),
+]
+
+
+def _vfe_kernel(shape, stride):
+    """The strided kernel VfeEncoder uses: z stretches to 3 when the extent is odd."""
+    return tuple(1 if s == 1 else (s if n % s == 0 else s + 1) for n, s in zip(shape, stride))
+
+
+def _assert_same_rulebook(got, expected):
+    (rb, coords, shape), (rb_ref, coords_ref, shape_ref) = got, expected
+    assert shape == shape_ref and rb.offsets == rb_ref.offsets
+    assert (rb.n_in, rb.n_out) == (rb_ref.n_in, rb_ref.n_out)
+    np.testing.assert_array_equal(coords, coords_ref)
+    assert coords.dtype == coords_ref.dtype and coords.shape == coords_ref.shape
+    for (i, o), (i_ref, o_ref) in zip(rb.pairs, rb_ref.pairs):
+        assert i.dtype == o.dtype == np.int64
+        np.testing.assert_array_equal(i, i_ref)
+        np.testing.assert_array_equal(o, o_ref)
+
+
+class TestRulebookMatchesPerOffsetOracle:
+    @pytest.mark.parametrize("name,shape,coords", _RULEBOOK_GRIDS,
+                             ids=[g[0] for g in _RULEBOOK_GRIDS])
+    def test_submanifold(self, name, shape, coords):
+        _assert_same_rulebook(build_rulebook(coords, shape, 3, 1, "submanifold"),
+                              build_rulebook_per_offset(coords, shape, 3, 1, "submanifold"))
+
+    @pytest.mark.parametrize("name,shape,coords", _RULEBOOK_GRIDS,
+                             ids=[g[0] for g in _RULEBOOK_GRIDS])
+    @pytest.mark.parametrize("stride", [(2, 2, 2), (1, 1, 2), (2, 1, 1)])
+    def test_strided_vfe_kernels(self, name, shape, coords, stride):
+        kernel = _vfe_kernel(shape, stride)
+        _assert_same_rulebook(build_rulebook(coords, shape, kernel, stride, "strided"),
+                              build_rulebook_per_offset(coords, shape, kernel, stride, "strided"))
+
+    def test_strided_other_kernels(self):
+        for seed in range(20):
+            rng = np.random.default_rng(100 + seed)
+            shape = tuple(int(v) for v in rng.integers(1, 8, size=3))
+            counts = [int(rng.integers(0, np.prod(shape) + 1)) for _ in range(3)]
+            coords = _seeded_sites(seed, shape, counts)
+            kernel = tuple(int(k) for k in rng.integers(1, 4, size=3))
+            stride = tuple(int(s) for s in rng.integers(1, 4, size=3))
+            _assert_same_rulebook(
+                build_rulebook(coords, shape, kernel, stride, "strided"),
+                build_rulebook_per_offset(coords, shape, kernel, stride, "strided"))
+
+    @pytest.mark.parametrize("name,shape,coords", _RULEBOOK_GRIDS,
+                             ids=[g[0] for g in _RULEBOOK_GRIDS])
+    def test_submanifold_symmetry(self, name, shape, coords):
+        # centre offset is the identity; offset -d pairs are the swapped pairs of +d
+        for rb, _, _ in (build_rulebook(coords, shape, 3, 1, "submanifold"),
+                         build_rulebook_per_offset(coords, shape, 3, 1, "submanifold")):
+            n_off = len(rb.offsets)
+            centre = rb.offsets.index((0, 0, 0))
+            for side in rb.pairs[centre]:
+                np.testing.assert_array_equal(side, np.arange(len(coords)))
+            for k, off in enumerate(rb.offsets):
+                mirror = n_off - 1 - k
+                assert rb.offsets[mirror] == tuple(-d for d in off)
+                np.testing.assert_array_equal(rb.pairs[mirror][0], rb.pairs[k][1])
+                np.testing.assert_array_equal(rb.pairs[mirror][1], rb.pairs[k][0])
 
 
 class TestSparseForward:
