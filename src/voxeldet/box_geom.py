@@ -3,7 +3,8 @@
 Boxes live in the LiDAR frame as (x, y, z, w, l, h, theta) with the
 volumetric center at (x, y, z), length ``l`` along the heading direction,
 and yaw ``theta`` measured counterclockwise about +z from +x, wrapped to
-(-pi, pi].
+(-pi, pi]. Anchors and batches of boxes are plain (n, 7) arrays in the
+same column order; :func:`decode` and :func:`encode` take such arrays whole.
 """
 
 from __future__ import annotations
@@ -244,28 +245,16 @@ def decode(residuals, anchor, bit=None) -> np.ndarray:
 # -- anchors ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AnchorGrid:
-    """Two fixed-size anchors per BEV cell, yaw 0 and pi/2.
-
-    ``boxes`` is (n_y * n_x * 2, 7) ordered row-major by (iy, ix, orientation),
-    matching a flattened (H=y, W=x) head map.
-    """
-
-    boxes: np.ndarray
-    n_x: int
-    n_y: int
-    cell_size: float
-
-    @property
-    def count(self) -> int:
-        return len(self.boxes)
-
-
 def build_anchor_grid(x_min: float, y_min: float, n_x: int, n_y: int, cell_size: float,
                       size=(1.6, 3.9, 1.56), z_center: float = -1.0,
-                      orientations=(0.0, np.pi / 2)) -> AnchorGrid:
-    """Tile anchors at BEV cell centers."""
+                      orientations=(0.0, np.pi / 2)) -> np.ndarray:
+    """Anchors at BEV cell centers, one per orientation, as an (n_y * n_x * A, 7) array.
+
+    Rows run in (iy, ix, anchor) order, so ``reshape(n_y, n_x, A, 7)`` lines
+    them up with a (H=y, W=x) head map: anchor ``a`` at cell (iy, ix) owns
+    class channel ``a``, box channels ``7a .. 7a+6`` and direction channels
+    ``2a, 2a+1``.
+    """
     w, l, h = size
     xs = x_min + (np.arange(n_x) + 0.5) * cell_size
     ys = y_min + (np.arange(n_y) + 0.5) * cell_size
@@ -277,7 +266,7 @@ def build_anchor_grid(x_min: float, y_min: float, n_x: int, n_y: int, cell_size:
     boxes[..., 4] = l
     boxes[..., 5] = h
     boxes[..., 6] = np.asarray(orientations)[None, None, :]
-    return AnchorGrid(boxes.reshape(-1, 7), n_x=n_x, n_y=n_y, cell_size=cell_size)
+    return boxes.reshape(-1, 7)
 
 
 # -- NMS -------------------------------------------------------------------------

@@ -117,6 +117,22 @@ class RunConfig:
         )
 
     def validate(self) -> "RunConfig":
+        for name in ("range_min", "range_max", "voxel_size", "anchor_size"):
+            values = getattr(self, name)
+            if len(values) != 3 or not np.isfinite(values).all():
+                raise ValueError(f"{name} needs 3 finite values, got {values}")
+        for name, size in (("vfe_blocks", 4), ("part_bounds", 2)):
+            for group in getattr(self, name):
+                if len(group) != size:
+                    raise ValueError(f"each {name} group needs {size} values, got {group}")
+        for name in ("bev_stride", "train_steps", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not len(self.part_kernels) == len(self.part_dilations) == len(self.part_bounds):
+            raise ValueError(
+                f"need one kernel and one dilation per part: {len(self.part_bounds)} parts, "
+                f"{len(self.part_kernels)} kernels, {len(self.part_dilations)} dilations"
+            )
         vox = self.voxelizer()
         nx, ny, _ = vox.grid_shape
         if nx % self.bev_stride or ny % self.bev_stride:
@@ -129,14 +145,9 @@ class RunConfig:
                 "for the pyramid branch"
             )
         blocks = self.blocks()
-        if blocks[0].in_channels != 4:
+        if not blocks or blocks[0].in_channels != 4:
             raise ValueError("first block must accept the 4 voxel feature channels")
         check_coverage(self.parts(), self.bev_width)
-        if not len(self.part_kernels) == len(self.part_dilations) == len(self.part_bounds):
-            raise ValueError(
-                f"need one kernel and one dilation per part: {len(self.part_bounds)} parts, "
-                f"{len(self.part_kernels)} kernels, {len(self.part_dilations)} dilations"
-            )
         if not 0.0 <= self.negative_iou <= self.positive_iou <= 1.0:
             raise ValueError(
                 f"need 0 <= negative_iou <= positive_iou <= 1, got "
@@ -156,9 +167,6 @@ class RunConfig:
             raise ValueError(f"ap_mode must be R11 or R40, got {self.ap_mode!r}")
         if self.mask_kind not in ("box_type", "voxel_type"):
             raise ValueError(f"mask_kind must be box_type or voxel_type, got {self.mask_kind!r}")
-        for name in ("train_steps", "batch_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.learning_rate <= 0 or self.weight_decay < 0:
             raise ValueError("learning_rate must be positive, weight_decay non-negative")
         if min(self.lambda_loc, self.lambda_dir, self.lambda_seg,
@@ -181,75 +189,44 @@ def toy_config(**overrides) -> RunConfig:
 # -- text format ---------------------------------------------------------------
 
 
-def _fmt_floats(v) -> str:
-    return ",".join(repr(float(x)) for x in v)
+_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
-def _parse_floats(s) -> tuple:
-    return tuple(float(x) for x in s.split(",") if x.strip())
+def _format(value) -> str:
+    """A value as config text: ``;`` between groups, ``,`` between list elements."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):
+        sep = ";" if value and isinstance(value[0], tuple) else ","
+        return sep.join(_format(v) for v in value)
+    return repr(float(value)) if isinstance(value, float) else str(value)
 
 
-def _fmt_ints(v) -> str:
-    return ",".join(str(int(x)) for x in v)
+def _parse(text: str, default):
+    """Config text in the shape of the field's default.
 
-
-def _parse_ints(s) -> tuple:
-    return tuple(int(x) for x in s.split(",") if x.strip())
-
-
-def _fmt_groups(v) -> str:
-    return ";".join(",".join(str(int(x)) for x in grp) for grp in v)
-
-
-def _parse_groups(s) -> tuple:
-    return tuple(tuple(int(x) for x in grp.split(",")) for grp in s.split(";") if grp.strip())
-
-
-def _fmt_bool(v) -> str:
-    return "true" if v else "false"
-
-
-def _parse_bool(s):
-    s = s.strip().lower()
-    if s in ("true", "1", "yes"):
-        return True
-    if s in ("false", "0", "no"):
-        return False
-    raise ValueError(f"not a boolean: {s!r}")
-
-
-_CODECS = {
-    tuple: None,  # resolved per-field below
-    int: (str, int),
-    float: (repr, float),
-    bool: (_fmt_bool, _parse_bool),
-    str: (str, str),
-}
-
-_TUPLE_FIELDS = {
-    "range_min": (_fmt_floats, _parse_floats),
-    "range_max": (_fmt_floats, _parse_floats),
-    "voxel_size": (_fmt_floats, _parse_floats),
-    "vfe_blocks": (_fmt_groups, _parse_groups),
-    "part_bounds": (_fmt_groups, _parse_groups),
-    "part_kernels": (_fmt_ints, _parse_ints),
-    "part_dilations": (_fmt_ints, _parse_ints),
-    "anchor_size": (_fmt_floats, _parse_floats),
-    "anchor_yaws": (_fmt_floats, _parse_floats),
-}
-
-
-def _codec_for(f):
-    if f.name in _TUPLE_FIELDS:
-        return _TUPLE_FIELDS[f.name]
-    return _CODECS[f.type if isinstance(f.type, type) else type(f.default)]
+    The default is a bool, int, float or str, a tuple of one of these (a
+    ``,`` list, empty elements skipped), or a tuple of tuples (``;`` groups of
+    ``,`` elements, where an empty element is an error).
+    """
+    if isinstance(default, bool):
+        word = text.strip().lower()
+        if word not in _BOOLS:
+            raise ValueError(f"not a boolean: {word!r}")
+        return _BOOLS[word]
+    if isinstance(default, tuple) and isinstance(default[0], tuple):
+        kind = type(default[0][0])
+        return tuple(tuple(kind(x) for x in grp.split(",")) for grp in text.split(";")
+                     if grp.strip())
+    if isinstance(default, tuple):
+        return tuple(type(default[0])(x) for x in text.split(",") if x.strip())
+    return type(default)(text)
 
 
 def dump_config(cfg: RunConfig) -> str:
     lines = []
     for f in fields(RunConfig):
-        fmt, _ = _codec_for(f)
-        lines.append(f"{f.name} = {fmt(getattr(cfg, f.name))}")
+        lines.append(f"{f.name} = {_format(getattr(cfg, f.name))}")
     return "\n".join(lines) + "\n"
 
 
@@ -265,9 +242,8 @@ def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in known:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
-        _, parse = _codec_for(known[key])
         try:
-            overrides[key] = parse(value)
+            overrides[key] = _parse(value, known[key].default)
         except ValueError as exc:
             raise ValueError(f"config line {lineno}: bad value for {key!r}: {exc}") from exc
     cfg = replace(base or RunConfig(), **overrides)

@@ -3,9 +3,13 @@
 The fused BEV feature map (width axis = forward x) is split into parts,
 each with its own two-layer convolution tower (kernel size and dilation per
 part) and three sibling 1x1 heads: class logits (2 anchors per cell), box
-residuals (7 per anchor) and direction logits (2 per anchor). At inference
-the per-part class scores are fused by taking the highest sigmoid score at
-each cell; box and direction values follow the winning part.
+residuals (7 per anchor) and direction logits (2 per anchor). Anchor ``a``
+owns class channel ``a``, box channels ``7a .. 7a+6`` and direction channels
+``2a, 2a+1``, so the box map reshapes to (B, A, 7, H, W) and the direction
+map to (B, A, 2, H, W); anchor rows of ``box_geom.build_anchor_grid`` follow
+the same (iy, ix, a) order. At inference the per-part class scores are fused
+by taking the highest sigmoid score at each cell; box and direction values
+follow the winning part.
 """
 
 from __future__ import annotations
@@ -149,32 +153,27 @@ class FusedOutput:
 def fuse_scores(part_outputs, parts, map_width: int) -> FusedOutput:
     """Per cell and anchor, keep the highest part score; ties pick the lower index.
 
-    Box and direction values are copied from the score-winning part for the
-    same anchor.
+    Each part's maps are placed at its x-range in one part-stacked array per
+    output (scores (P, B, A, H, W), box (P, B, A, 7, H, W), direction
+    (P, B, A, 2, H, W), -inf scores outside the part). One argmax over the
+    part axis picks the winner, and box and direction values are gathered
+    from it for the same anchor.
     """
     check_coverage(parts, map_width)
     first = part_outputs[0].cls_logits.data
-    b, _, h, _ = first.shape
-    n_parts = len(parts)
-    stacked = np.full((n_parts, b, ANCHORS_PER_CELL, h, map_width), -np.inf, first.dtype)
+    b, a, h, _ = first.shape
+    scores = np.full((len(parts), b, a, h, map_width), -np.inf, first.dtype)
+    box = np.zeros((len(parts), b, a, 7, h, map_width), first.dtype)
+    dirs = np.zeros((len(parts), b, a, 2, h, map_width), first.dtype)
     for pi, (spec, out) in enumerate(zip(parts, part_outputs)):
-        stacked[pi, :, :, :, spec.lo : spec.hi] = nn_core.sigmoid(out.cls_logits.data).data
-    part_index = stacked.argmax(axis=0)          # first max wins ties
-    scores = np.take_along_axis(stacked, part_index[None], axis=0)[0]
-
-    box = np.zeros((b, BOX_CHANNELS, h, map_width), first.dtype)
-    dir_logits = np.zeros((b, DIR_CHANNELS, h, map_width), first.dtype)
-    for pi, (spec, out) in enumerate(zip(parts, part_outputs)):
-        for a in range(ANCHORS_PER_CELL):
-            win = part_index[:, a, :, spec.lo : spec.hi] == pi
-            box_slice = box[:, 7 * a : 7 * a + 7, :, spec.lo : spec.hi]
-            box_vals = out.box.data[:, 7 * a : 7 * a + 7]
-            box_slice[np.broadcast_to(win[:, None], box_slice.shape)] = box_vals[
-                np.broadcast_to(win[:, None], box_vals.shape)
-            ]
-            dir_slice = dir_logits[:, 2 * a : 2 * a + 2, :, spec.lo : spec.hi]
-            dir_vals = out.dir_logits.data[:, 2 * a : 2 * a + 2]
-            dir_slice[np.broadcast_to(win[:, None], dir_slice.shape)] = dir_vals[
-                np.broadcast_to(win[:, None], dir_vals.shape)
-            ]
-    return FusedOutput(scores, box, dir_logits, part_index)
+        scores[pi, ..., spec.lo : spec.hi] = nn_core.sigmoid(out.cls_logits.data).data
+        box[pi, ..., spec.lo : spec.hi] = out.box.data.reshape(b, a, 7, h, spec.width)
+        dirs[pi, ..., spec.lo : spec.hi] = out.dir_logits.data.reshape(b, a, 2, h, spec.width)
+    part_index = scores.argmax(axis=0)           # first max wins ties
+    win = part_index[None, :, :, None]
+    return FusedOutput(
+        np.take_along_axis(scores, part_index[None], axis=0)[0],
+        np.take_along_axis(box, win, axis=0)[0].reshape(b, BOX_CHANNELS, h, map_width),
+        np.take_along_axis(dirs, win, axis=0)[0].reshape(b, DIR_CHANNELS, h, map_width),
+        part_index,
+    )

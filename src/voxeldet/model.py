@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .box_geom import AnchorGrid, Box3D, Detection, build_anchor_grid, decode, oriented_nms
+from .box_geom import Box3D, Detection, build_anchor_grid, decode, oriented_nms
 from .config import RunConfig
 from .depth_head import ANCHORS_PER_CELL, DepthAwareHead, FusedOutput, fuse_scores
 from .nn_core import Module, Tensor
@@ -45,7 +45,7 @@ class VehicleDetector(Module):
             mid_channels=cfg.head_mid_channels,
             seed=cfg.model_seed + 2,
         )
-        self.anchors: AnchorGrid = build_anchor_grid(
+        self.anchors = build_anchor_grid(
             cfg.range_min[0],
             cfg.range_min[1],
             n_x=width,
@@ -74,26 +74,23 @@ class VehicleDetector(Module):
         """Threshold, decode against the anchors, and apply oriented NMS."""
         fused = self.fuse(output)
         cfg = self.cfg
-        anchors = self.anchors.boxes.reshape(self.bev_height, self.bev_width,
-                                             ANCHORS_PER_CELL, 7)
+        b, _, h, w = fused.box.shape
+        anchors = self.anchors.reshape(h, w, ANCHORS_PER_CELL, 7)
+        box = fused.box.reshape(b, ANCHORS_PER_CELL, 7, h, w)
+        dirs = fused.dir_logits.reshape(b, ANCHORS_PER_CELL, 2, h, w)
         results = []
-        for b in range(fused.scores.shape[0]):
-            keep = fused.scores[b] >= cfg.score_threshold   # (2, H, W)
-            cand = np.nonzero(keep)
-            if len(cand[0]) > cfg.pre_nms_top_k:
-                scores = fused.scores[b][cand]
+        for bi in range(b):
+            cand = np.nonzero(fused.scores[bi] >= cfg.score_threshold)   # (a, iy, ix)
+            scores = fused.scores[bi][cand]
+            if len(scores) > cfg.pre_nms_top_k:
                 order = np.lexsort((np.arange(len(scores)), -scores))[: cfg.pre_nms_top_k]
                 cand = tuple(axis[order] for axis in cand)
-            dets = []
-            for a, iy, ix in zip(*cand):
-                residual = fused.box[b, 7 * a : 7 * a + 7, iy, ix]
-                dir_pair = fused.dir_logits[b, 2 * a : 2 * a + 2, iy, ix]
-                decoded = decode(residual, anchors[iy, ix, a], bit=int(dir_pair.argmax()))
-                if not np.all(np.isfinite(decoded)) or decoded[3:6].min() <= 0:
-                    continue
-                dets.append(
-                    Detection(Box3D.from_array(decoded), float(fused.scores[b, a, iy, ix]),
-                              int(dir_pair.argmax()))
-                )
+                scores = scores[order]
+            a, iy, ix = cand
+            bits = dirs[bi, a, :, iy, ix].argmax(axis=1)
+            boxes = decode(box[bi, a, :, iy, ix], anchors[iy, ix, a], bit=bits)
+            ok = np.isfinite(boxes).all(axis=1) & (boxes[:, 3:6].min(axis=1) > 0)
+            dets = [Detection(Box3D.from_array(row), float(s), int(bit))
+                    for row, s, bit in zip(boxes[ok], scores[ok], bits[ok])]
             results.append(oriented_nms(dets, cfg.nms_iou))
         return results

@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn_core
-from .box_geom import AnchorGrid, direction_bit, encode, pairwise_iou3d
+from .box_geom import direction_bit, encode, pairwise_iou3d
 from .config import RunConfig
+from .depth_head import ANCHORS_PER_CELL
 from .model import ModelOutput, VehicleDetector
 from .nn_core import AdamW, Tensor
 from .seg_context import MaskKind, make_mask, seg_loss
@@ -47,17 +48,20 @@ class TargetAssignment:
     direction_bits: np.ndarray  # (n,) int64
 
 
-def assign_targets(anchors: AnchorGrid, gts, positive_iou: float = 0.6,
+def assign_targets(anchors: np.ndarray, gts, positive_iou: float = 0.6,
                    negative_iou: float = 0.45) -> TargetAssignment:
-    """Threshold matching on IoU with a forced best anchor per ground truth."""
-    n = anchors.count
+    """Threshold matching on IoU with a forced best anchor per ground truth.
+
+    ``anchors`` is the (n, 7) array of :func:`box_geom.build_anchor_grid`.
+    """
+    n = len(anchors)
     labels = np.zeros(n, dtype=np.int8)
     matched = np.full(n, -1, dtype=np.int64)
     residuals = np.zeros((n, 7))
     bits = np.zeros(n, dtype=np.int64)
     if gts:
         gt_arr = np.stack([b.as_array() for b in gts])
-        ious = pairwise_iou3d(anchors.boxes, gt_arr)    # (n, m)
+        ious = pairwise_iou3d(anchors, gt_arr)    # (n, m)
         best_gt = ious.argmax(axis=1)
         best_iou = ious[np.arange(n), best_gt]
         labels[best_iou >= positive_iou] = 1
@@ -71,7 +75,7 @@ def assign_targets(anchors: AnchorGrid, gts, positive_iou: float = 0.6,
                 matched[ai] = gi
         pos = labels == 1
         if pos.any():
-            residuals[pos] = encode(gt_arr[matched[pos]], anchors.boxes[pos])
+            residuals[pos] = encode(gt_arr[matched[pos]], anchors[pos])
             bits[pos] = direction_bit(gt_arr[matched[pos], 6])
     return TargetAssignment(labels, matched, residuals, bits)
 
@@ -182,30 +186,30 @@ class PartTargets:
 
 
 def build_part_targets(assignments, height: int, width: int, lo: int, hi: int) -> PartTargets:
-    """Slice per-scene assignments to the part's x-interval in map layout."""
-    wp = hi - lo
-    b = len(assignments)
-    cls_labels = np.empty((b, 2, height, wp), dtype=np.int8)
-    box_target = np.empty((b, 14, height, wp))
-    box_mask = np.zeros((b, 14, height, wp))
-    dir_onehot = np.zeros((b, 2, 2, height, wp))
-    dir_mask = np.zeros((b, 2, height, wp))
-    for bi, asn in enumerate(assignments):
-        lab = asn.labels.reshape(height, width, 2)[:, lo:hi]
-        cls_labels[bi] = lab.transpose(2, 0, 1)
-        res = asn.residuals.reshape(height, width, 2, 7)[:, lo:hi]
-        box_target[bi] = res.transpose(2, 3, 0, 1).reshape(14, height, wp)
-        pos = (lab == 1).transpose(2, 0, 1)                       # (2, H, Wp)
-        box_mask[bi] = np.repeat(pos, 7, axis=0).reshape(2, 7, height, wp).reshape(14, height, wp)
-        bits = asn.direction_bits.reshape(height, width, 2)[:, lo:hi].transpose(2, 0, 1)
-        onehot = np.zeros((2, 2, height, wp))
-        for a in range(2):
-            for bit in range(2):
-                onehot[a, bit] = (bits[a] == bit) & pos[a]
-        dir_onehot[bi] = onehot
-        dir_mask[bi] = pos
-    n_positive = int((cls_labels == 1).sum())
-    return PartTargets(cls_labels, box_target, box_mask, dir_onehot, dir_mask, n_positive)
+    """Slice per-scene assignments to the part's x-interval in map layout.
+
+    Anchor rows run (iy, ix, a), so the stacked (B, H*W*A, ...) assignment
+    arrays reshape to (B, H, W, A, ...) and move to the head's (B, A, ..., H, Wp).
+    """
+    def to_map(values, *tail):
+        grid = np.stack(values).reshape(len(values), height, width, ANCHORS_PER_CELL, *tail)
+        return np.ascontiguousarray(np.moveaxis(grid[:, :, lo:hi], (1, 2), (-2, -1)))
+
+    b, wp = len(assignments), hi - lo
+    cls_labels = to_map([asn.labels for asn in assignments])                 # (B, A, H, Wp)
+    residuals = to_map([asn.residuals for asn in assignments], 7)            # (B, A, 7, H, Wp)
+    bits = to_map([asn.direction_bits for asn in assignments])               # (B, A, H, Wp)
+    pos = cls_labels == 1
+    box_mask = np.broadcast_to(pos[:, :, None], residuals.shape).astype(np.float64)
+    dir_onehot = (bits[:, :, None] == np.arange(2)[:, None, None]) & pos[:, :, None]
+    return PartTargets(
+        cls_labels,
+        residuals.reshape(b, 7 * ANCHORS_PER_CELL, height, wp),
+        box_mask.reshape(b, 7 * ANCHORS_PER_CELL, height, wp),
+        dir_onehot.astype(np.float64),
+        pos.astype(np.float64),
+        int(pos.sum()),
+    )
 
 
 def part_loss_terms(part_output, targets: PartTargets, weights: LossWeights):

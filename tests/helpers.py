@@ -1,5 +1,6 @@
 """Shared test oracles: finite differences, dense 3D convolution, a per-offset
-rulebook, Monte-Carlo IoU, per-pair KITTI matching."""
+rulebook, Monte-Carlo IoU, per-pair KITTI matching, and per-part, per-candidate
+and per-scene loops over the head maps."""
 
 import os
 from pathlib import Path
@@ -8,7 +9,9 @@ import numpy as np
 
 import voxeldet
 from voxeldet import eval_metrics, nn_core
-from voxeldet.box_geom import bev_iou, iou3d, wrap_angle
+from voxeldet.box_geom import Box3D, Detection, bev_iou, decode, iou3d, wrap_angle
+from voxeldet.depth_head import ANCHORS_PER_CELL, BOX_CHANNELS, DIR_CHANNELS, FusedOutput
+from voxeldet.train import PartTargets
 from voxeldet.sparse_conv import Rulebook, kernel_offsets
 
 
@@ -336,3 +339,83 @@ def evaluate_frames_per_pair(frames, mode, threshold):
         ap_bev[name] = eval_metrics.average_precision(pooled["bev"], mode)
         aos_out[name] = eval_metrics.aos(pooled["bev"], mode)
     return eval_metrics.EvalResult(ap_3d, ap_bev, aos_out)
+
+
+def fuse_scores_per_part(part_outputs, parts, map_width):
+    """``depth_head.fuse_scores`` oracle: one boolean-mask copy per part and anchor."""
+    first = part_outputs[0].cls_logits.data
+    b, _, h, _ = first.shape
+    n_parts = len(parts)
+    stacked = np.full((n_parts, b, ANCHORS_PER_CELL, h, map_width), -np.inf, first.dtype)
+    for pi, (spec, out) in enumerate(zip(parts, part_outputs)):
+        stacked[pi, :, :, :, spec.lo : spec.hi] = nn_core.sigmoid(out.cls_logits.data).data
+    part_index = stacked.argmax(axis=0)
+    scores = np.take_along_axis(stacked, part_index[None], axis=0)[0]
+
+    box = np.zeros((b, BOX_CHANNELS, h, map_width), first.dtype)
+    dir_logits = np.zeros((b, DIR_CHANNELS, h, map_width), first.dtype)
+    for pi, (spec, out) in enumerate(zip(parts, part_outputs)):
+        for a in range(ANCHORS_PER_CELL):
+            win = part_index[:, a, :, spec.lo : spec.hi] == pi
+            box_slice = box[:, 7 * a : 7 * a + 7, :, spec.lo : spec.hi]
+            box_vals = out.box.data[:, 7 * a : 7 * a + 7]
+            box_slice[np.broadcast_to(win[:, None], box_slice.shape)] = box_vals[
+                np.broadcast_to(win[:, None], box_vals.shape)
+            ]
+            dir_slice = dir_logits[:, 2 * a : 2 * a + 2, :, spec.lo : spec.hi]
+            dir_vals = out.dir_logits.data[:, 2 * a : 2 * a + 2]
+            dir_slice[np.broadcast_to(win[:, None], dir_slice.shape)] = dir_vals[
+                np.broadcast_to(win[:, None], dir_vals.shape)
+            ]
+    return FusedOutput(scores, box, dir_logits, part_index)
+
+
+def decode_per_candidate(fused, anchors, score_threshold, pre_nms_top_k):
+    """Pre-NMS detections of ``VehicleDetector.detect``, one ``decode`` per candidate."""
+    _, _, h, w = fused.box.shape
+    anchors = anchors.reshape(h, w, ANCHORS_PER_CELL, 7)
+    results = []
+    for b in range(fused.scores.shape[0]):
+        cand = np.nonzero(fused.scores[b] >= score_threshold)
+        if len(cand[0]) > pre_nms_top_k:
+            scores = fused.scores[b][cand]
+            order = np.lexsort((np.arange(len(scores)), -scores))[:pre_nms_top_k]
+            cand = tuple(axis[order] for axis in cand)
+        dets = []
+        for a, iy, ix in zip(*cand):
+            residual = fused.box[b, 7 * a : 7 * a + 7, iy, ix]
+            dir_pair = fused.dir_logits[b, 2 * a : 2 * a + 2, iy, ix]
+            decoded = decode(residual, anchors[iy, ix, a], bit=int(dir_pair.argmax()))
+            if not np.all(np.isfinite(decoded)) or decoded[3:6].min() <= 0:
+                continue
+            dets.append(Detection(Box3D.from_array(decoded), float(fused.scores[b, a, iy, ix]),
+                                  int(dir_pair.argmax())))
+        results.append(dets)
+    return results
+
+
+def build_part_targets_per_scene(assignments, height, width, lo, hi):
+    """``train.build_part_targets`` oracle: one scene, anchor and direction bit at a time."""
+    wp = hi - lo
+    b = len(assignments)
+    cls_labels = np.empty((b, 2, height, wp), dtype=np.int8)
+    box_target = np.empty((b, 14, height, wp))
+    box_mask = np.zeros((b, 14, height, wp))
+    dir_onehot = np.zeros((b, 2, 2, height, wp))
+    dir_mask = np.zeros((b, 2, height, wp))
+    for bi, asn in enumerate(assignments):
+        lab = asn.labels.reshape(height, width, 2)[:, lo:hi]
+        cls_labels[bi] = lab.transpose(2, 0, 1)
+        res = asn.residuals.reshape(height, width, 2, 7)[:, lo:hi]
+        box_target[bi] = res.transpose(2, 3, 0, 1).reshape(14, height, wp)
+        pos = (lab == 1).transpose(2, 0, 1)
+        box_mask[bi] = np.repeat(pos, 7, axis=0).reshape(2, 7, height, wp).reshape(14, height, wp)
+        bits = asn.direction_bits.reshape(height, width, 2)[:, lo:hi].transpose(2, 0, 1)
+        onehot = np.zeros((2, 2, height, wp))
+        for a in range(2):
+            for bit in range(2):
+                onehot[a, bit] = (bits[a] == bit) & pos[a]
+        dir_onehot[bi] = onehot
+        dir_mask[bi] = pos
+    n_positive = int((cls_labels == 1).sum())
+    return PartTargets(cls_labels, box_target, box_mask, dir_onehot, dir_mask, n_positive)

@@ -4,7 +4,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from voxeldet.box_geom import (
-    AnchorGrid,
     Box3D,
     Detection,
     bev_iou,
@@ -261,19 +260,19 @@ class TestNms:
 
 class TestAnchors:
     def test_layout(self):
-        grid = build_anchor_grid(0.0, -2.0, n_x=3, n_y=2, cell_size=0.4)
-        assert grid.count == 12
+        anchors = build_anchor_grid(0.0, -2.0, n_x=3, n_y=2, cell_size=0.4)
+        assert anchors.shape == (12, 7)
         # first cell, first orientation
-        np.testing.assert_allclose(grid.boxes[0, :3], [0.2, -1.8, -1.0])
-        assert grid.boxes[0, 6] == 0.0
-        assert grid.boxes[1, 6] == pytest.approx(np.pi / 2)
+        np.testing.assert_allclose(anchors[0, :3], [0.2, -1.8, -1.0])
+        assert anchors[0, 6] == 0.0
+        assert anchors[1, 6] == pytest.approx(np.pi / 2)
         # row-major (iy, ix, a)
-        box = grid.boxes.reshape(2, 3, 2, 7)[1, 2, 1]
+        box = anchors.reshape(2, 3, 2, 7)[1, 2, 1]
         np.testing.assert_allclose(box[[0, 1, 6]], [1.0, -1.4, np.pi / 2])
 
     def test_anchor_matches_itself(self):
-        grid = build_anchor_grid(0.0, 0.0, n_x=2, n_y=2, cell_size=0.4)
-        ious = pairwise_iou3d(grid.boxes, grid.boxes[:1])
+        anchors = build_anchor_grid(0.0, 0.0, n_x=2, n_y=2, cell_size=0.4)
+        ious = pairwise_iou3d(anchors, anchors[:1])
         assert ious[0, 0] == pytest.approx(1.0)
 
 

@@ -73,7 +73,7 @@ class TestConfigFile:
 
     def test_part_coverage_validation(self):
         with pytest.raises(ValueError, match="covered by no part"):
-            parse_config("part_bounds = 0,50;60,176\n")
+            parse_config("part_bounds = 0,50;60,120;110,176\n")
 
     def test_match_in_bev_is_no_longer_a_key(self, tmp_path):
         with pytest.raises(ValueError, match="unknown key 'match_in_bev'"):
@@ -94,6 +94,36 @@ class TestConfigFile:
     def test_length_mismatch_rejected(self, text, match):
         with pytest.raises(ValueError, match=match):
             parse_config(text, base=toy_config())
+
+    @pytest.mark.parametrize("line, message", [
+        ("range_min = 0,-40,-3,5", "range_min needs 3 finite values"),
+        ("range_max = 70.4,40.0", "range_max needs 3 finite values"),
+        ("range_max = inf,40.0,1.0", "range_max needs 3 finite values"),
+        ("voxel_size = 0.05,nan,0.1", "voxel_size needs 3 finite values"),
+        ("voxel_size = 0.05,0.05,0.1,0.1", "voxel_size needs 3 finite values"),
+        ("anchor_size = 1.6,3.9", "anchor_size needs 3 finite values"),
+        ("vfe_blocks = 4,16,2;16,32,2,2;32,64,3,2;64,64,3,1",
+         "each vfe_blocks group needs 4 values, got (4, 16, 2)"),
+        ("vfe_blocks = 4,16,2,2,2,2;16,32,2,2;32,64,3,2;64,64,3,1",
+         "each vfe_blocks group needs 4 values, got (4, 16, 2, 2, 2, 2)"),
+        ("part_bounds = 0,72,1;52,124;104,176", "each part_bounds group needs 2 values"),
+        ("bev_stride = 0", "bev_stride must be >= 1, got 0"),
+        ("part_kernels = 1,3", "3 parts, 2 kernels, 3 dilations"),
+    ], ids=["range_min", "range_max", "range_max_inf", "voxel_size_nan", "voxel_size",
+            "anchor_size", "vfe_blocks_3", "vfe_blocks_6", "part_bounds", "bev_stride",
+            "part_kernels"])
+    def test_malformed_value_exits_2_naming_the_key(self, tmp_path, capsys, line, message):
+        path = tmp_path / "bad.cfg"
+        path.write_text(line + "\n")
+        out = tmp_path / "o.cfg"
+        assert run_cli("--config", str(path), "dump-config", "--out", str(out)) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and message in err
+
+    def test_empty_group_element_rejected(self):
+        with pytest.raises(ValueError, match="bad value for 'vfe_blocks'"):
+            parse_config("vfe_blocks = 4,16,,2;16,32,2,2;32,64,3,2;64,64,3,1\n")
 
     def test_comments_and_blanks(self):
         cfg = parse_config("# comment\n\nlambda_seg = 0.7\n")

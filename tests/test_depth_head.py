@@ -13,7 +13,7 @@ from voxeldet.depth_head import (
 )
 from voxeldet.nn_core import Tensor
 
-from helpers import finite_diff_error, projected_loss, random_cotangent
+from helpers import finite_diff_error, fuse_scores_per_part, projected_loss, random_cotangent
 
 
 def _logit(p):
@@ -177,6 +177,34 @@ class TestFuseScores:
         assert fused.box[0, 7, 0, 0] == 9.0    # anchor 1 residuals from part 1
         assert fused.dir_logits[0, 0, 0, 0] == 0.0
         assert fused.dir_logits[0, 2, 0, 0] == 1.0
+
+
+class TestFuseScoresOracle:
+    """The whole-array fusion equals the per-part, per-anchor mask copies exactly."""
+
+    PARTS = (PartSpec(0, 9, kernel=1), PartSpec(5, 16, kernel=3), PartSpec(5, 20, kernel=3),
+             PartSpec(14, 20, kernel=3, dilation=2))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_per_part_oracle(self, seed, dtype):
+        rng = np.random.default_rng(seed)
+        outs = []
+        for spec in self.PARTS:
+            # logits on a coarse lattice, so parts tie often inside the overlap bands
+            cls = rng.integers(-2, 3, size=(2, 2, 3, spec.width)).astype(dtype)
+            outs.append(PartOutput(Tensor(cls),
+                                   Tensor(rng.normal(size=(2, 14, 3, spec.width)).astype(dtype)),
+                                   Tensor(rng.normal(size=(2, 4, 3, spec.width)).astype(dtype))))
+        fused = fuse_scores(outs, self.PARTS, 20)
+        oracle = fuse_scores_per_part(outs, self.PARTS, 20)
+        for name in ("scores", "box", "dir_logits", "part_index"):
+            got, want = getattr(fused, name), getattr(oracle, name)
+            assert got.dtype == want.dtype, name
+            np.testing.assert_array_equal(got, want, err_msg=name)
+        # the lattice does produce ties that a higher part index loses
+        overlap = fused.part_index[..., 5:9]
+        assert (overlap == 0).any() and (overlap == 1).any()
 
 
 class TestHead:

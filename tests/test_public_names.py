@@ -1,10 +1,14 @@
-"""Every top-level public function and class in ``voxeldet`` has a reader.
+"""Every top-level public function and class and every dataclass field in
+``voxeldet`` has a reader.
 
 A name counts as read when it appears as a whole word in a ``.py`` file under
 ``src/``, ``tests/`` or ``benchmark/`` on any line other than its own
 definition, either bare (``voxelize(...)``, ``from .x import voxelize``,
 ``"voxelize"``) or qualified by its own module (``voxel_grid.voxelize``).
 An attribute of anything else (``np.matmul``) is a different name.
+
+A dataclass field counts as read when ``.field`` appears anywhere in those
+files, on whatever object; building the dataclass does not read its fields.
 """
 
 import ast
@@ -25,10 +29,34 @@ def public_definitions(package: Path):
     return out
 
 
+def _sources(search_roots):
+    return {p: p.read_text().splitlines()
+            for root in search_roots for p in sorted(root.rglob("*.py"))
+            if p != Path(__file__).resolve()}
+
+
+def dataclass_fields(package: Path):
+    """(module, class, field) of each annotated field of a top-level dataclass."""
+    out = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            decorators = [d.func if isinstance(d, ast.Call) else d
+                          for d in getattr(node, "decorator_list", [])]
+            if not any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
+                continue
+            out += [(path.stem, node.name, stmt.target.id) for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+    return out
+
+
+def unread_fields(package: Path, search_roots) -> list[str]:
+    text = "\n".join(line for lines in _sources(search_roots).values() for line in lines)
+    return [f"{module}.{cls}.{name}" for module, cls, name in dataclass_fields(package)
+            if not re.search(rf"\.{name}\b", text)]
+
+
 def unread_names(package: Path, search_roots) -> list[str]:
-    sources = {p: p.read_text().splitlines()
-               for root in search_roots for p in sorted(root.rglob("*.py"))
-               if p != Path(__file__).resolve()}
+    sources = _sources(search_roots)
     unread = []
     for module, name, def_path, def_line in public_definitions(package):
         word = re.compile(rf"(?:(?<![\w.])|(?<![\w.]){module}\.){name}\b")
@@ -47,6 +75,13 @@ def test_every_public_name_is_read():
     assert unread_names(package, roots) == []
 
 
+def test_every_dataclass_field_is_read():
+    package = ROOT / "src" / "voxeldet"
+    roots = [ROOT / "src", ROOT / "tests", ROOT / "benchmark"]
+    assert dataclass_fields(package), "no dataclass fields found"
+    assert unread_fields(package, roots) == []
+
+
 def test_scanner_flags_unread_and_foreign_attributes(tmp_path):
     package = tmp_path / "pkg"
     package.mkdir()
@@ -58,3 +93,15 @@ def test_scanner_flags_unread_and_foreign_attributes(tmp_path):
     )
     (tmp_path / "reader.py").write_text("from pkg.ops import used\nops.qualified()\n")
     assert unread_names(package, [tmp_path]) == ["ops.matmul"]
+
+
+def test_scanner_flags_unread_dataclass_fields(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "shapes.py").write_text(
+        "from dataclasses import dataclass\n\n\n"
+        "@dataclass(frozen=True)\nclass Grid:\n    boxes: list\n    n_x: int\n\n\n"
+        "class Plain:\n    size: int\n"
+    )
+    (tmp_path / "reader.py").write_text("grid = Grid([], n_x=3)\nprint(grid.boxes)\n")
+    assert unread_fields(package, [tmp_path]) == ["shapes.Grid.n_x"]

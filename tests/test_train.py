@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from voxeldet.box_geom import Box3D, build_anchor_grid, iou3d
+from voxeldet.box_geom import Box3D, build_anchor_grid, iou3d, oriented_nms
 from voxeldet.config import toy_config
-from voxeldet.model import VehicleDetector
+from voxeldet.depth_head import PartOutput, fuse_scores
+from voxeldet.model import ModelOutput, VehicleDetector
 from voxeldet.nn_core import Tensor
 from voxeldet.train import (
     LossReport,
@@ -22,7 +23,7 @@ from voxeldet.train import (
 from voxeldet.synthetic import Scene, make_toy_dataset
 from voxeldet.kitti_io import PointCloud
 
-from helpers import finite_diff_error
+from helpers import build_part_targets_per_scene, decode_per_candidate, finite_diff_error
 
 
 def micro_config(**overrides):
@@ -54,17 +55,17 @@ class TestAssignTargets:
 
     def test_anchor_identical_to_gt(self):
         anchors = self._anchors()
-        gt = Box3D.from_array(anchors.boxes[24])
+        gt = Box3D.from_array(anchors[24])
         asn = assign_targets(anchors, [gt])
         assert asn.labels[24] == 1
         np.testing.assert_allclose(asn.residuals[24], 0.0, atol=1e-12)
 
     def test_best_anchor_forced_positive(self):
         anchors = self._anchors()
-        base = Box3D.from_array(anchors.boxes[24])
+        base = Box3D.from_array(anchors[24])
         # rotated enough that the best IoU lands between the two thresholds
         gt = Box3D(base.x + 0.1, base.y + 0.1, base.z, base.w, base.l, base.h, 0.5)
-        ious = np.array([iou3d(Box3D.from_array(a), gt) for a in anchors.boxes])
+        ious = np.array([iou3d(Box3D.from_array(a), gt) for a in anchors])
         assert 0.45 < ious.max() < 0.6
         asn = assign_targets(anchors, [gt])
         assert asn.labels[ious.argmax()] == 1
@@ -74,7 +75,7 @@ class TestAssignTargets:
         anchors = self._anchors()
         gt = Box3D(2.05, -0.1, -1.0, 1.6, 3.9, 1.56, 0.3)
         asn = assign_targets(anchors, [gt])
-        ious = np.array([iou3d(Box3D.from_array(a), gt) for a in anchors.boxes])
+        ious = np.array([iou3d(Box3D.from_array(a), gt) for a in anchors])
         rank = {1: 2, -1: 1, 0: 0}
         order = np.argsort(ious)
         ranks = np.array([rank[int(l)] for l in asn.labels[order]])
@@ -83,7 +84,7 @@ class TestAssignTargets:
 
     def test_direction_bits(self):
         anchors = self._anchors()
-        gt_pos = Box3D.from_array(anchors.boxes[24])
+        gt_pos = Box3D.from_array(anchors[24])
         asn = assign_targets(anchors, [gt_pos])
         assert asn.direction_bits[24] == 1   # theta 0 -> non-negative bin
 
@@ -223,7 +224,7 @@ class TestPartTargets:
     def test_slicing_matches_anchor_layout(self):
         h, w = 4, 6
         anchors = build_anchor_grid(0.0, 0.0, n_x=w, n_y=h, cell_size=0.4)
-        gt = Box3D.from_array(anchors.boxes[(2 * w + 3) * 2 + 0])  # cell (2,3), yaw 0
+        gt = Box3D.from_array(anchors[(2 * w + 3) * 2 + 0])  # cell (2,3), yaw 0
         asn = assign_targets(anchors, [gt])
         targets = build_part_targets([asn], h, w, lo=2, hi=6)
         # cell (2,3) sits at sliced x-offset 1
@@ -232,6 +233,38 @@ class TestPartTargets:
         assert targets.n_positive == int(in_slice.sum())
         assert targets.box_mask[0, :7, 2, 1].all()
         assert targets.dir_onehot[0, 0, 1, 2, 1] == 1.0
+
+    @staticmethod
+    def _assert_same(got, want):
+        for name in ("cls_labels", "box_target", "box_mask", "dir_onehot", "dir_mask"):
+            g, w = getattr(got, name), getattr(want, name)
+            assert g.dtype == w.dtype and g.flags.c_contiguous, name
+            np.testing.assert_array_equal(g, w, err_msg=name)
+        assert got.n_positive == want.n_positive
+
+    @pytest.mark.parametrize("lo,hi", [(0, 6), (2, 6), (0, 3), (3, 4)])
+    def test_matches_per_scene_oracle_random(self, lo, hi):
+        h, w, n = 4, 6, 4 * 6 * 2
+        rng = np.random.default_rng(lo * 10 + hi)
+        assignments = [
+            TargetAssignment(rng.integers(-1, 2, size=n).astype(np.int8),
+                             rng.integers(-1, 3, size=n), rng.normal(size=(n, 7)),
+                             rng.integers(0, 2, size=n))
+            for _ in range(3)
+        ]
+        self._assert_same(build_part_targets(assignments, h, w, lo, hi),
+                          build_part_targets_per_scene(assignments, h, w, lo, hi))
+
+    def test_matches_per_scene_oracle_assigned(self):
+        h, w = 5, 7
+        anchors = build_anchor_grid(0.0, 0.0, n_x=w, n_y=h, cell_size=0.4)
+        gts = [Box3D(1.3, 0.9, -1.0, 1.6, 3.9, 1.56, -2.0),
+               Box3D(2.0, 1.4, -1.0, 1.6, 3.9, 1.56, 1.2)]
+        assignments = [assign_targets(anchors, gts[:k]) for k in range(3)]
+        assert sum(int((a.labels == 1).sum()) for a in assignments) > 0
+        for lo, hi in [(0, 4), (2, 7)]:
+            self._assert_same(build_part_targets(assignments, h, w, lo, hi),
+                              build_part_targets_per_scene(assignments, h, w, lo, hi))
 
 
 class TestTrainToy:
@@ -267,3 +300,57 @@ class TestModelSmoke:
         assert len(grids_out.parts) == 3
         dets = model.detect(grids_out)
         assert isinstance(dets, list) and len(dets) == 1
+
+
+class TestDetectOracle:
+    """One batched decode per frame equals one ``decode`` call per candidate."""
+
+    @staticmethod
+    def _outputs(cfg, seed, planted=()):
+        rng = np.random.default_rng(seed)
+        h = w = 12
+        parts = []
+        for spec in cfg.parts():
+            cls = rng.integers(-6, 3, size=(2, 2, h, spec.width)).astype(np.float32)
+            box = (0.3 * rng.normal(size=(2, 14, h, spec.width))).astype(np.float32)
+            dirs = rng.integers(-1, 2, size=(2, 4, h, spec.width)).astype(np.float32)
+            for b, a, iy, ix, channel, value in planted:
+                if spec.lo <= ix < spec.hi:
+                    cls[b, a, iy, ix - spec.lo] = 5.0
+                    box[b, 7 * a + channel, iy, ix - spec.lo] = value
+            parts.append(PartOutput(Tensor(cls), Tensor(box), Tensor(dirs)))
+        return ModelOutput(None, None, None, parts)
+
+    def _check(self, cfg, output):
+        model = VehicleDetector(cfg)
+        fused = fuse_scores(output.parts, cfg.parts(), 12)
+        oracle = decode_per_candidate(fused, model.anchors, cfg.score_threshold,
+                                      cfg.pre_nms_top_k)
+        assert model.detect(output) == [oriented_nms(d, cfg.nms_iou) for d in oracle]
+        return fused, oracle
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_oracle_with_nms(self, seed):
+        cfg = micro_config(score_threshold=0.1)
+        self._check(cfg, self._outputs(cfg, seed))
+
+    def test_drops_non_finite_and_non_positive_size(self):
+        # nms_iou 1 keeps every candidate, so the whole decoded list is compared
+        cfg = micro_config(score_threshold=0.3, nms_iou=1.0)
+        planted = [(0, 0, 3, 4, 0, np.inf), (1, 1, 8, 10, 4, -1000.0)]
+        fused, oracle = self._check(cfg, self._outputs(cfg, 11, planted))
+        for b, a, iy, ix, _, _ in planted:
+            n_cand = int((fused.scores[b] >= cfg.score_threshold).sum())
+            assert len(oracle[b]) == n_cand - 1
+            assert fused.scores[b, a, iy, ix] >= cfg.score_threshold
+
+    def test_pre_nms_top_k_truncation(self):
+        cfg = micro_config(score_threshold=0.02, nms_iou=1.0, pre_nms_top_k=7)
+        output = self._outputs(cfg, 5)
+        fused, oracle = self._check(cfg, output)
+        n_cand = (fused.scores >= cfg.score_threshold).reshape(2, -1).sum(axis=1)
+        assert (n_cand > cfg.pre_nms_top_k).all()
+        assert [len(d) for d in oracle] == [cfg.pre_nms_top_k] * 2
+        # the coarse logits tie, so the cut falls inside a run of equal scores
+        ranked = np.sort(fused.scores[0].ravel())[::-1]
+        assert ranked[cfg.pre_nms_top_k - 1] == ranked[cfg.pre_nms_top_k]
