@@ -245,19 +245,20 @@ def decode(residuals, anchor, bit=None) -> np.ndarray:
 # -- anchors ---------------------------------------------------------------------
 
 
-def build_anchor_grid(x_min: float, y_min: float, n_x: int, n_y: int, cell_size: float,
+def build_anchor_grid(x_min: float, y_min: float, n_x: int, n_y: int, cell_size,
                       size=(1.6, 3.9, 1.56), z_center: float = -1.0,
                       orientations=(0.0, np.pi / 2)) -> np.ndarray:
     """Anchors at BEV cell centers, one per orientation, as an (n_y * n_x * A, 7) array.
 
-    Rows run in (iy, ix, anchor) order, so ``reshape(n_y, n_x, A, 7)`` lines
-    them up with a (H=y, W=x) head map: anchor ``a`` at cell (iy, ix) owns
-    class channel ``a``, box channels ``7a .. 7a+6`` and direction channels
-    ``2a, 2a+1``.
+    ``cell_size`` is one edge for square cells or an (x, y) pair. Rows run in
+    (iy, ix, anchor) order, so ``reshape(n_y, n_x, A, 7)`` lines them up with
+    a (H=y, W=x) head map: anchor ``a`` at cell (iy, ix) owns class channel
+    ``a``, box channels ``7a .. 7a+6`` and direction channels ``2a, 2a+1``.
     """
     w, l, h = size
-    xs = x_min + (np.arange(n_x) + 0.5) * cell_size
-    ys = y_min + (np.arange(n_y) + 0.5) * cell_size
+    cell_x, cell_y = np.broadcast_to(cell_size, 2)
+    xs = x_min + (np.arange(n_x) + 0.5) * cell_x
+    ys = y_min + (np.arange(n_y) + 0.5) * cell_y
     boxes = np.empty((n_y, n_x, len(orientations), 7))
     boxes[..., 0] = xs[None, :, None]
     boxes[..., 1] = ys[:, None, None]

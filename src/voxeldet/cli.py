@@ -422,13 +422,13 @@ def _cmd_bench(args, cfg) -> int:
     t0 = time.perf_counter()
     with no_grad():
         parts = model.head(fused)
-    fused_scores = model.fuse(ModelOutput(bev, probability, fused, parts))
     timings.append(("head", time.perf_counter() - t0))
-    scores = fused_scores.scores
+    output = ModelOutput(bev, probability, fused, parts)
+    scores = model.fuse(output).scores   # untimed: the nms span fuses again in detect
     rows.append(("head", f"scores={scores.shape} {scores.dtype}", digest(scores)))
 
     t0 = time.perf_counter()
-    detections = model.detect(ModelOutput(bev, probability, fused, parts))[0]
+    detections = model.detect(output)[0]
     timings.append(("nms", time.perf_counter() - t0))
     rows.append(("nms", f"kept={len(detections)}", "-"))
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .depth_head import ANCHORS_PER_CELL, PartSpec, check_coverage
-from .sparse_conv import VfeBlockSpec
+from .sparse_conv import VfeBlockSpec, bev_map_shape
 from .voxel_grid import VoxelizerConfig
 
 
@@ -26,9 +26,7 @@ class RunConfig:
     max_points_per_voxel: int = 5
     # VFE blocks: in, out, submanifold layers, x/y stride
     vfe_blocks: tuple = ((4, 16, 2, 2), (16, 32, 2, 2), (32, 64, 3, 2), (64, 64, 3, 1))
-    bev_stride: int = 8
     # semantic context encoder
-    sce_channels: int = 128
     mask_kind: str = "box_type"
     # depth-aware head: x-cell intervals with kernel/dilation per part
     part_bounds: tuple = ((0, 72), (52, 124), (104, 176))
@@ -96,16 +94,22 @@ class RunConfig:
         return self.voxelizer().grid_shape
 
     @property
-    def bev_width(self) -> int:
-        return self.grid_shape[0] // self.bev_stride
+    def bev_stride(self) -> int:
+        """Voxels per BEV cell along x and y: the product of the blocks' ``stride_xy``."""
+        return int(np.prod([b.stride_xy for b in self.blocks()]))
 
     @property
     def bev_height(self) -> int:
-        return self.grid_shape[1] // self.bev_stride
+        return bev_map_shape(self.grid_shape, self.blocks())[1]
 
     @property
-    def bev_cell_size(self) -> float:
-        return self.voxel_size[0] * self.bev_stride
+    def bev_width(self) -> int:
+        return bev_map_shape(self.grid_shape, self.blocks())[2]
+
+    @property
+    def bev_cell_size(self) -> tuple[float, float]:
+        """(x, y) extent of one BEV cell in metres."""
+        return tuple(v * self.bev_stride for v in self.voxel_size[:2])
 
     def blocks(self) -> tuple[VfeBlockSpec, ...]:
         return tuple(VfeBlockSpec(*b) for b in self.vfe_blocks)
@@ -125,7 +129,7 @@ class RunConfig:
             for group in getattr(self, name):
                 if len(group) != size:
                     raise ValueError(f"each {name} group needs {size} values, got {group}")
-        for name in ("bev_stride", "train_steps", "batch_size"):
+        for name in ("train_steps", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not len(self.part_kernels) == len(self.part_dilations) == len(self.part_bounds):
@@ -133,21 +137,19 @@ class RunConfig:
                 f"need one kernel and one dilation per part: {len(self.part_bounds)} parts, "
                 f"{len(self.part_kernels)} kernels, {len(self.part_dilations)} dilations"
             )
-        vox = self.voxelizer()
-        nx, ny, _ = vox.grid_shape
-        if nx % self.bev_stride or ny % self.bev_stride:
-            raise ValueError(
-                f"grid {vox.grid_shape} not divisible by bev_stride {self.bev_stride}"
-            )
-        if self.bev_width % 4 or self.bev_height % 4:
-            raise ValueError(
-                f"BEV map {self.bev_height}x{self.bev_width} must be divisible by 4 "
-                "for the pyramid branch"
-            )
         blocks = self.blocks()
         if not blocks or blocks[0].in_channels != 4:
             raise ValueError("first block must accept the 4 voxel feature channels")
-        check_coverage(self.parts(), self.bev_width)
+        grid = self.grid_shape
+        nx, ny, _ = grid
+        _, height, width = bev_map_shape(grid, blocks)
+        if nx % self.bev_stride or ny % self.bev_stride:
+            raise ValueError(f"grid {grid} not divisible by the BEV stride {self.bev_stride}")
+        if width % 4 or height % 4:
+            raise ValueError(
+                f"BEV map {height}x{width} must be divisible by 4 for the pyramid branch"
+            )
+        check_coverage(self.parts(), width)
         if not 0.0 <= self.negative_iou <= self.positive_iou <= 1.0:
             raise ValueError(
                 f"need 0 <= negative_iou <= positive_iou <= 1, got "

@@ -188,41 +188,32 @@ def _recall_samples(mode: str) -> np.ndarray:
     raise ValueError(f"unknown AP mode {mode!r}")
 
 
-def _envelope(values: np.ndarray, recalls: np.ndarray, samples: np.ndarray) -> np.ndarray:
-    """max over curve points with recall >= r, per sampled recall r."""
-    out = np.zeros(len(samples))
-    for i, r in enumerate(samples):
-        eligible = values[recalls >= r - 1e-12]
-        out[i] = eligible.max() if len(eligible) else 0.0
-    return out
+def _interpolated(numerators: np.ndarray, matches: RankedMatches, mode: str):
+    """Interpolated cumulative ratio in percent; None when there are no ground truths.
+
+    At each rank the ratio is the running sum of ``numerators`` over the
+    running count of TPs and FPs. Per sampled recall r, the envelope is the
+    best ratio at any rank whose recall reaches r (0 when none does).
+    """
+    if matches.n_gt == 0:
+        return None
+    counted = np.cumsum(matches.is_tp | matches.is_fp)
+    ratio = np.cumsum(numerators) / np.maximum(counted, 1)
+    recall = np.cumsum(matches.is_tp) / matches.n_gt
+    # recall never falls along the ranking, so the ranks reaching r form a suffix
+    envelope = np.append(np.maximum.accumulate(ratio[::-1])[::-1], 0.0)
+    first = np.searchsorted(recall, _recall_samples(mode) - 1e-12)
+    return float(np.mean(envelope[first]) * 100.0)
 
 
 def average_precision(matches: RankedMatches, mode: str = "R11"):
     """Interpolated AP in percent; None when there are no ground truths."""
-    if matches.n_gt == 0:
-        return None
-    tp_cum = np.cumsum(matches.is_tp)
-    counted = np.cumsum(matches.is_tp | matches.is_fp)
-    valid = counted > 0
-    precision = np.zeros(len(matches.scores))
-    precision[valid] = tp_cum[valid] / counted[valid]
-    recall = tp_cum / matches.n_gt
-    samples = _recall_samples(mode)
-    return float(np.mean(_envelope(precision, recall, samples)) * 100.0)
+    return _interpolated(matches.is_tp, matches, mode)
 
 
 def aos(matches: RankedMatches, mode: str = "R11"):
     """AP-style orientation similarity in percent over the same ranking."""
-    if matches.n_gt == 0:
-        return None
-    sim_cum = np.cumsum(matches.similarities)
-    counted = np.cumsum(matches.is_tp | matches.is_fp)
-    valid = counted > 0
-    sim_prec = np.zeros(len(matches.scores))
-    sim_prec[valid] = sim_cum[valid] / counted[valid]
-    recall = np.cumsum(matches.is_tp) / matches.n_gt
-    samples = _recall_samples(mode)
-    return float(np.mean(_envelope(sim_prec, recall, samples)) * 100.0)
+    return _interpolated(matches.similarities, matches, mode)
 
 
 @dataclass

@@ -29,15 +29,9 @@ class VehicleDetector(Module):
         super().__init__()
         cfg.validate()
         self.cfg = cfg
-        vox = cfg.voxelizer()
-        self.vfe = VfeEncoder(vox.grid_shape, cfg.blocks(), seed=cfg.model_seed)
+        self.vfe = VfeEncoder(cfg.grid_shape, cfg.blocks(), seed=cfg.model_seed)
         channels, height, width = self.vfe.bev_shape
-        if channels != cfg.sce_channels:
-            raise ValueError(
-                f"voxel encoder emits {channels} channels but sce_channels is "
-                f"{cfg.sce_channels}"
-            )
-        self.sce = SemanticContextEncoder(cfg.sce_channels, seed=cfg.model_seed + 1)
+        self.sce = SemanticContextEncoder(channels, seed=cfg.model_seed + 1)
         self.head = DepthAwareHead(
             cfg.parts(),
             map_width=width,
@@ -55,8 +49,6 @@ class VehicleDetector(Module):
             z_center=cfg.anchor_z,
             orientations=tuple(cfg.anchor_yaws),
         )
-        self.bev_height = height
-        self.bev_width = width
 
     def forward_from_plan(self, plan: VfePlan) -> ModelOutput:
         bev = self.vfe.forward(plan)
@@ -68,7 +60,7 @@ class VehicleDetector(Module):
         return self.forward_from_plan(self.vfe.build_plan(grids))
 
     def fuse(self, output: ModelOutput) -> FusedOutput:
-        return fuse_scores(output.parts, self.cfg.parts(), self.bev_width)
+        return fuse_scores(output.parts, self.cfg.parts(), self.cfg.bev_width)
 
     def detect(self, output: ModelOutput) -> list[list[Detection]]:
         """Threshold, decode against the anchors, and apply oriented NMS."""

@@ -1,11 +1,13 @@
 """Semantic context encoder: BEV masks, two branches, and re-weight fusion.
 
-Ground-truth masks live on the BEV grid of the encoder input (one cell per
-``bev_stride`` voxels). The segmentation branch is a small feature pyramid
-that predicts a per-cell foreground probability map M; the detection branch
-is a shallow U-Net whose output is concatenated with its input; the fusion
-scales each detection feature by (1 + M). Only the segmentation loss L_S
-trains M: the encoder fuses a detached copy of M.
+Ground-truth masks live on the grid of the voxel encoder's BEV map: one cell
+per ``bev_stride`` x ``bev_stride`` voxel columns, where ``bev_stride`` is the
+product of the encoder blocks' x/y strides (``RunConfig.bev_stride``). The
+segmentation branch is a small feature pyramid that predicts a per-cell
+foreground probability map M; the detection branch is a shallow U-Net whose
+output is concatenated with its input; the fusion scales each detection
+feature by (1 + M). Only the segmentation loss L_S trains M: the encoder
+fuses a detached copy of M.
 """
 
 from __future__ import annotations

@@ -233,13 +233,12 @@ class VfeBlockSpec:
     out_channels: int
     n_submanifold: int
     stride_xy: int
-    stride_z: int = 2
 
     def __post_init__(self):
         if self.in_channels <= 0 or self.out_channels <= 0:
             raise ValueError(f"channels must be positive: {self}")
-        if self.stride_xy not in (1, 2) or self.stride_z not in (1, 2):
-            raise ValueError(f"strides must be 1 or 2: {self}")
+        if self.stride_xy not in (1, 2):
+            raise ValueError(f"stride_xy must be 1 or 2: {self}")
 
 
 DEFAULT_BLOCKS = (
@@ -248,6 +247,34 @@ DEFAULT_BLOCKS = (
     VfeBlockSpec(32, 64, 3, 2),
     VfeBlockSpec(64, 64, 3, 1),
 )
+
+
+def block_shapes(grid_shape, blocks) -> list[tuple[tuple, tuple, tuple]]:
+    """Per block, the strided layer's (kernel, stride, output extent).
+
+    x/y downsample by ``stride_xy`` and z always halves; a stride-2 kernel
+    stretches to 3 on an odd extent so boundary sites still contribute.
+    Raises when one block's output channels are not the next one's input.
+    """
+    for prev, nxt in zip(blocks, blocks[1:]):
+        if prev.out_channels != nxt.in_channels:
+            raise ValueError(f"channel mismatch between blocks: {prev} -> {nxt}")
+    schedule = []
+    shape = tuple(int(n) for n in grid_shape)
+    for spec in blocks:
+        stride = (spec.stride_xy, spec.stride_xy, 2)
+        kernel = tuple(
+            1 if s == 1 else (s if n % s == 0 else s + 1) for n, s in zip(shape, stride)
+        )
+        shape = tuple(max(1, (n - k) // s + 1) for n, k, s in zip(shape, kernel, stride))
+        schedule.append((kernel, stride, shape))
+    return schedule
+
+
+def bev_map_shape(grid_shape, blocks) -> tuple[int, int, int]:
+    """(channels, height=y cells, width=x cells) of the encoder's BEV map."""
+    nx, ny, nz = block_shapes(grid_shape, blocks)[-1][2]
+    return (blocks[-1].out_channels * nz, ny, nx)
 
 
 class SparseConv3d(Module):
@@ -293,20 +320,15 @@ class VfeEncoder(Module):
     """Four sparse blocks over the voxel grid, reshaped to a BEV feature map.
 
     Each block runs its submanifold layers (kernel 3, batch norm, ReLU) and
-    one strided layer that downsamples x/y by ``stride_xy`` and halves z.
-    The z kernel stretches to 3 when the extent is odd so boundary sites
-    still contribute.
+    one strided layer on the schedule of :func:`block_shapes`.
     """
 
     def __init__(self, grid_shape, blocks=DEFAULT_BLOCKS, seed: int = 0):
         super().__init__()
         self.grid_shape = tuple(int(s) for s in grid_shape)
         self.blocks = tuple(blocks)
-        for prev, nxt in zip(self.blocks, self.blocks[1:]):
-            if prev.out_channels != nxt.in_channels:
-                raise ValueError(f"channel mismatch between blocks: {prev} -> {nxt}")
+        self._shape_schedule = block_shapes(self.grid_shape, self.blocks)
         rng = np.random.default_rng(seed)
-        self._shape_schedule = self._plan_shapes()
         for bi, spec in enumerate(self.blocks):
             ch = spec.in_channels
             for li in range(spec.n_submanifold):
@@ -314,31 +336,15 @@ class VfeEncoder(Module):
                 self.add_module(f"block{bi}.subm{li}", conv)
                 self.add_module(f"block{bi}.subm{li}.norm", BatchNorm(spec.out_channels))
                 ch = spec.out_channels
-            kernel, _ = self._shape_schedule[bi]
+            kernel = self._shape_schedule[bi][0]
             conv = SparseConv3d(ch, spec.out_channels, kernel, rng)
             self.add_module(f"block{bi}.down", conv)
             self.add_module(f"block{bi}.down.norm", BatchNorm(spec.out_channels))
 
-    def _plan_shapes(self):
-        """Per-block strided kernel and output extent, from the grid shape."""
-        schedule = []
-        shape = self.grid_shape
-        for spec in self.blocks:
-            stride = (spec.stride_xy, spec.stride_xy, spec.stride_z)
-            kernel = tuple(
-                1 if s == 1 else (s if n % s == 0 else s + 1)
-                for n, s in zip(shape, stride)
-            )
-            shape = tuple(max(1, (n - k) // s + 1) for n, k, s in zip(shape, kernel, stride))
-            schedule.append((kernel, shape))
-        return schedule
-
     @property
     def bev_shape(self) -> tuple[int, int, int]:
         """(channels, height=y cells, width=x cells) of the output map."""
-        _, final = self._shape_schedule[-1]
-        c = self.blocks[-1].out_channels * final[2]
-        return (c, final[1], final[0])
+        return bev_map_shape(self.grid_shape, self.blocks)
 
     def build_plan(self, grids) -> VfePlan:
         grids = [grids] if isinstance(grids, SparseVoxelGrid) else list(grids)
@@ -364,13 +370,9 @@ class VfeEncoder(Module):
 
         shape = self.grid_shape
         plans = []
-        for bi, spec in enumerate(self.blocks):
-            kernel, out_shape = self._shape_schedule[bi]
+        for kernel, stride, _ in self._shape_schedule:
             subm_rb, _, _ = build_rulebook(coords, shape, 3, 1, "submanifold")
-            stride = (spec.stride_xy, spec.stride_xy, spec.stride_z)
-            strided_rb, coords, shape2 = build_rulebook(coords, shape, kernel, stride, "strided")
-            assert shape2 == out_shape
-            shape = out_shape
+            strided_rb, coords, shape = build_rulebook(coords, shape, kernel, stride, "strided")
             plans.append(_BlockPlan(subm_rb, strided_rb))
         return VfePlan(
             batch_size=len(grids),

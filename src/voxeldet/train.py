@@ -266,7 +266,7 @@ def prepare_batches(cfg: RunConfig, model: VehicleDetector, scenes) -> list[Prep
                            cfg.negative_iou)
         )
     batches = []
-    h, w = model.bev_height, model.bev_width
+    h, w = cfg.bev_height, cfg.bev_width
     for start in range(0, len(scenes), cfg.batch_size):
         sel = slice(start, min(start + cfg.batch_size, len(scenes)))
         plan = model.vfe.build_plan(grids[sel])

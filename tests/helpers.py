@@ -341,6 +341,30 @@ def evaluate_frames_per_pair(frames, mode, threshold):
     return eval_metrics.EvalResult(ap_3d, ap_bev, aos_out)
 
 
+def _envelope_per_sample(values, recalls, samples):
+    """max over curve points with recall >= r, one loop pass per sampled recall r."""
+    out = np.zeros(len(samples))
+    for i, r in enumerate(samples):
+        eligible = values[recalls >= r - 1e-12]
+        out[i] = eligible.max() if len(eligible) else 0.0
+    return out
+
+
+def interpolated_per_sample(matches, mode, use_similarity):
+    """``eval_metrics.average_precision`` (or ``aos``) oracle: the envelope read per sample."""
+    if matches.n_gt == 0:
+        return None
+    numerators = matches.similarities if use_similarity else matches.is_tp
+    num_cum = np.cumsum(numerators)
+    counted = np.cumsum(matches.is_tp | matches.is_fp)
+    valid = counted > 0
+    ratio = np.zeros(len(matches.scores))
+    ratio[valid] = num_cum[valid] / counted[valid]
+    recall = np.cumsum(matches.is_tp) / matches.n_gt
+    samples = eval_metrics._recall_samples(mode)
+    return float(np.mean(_envelope_per_sample(ratio, recall, samples)) * 100.0)
+
+
 def fuse_scores_per_part(part_outputs, parts, map_width):
     """``depth_head.fuse_scores`` oracle: one boolean-mask copy per part and anchor."""
     first = part_outputs[0].cls_logits.data

@@ -107,11 +107,12 @@ class TestConfigFile:
         ("vfe_blocks = 4,16,2,2,2,2;16,32,2,2;32,64,3,2;64,64,3,1",
          "each vfe_blocks group needs 4 values, got (4, 16, 2, 2, 2, 2)"),
         ("part_bounds = 0,72,1;52,124;104,176", "each part_bounds group needs 2 values"),
-        ("bev_stride = 0", "bev_stride must be >= 1, got 0"),
+        ("bev_stride = 0", "unknown key 'bev_stride'"),
+        ("sce_channels = 128", "unknown key 'sce_channels'"),
         ("part_kernels = 1,3", "3 parts, 2 kernels, 3 dilations"),
     ], ids=["range_min", "range_max", "range_max_inf", "voxel_size_nan", "voxel_size",
             "anchor_size", "vfe_blocks_3", "vfe_blocks_6", "part_bounds", "bev_stride",
-            "part_kernels"])
+            "sce_channels", "part_kernels"])
     def test_malformed_value_exits_2_naming_the_key(self, tmp_path, capsys, line, message):
         path = tmp_path / "bad.cfg"
         path.write_text(line + "\n")
@@ -120,6 +121,22 @@ class TestConfigFile:
         assert not out.exists()
         err = capsys.readouterr().err
         assert err.startswith("data error:") and message in err
+
+    @pytest.mark.parametrize("text, message", [
+        ("vfe_blocks = 4,16,2,2;16,32,2,2;32,64,3,2;64,64,3,2\n",
+         "outside map width 12"),
+        ("vfe_blocks = 4,16,2,2;32,32,2,2;32,64,3,2;64,64,3,1\n",
+         "channel mismatch between blocks"),
+        ("bev_stride = 4\npart_bounds = 0,20;14,34;28,48\n", "unknown key 'bev_stride'"),
+    ], ids=["stride_16_map", "channel_chain", "bev_stride_4"])
+    def test_toy_config_the_model_would_reject_exits_2(self, tmp_path, capsys, text, message):
+        """Shape rules of the encoder and head are checked when the config loads."""
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        assert run_cli("--toy", "--config", str(path), "dump-config") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and message in err
+        assert "Traceback" not in err
 
     def test_empty_group_element_rejected(self):
         with pytest.raises(ValueError, match="bad value for 'vfe_blocks'"):

@@ -22,7 +22,7 @@ from voxeldet.eval_metrics import (
     stratify,
 )
 
-from helpers import evaluate_frames_per_pair, match_frame_per_pair
+from helpers import evaluate_frames_per_pair, interpolated_per_sample, match_frame_per_pair
 
 
 def _box(x, y=0.0, theta=0.0, l=3.9):
@@ -151,6 +151,24 @@ class TestAos:
             ap = average_precision(matches)
             o = aos(matches)
             assert o <= ap + 1e-9
+
+
+class TestInterpolatedEnvelope:
+    def test_equals_per_sample_oracle_on_random_rankings(self):
+        """Exact agreement, including no ground truths and recall above 1."""
+        rng = np.random.default_rng(11)
+        for _ in range(2000):
+            n = int(rng.integers(0, 30))
+            is_tp = rng.random(n) < rng.random()
+            similarities = np.where(is_tp, rng.random(n), 0.0)
+            n_gt = int(rng.integers(0, max(1, 2 * is_tp.sum()) + 1))
+            matches = RankedMatches(np.sort(rng.random(n))[::-1], is_tp, ~is_tp,
+                                    similarities, n_gt)
+            for mode in ("R11", "R40"):
+                assert average_precision(matches, mode) == interpolated_per_sample(
+                    matches, mode, use_similarity=False)
+                assert aos(matches, mode) == interpolated_per_sample(
+                    matches, mode, use_similarity=True)
 
 
 class TestStratify:

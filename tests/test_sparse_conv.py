@@ -7,6 +7,8 @@ from voxeldet.sparse_conv import (
     Rulebook,
     VfeBlockSpec,
     VfeEncoder,
+    bev_map_shape,
+    block_shapes,
     build_rulebook,
     densify_grid,
     kernel_offsets,
@@ -343,9 +345,12 @@ class TestVfe:
         assert bev.shape == (2, 64, 4, 4)
 
     def test_z_schedule_shapes(self):
-        enc = VfeEncoder((1408, 1600, 40))
-        shapes = [s for _, s in enc._shape_schedule]
-        assert shapes == [(704, 800, 20), (352, 400, 10), (176, 200, 5), (176, 200, 2)]
+        schedule = block_shapes((1408, 1600, 40), DEFAULT_BLOCKS)
+        assert [s for _, _, s in schedule] == [
+            (704, 800, 20), (352, 400, 10), (176, 200, 5), (176, 200, 2)]
+        assert [k for k, _, _ in schedule] == [(2, 2, 2)] * 3 + [(1, 1, 3)]
+        assert [st for _, st, _ in schedule] == [(2, 2, 2)] * 3 + [(1, 1, 2)]
+        assert bev_map_shape((1408, 1600, 40), DEFAULT_BLOCKS) == (128, 200, 176)
 
     def test_block_spec_defaults(self):
         assert DEFAULT_BLOCKS[0] == VfeBlockSpec(4, 16, 2, 2)
