@@ -168,7 +168,7 @@ def _pairwise(boxes_a, boxes_b, volumetric: bool) -> np.ndarray:
 
 def points_in_bev_rect(xy: np.ndarray, box) -> np.ndarray:
     """Boolean mask of points inside the box's BEV rectangle (boundary inclusive)."""
-    b = box.as_array() if isinstance(box, Box3D) else np.asarray(box)
+    b = _as_array(box)
     xy = np.atleast_2d(xy)
     c, s = np.cos(b[6]), np.sin(b[6])
     dx = xy[:, 0] - b[0]
@@ -180,7 +180,7 @@ def points_in_bev_rect(xy: np.ndarray, box) -> np.ndarray:
 
 def points_in_box3d(xyz: np.ndarray, box) -> np.ndarray:
     """Boolean mask of points inside the oriented 3D box."""
-    b = box.as_array() if isinstance(box, Box3D) else np.asarray(box)
+    b = _as_array(box)
     xyz = np.atleast_2d(xyz)
     return points_in_bev_rect(xyz[:, :2], b) & (np.abs(xyz[:, 2] - b[2]) <= b[5] / 2.0)
 
@@ -194,8 +194,8 @@ def encode(gt, anchor) -> np.ndarray:
     Centers are normalized by the anchor's BEV diagonal (z by its height);
     sizes are log ratios; yaw is a plain difference.
     """
-    g = gt.as_array() if isinstance(gt, Box3D) else np.asarray(gt, dtype=np.float64)
-    a = anchor.as_array() if isinstance(anchor, Box3D) else np.asarray(anchor, dtype=np.float64)
+    g = _as_array(gt)
+    a = _as_array(anchor)
     d = np.sqrt(a[..., 3] ** 2 + a[..., 4] ** 2)
     return np.stack(
         [
@@ -222,7 +222,7 @@ def decode(residuals, anchor, bit=None) -> np.ndarray:
     Returns a (..., 7) array; use :class:`Box3D` to wrap single rows.
     """
     r = np.asarray(residuals, dtype=np.float64)
-    a = anchor.as_array() if isinstance(anchor, Box3D) else np.asarray(anchor, dtype=np.float64)
+    a = _as_array(anchor)
     d = np.sqrt(a[..., 3] ** 2 + a[..., 4] ** 2)
     theta = wrap_angle(a[..., 6] + r[..., 6])
     if bit is not None:

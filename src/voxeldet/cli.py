@@ -316,7 +316,7 @@ def _cmd_eval(args, cfg) -> int:
 
     from .eval_metrics import (FrameDetections, FrameGroundTruth, evaluate_frames,
                                format_machine_report, format_report)
-    from .kitti_io import camera_box_to_lidar, read_calib, read_labels
+    from .kitti_io import labels_to_lidar_boxes, read_calib, read_labels
 
     det_dir = args.detections_dir
     stems = sorted(
@@ -331,22 +331,15 @@ def _cmd_eval(args, cfg) -> int:
         dets = read_simple_detections(os.path.join(det_dir, stem + ".txt"))
         calib = read_calib(os.path.join(args.calib_dir, stem + ".txt"))
         records = read_labels(os.path.join(args.labels_dir, stem + ".txt"))
-        boxes, heights, occs, truncs, ignored = [], [], [], [], []
-        for rec in records:
-            if rec.is_dontcare:
-                continue
-            box = camera_box_to_lidar(rec, calib)
-            if rec.cls == "Car":
-                boxes.append(box)
-                heights.append(rec.bbox_height)
-                occs.append(rec.occlusion)
-                truncs.append(rec.truncation)
-            else:
-                ignored.append(box)
+        labelled = list(zip(*labels_to_lidar_boxes(records, calib)))
+        cars = [rec for _, rec in labelled if rec.cls == "Car"]
         frames.append((
             FrameDetections([d.box for d in dets], np.array([d.score for d in dets])),
-            FrameGroundTruth(boxes, np.array(heights), np.array(occs), np.array(truncs),
-                             ignored),
+            FrameGroundTruth([box for box, rec in labelled if rec.cls == "Car"],
+                             np.array([rec.bbox_height for rec in cars]),
+                             np.array([rec.occlusion for rec in cars]),
+                             np.array([rec.truncation for rec in cars]),
+                             [box for box, rec in labelled if rec.cls != "Car"]),
         ))
     result = evaluate_frames(frames, mode=cfg.ap_mode, threshold=cfg.eval_iou)
     _write_text(args.out, format_report(result))

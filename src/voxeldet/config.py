@@ -121,6 +121,9 @@ class RunConfig:
         )
 
     def validate(self) -> "RunConfig":
+        for f in fields(self):
+            if isinstance(f.default, float) and not np.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         for name in ("range_min", "range_max", "voxel_size", "anchor_size"):
             values = getattr(self, name)
             if len(values) != 3 or not np.isfinite(values).all():
@@ -129,9 +132,13 @@ class RunConfig:
             for group in getattr(self, name):
                 if len(group) != size:
                     raise ValueError(f"each {name} group needs {size} values, got {group}")
-        for name in ("train_steps", "batch_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for low, names in ((1, ("train_steps", "batch_size", "pre_nms_top_k", "head_mid_channels",
+                                "toy_scenes", "toy_max_cars", "ransac_iterations")),
+                           (0, ("weight_decay", "aug_max_samples", "toy_ground_points",
+                                "toy_car_points"))):
+            for name in names:
+                if getattr(self, name) < low:
+                    raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if not len(self.part_kernels) == len(self.part_dilations) == len(self.part_bounds):
             raise ValueError(
                 f"need one kernel and one dilation per part: {len(self.part_bounds)} parts, "
@@ -169,8 +176,12 @@ class RunConfig:
             raise ValueError(f"ap_mode must be R11 or R40, got {self.ap_mode!r}")
         if self.mask_kind not in ("box_type", "voxel_type"):
             raise ValueError(f"mask_kind must be box_type or voxel_type, got {self.mask_kind!r}")
-        if self.learning_rate <= 0 or self.weight_decay < 0:
-            raise ValueError("learning_rate must be positive, weight_decay non-negative")
+        for name in ("learning_rate", "ransac_inlier_tol"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        for name in ("adam_beta1", "adam_beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
         if min(self.lambda_loc, self.lambda_dir, self.lambda_seg,
                self.focal_alpha, self.focal_gamma) < 0:
             raise ValueError("loss weights must be non-negative")

@@ -84,15 +84,15 @@ class PartOutput:
     dir_logits: Tensor   # (B, 4, H, Wp)
 
 
+# the class heads start at a 1% foreground prior (focal-loss companion init),
+# so the first steps are not dominated by the sea of negatives
+CLASS_PRIOR = 0.01
+
+
 class PartTower(Module):
-    """Two convolutions at the part's kernel/dilation, then the three heads.
+    """Two convolutions at the part's kernel/dilation, then the three heads."""
 
-    The class head starts at a low foreground prior (focal-loss companion
-    init) so the first steps are not dominated by the sea of negatives.
-    """
-
-    def __init__(self, spec: PartSpec, rng, in_channels: int = 256, mid_channels: int = 128,
-                 prior_prob: float = 0.01):
+    def __init__(self, spec: PartSpec, rng, in_channels: int = 256, mid_channels: int = 128):
         super().__init__()
         self.spec = spec
         conv = lambda ci, co: Conv2d(
@@ -109,7 +109,7 @@ class PartTower(Module):
         self.dir_head = Conv2d(ConvSpec(mid_channels, DIR_CHANNELS, 1), rng)
         for head in (self.cls_head, self.box_head, self.dir_head):
             head.weight.data[:] = rng.normal(0.0, 0.01, size=head.weight.shape)
-        self.cls_head.bias.data[:] = -np.log((1.0 - prior_prob) / prior_prob)
+        self.cls_head.bias.data[:] = -np.log((1.0 - CLASS_PRIOR) / CLASS_PRIOR)
 
     def __call__(self, part_slice: Tensor) -> PartOutput:
         x = nn_core.conv_bn(part_slice, self.conv1, self.norm1)

@@ -165,19 +165,16 @@ def _pool_matches(frames, matrices, include_masks, threshold) -> RankedMatches:
     ).sorted_by_score()
 
 
-def accumulate_matches(frames, pairwise_fn, threshold: float = CAR_IOU_THRESHOLD,
-                       include_masks=None) -> RankedMatches:
-    """Match every frame and pool the outcomes into one global ranking.
+def accumulate_matches(frames, pairwise_fn) -> RankedMatches:
+    """Match every frame at the Car IoU threshold and pool the outcomes into
+    one global ranking.
 
     ``frames`` is a sequence of (FrameDetections, FrameGroundTruth);
-    ``pairwise_fn`` is ``pairwise_iou3d`` or ``pairwise_bev_iou``;
-    ``include_masks``, when given, selects the stratum's ground truths per
-    frame (excluded ones become ignored regions).
+    ``pairwise_fn`` is ``pairwise_iou3d`` or ``pairwise_bev_iou``.
     """
-    if include_masks is None:
-        include_masks = [np.ones(len(gt.boxes), dtype=bool) for _, gt in frames]
+    include_all = [np.ones(len(gt.boxes), dtype=bool) for _, gt in frames]
     matrices = [_frame_ious(dets, gt, pairwise_fn) for dets, gt in frames]
-    return _pool_matches(frames, matrices, include_masks, threshold)
+    return _pool_matches(frames, matrices, include_all, CAR_IOU_THRESHOLD)
 
 
 def _recall_samples(mode: str) -> np.ndarray:

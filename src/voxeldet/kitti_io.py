@@ -245,11 +245,11 @@ def lidar_box_to_camera(box: Box3D, calib: CalibMatrices) -> tuple[np.ndarray, f
     return location, rotation_y
 
 
-def detection_to_label(det, calib: CalibMatrices, cls: str = "Car") -> LabelRecord:
+def detection_to_label(det, calib: CalibMatrices) -> LabelRecord:
     location, rotation_y = lidar_box_to_camera(det.box, calib)
     alpha = float(wrap_angle(rotation_y - np.arctan2(location[0], location[2])))
     return LabelRecord(
-        cls=cls,
+        cls="Car",
         truncation=0.0,
         occlusion=0,
         alpha=alpha,
@@ -264,13 +264,10 @@ def detection_to_label(det, calib: CalibMatrices, cls: str = "Car") -> LabelReco
 def write_detections(path, detections, calib: CalibMatrices):
     """Emit detections as 16-field camera-frame KITTI result lines.
 
-    The image bbox is a placeholder (no camera projection here); scores are
-    required on every detection.
+    The image bbox is a placeholder (no camera projection here).
     """
     with open(path, "w") as f:
         for det in detections:
-            if det.score is None:
-                raise ValueError("detections must carry a score")
             f.write(format_label_line(detection_to_label(det, calib)) + "\n")
 
 

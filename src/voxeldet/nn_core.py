@@ -133,11 +133,11 @@ class Tensor:
     def __pow__(self, p):
         return power(self, p)
 
-    def sum(self, axis=None, keepdims=False):
-        return reduce_sum(self, axis, keepdims)
+    def sum(self, axis=None):
+        return reduce_sum(self, axis)
 
-    def mean(self, axis=None, keepdims=False):
-        return reduce_mean(self, axis, keepdims)
+    def mean(self, axis=None):
+        return reduce_mean(self, axis)
 
     def reshape(self, *shape):
         return reshape(self, shape if len(shape) != 1 else shape[0])
@@ -333,20 +333,15 @@ def sigmoid(a) -> Tensor:
     return out
 
 
-def logsumexp(a, axis: int = 1, keepdims: bool = False) -> Tensor:
+def logsumexp(a, axis: int = 1) -> Tensor:
     a = _wrap(a)
     m = a.data.max(axis=axis, keepdims=True)
     e = np.exp(a.data - m)
     s = e.sum(axis=axis, keepdims=True)
-    out_data = m + np.log(s)
-    if not keepdims:
-        out_data = np.squeeze(out_data, axis=axis)
+    out_data = np.squeeze(m + np.log(s), axis=axis)
 
     def backward():
-        g = out.grad
-        if not keepdims:
-            g = np.expand_dims(g, axis=axis)
-        a._accumulate(g * (e / s))
+        a._accumulate(np.expand_dims(out.grad, axis=axis) * (e / s))
 
     out = _node(out_data, (a,), backward)
     return out
@@ -355,13 +350,13 @@ def logsumexp(a, axis: int = 1, keepdims: bool = False) -> Tensor:
 # -- reductions and shape ops ----------------------------------------------------
 
 
-def reduce_sum(a, axis=None, keepdims: bool = False) -> Tensor:
+def reduce_sum(a, axis=None) -> Tensor:
     a = _wrap(a)
-    out_data = a.data.sum(axis=axis, keepdims=keepdims)
+    out_data = a.data.sum(axis=axis)
 
     def backward():
         g = out.grad
-        if axis is not None and not keepdims:
+        if axis is not None:
             g = np.expand_dims(g, axis=axis)
         a._accumulate(np.broadcast_to(g, a.shape).copy())
 
@@ -369,10 +364,10 @@ def reduce_sum(a, axis=None, keepdims: bool = False) -> Tensor:
     return out
 
 
-def reduce_mean(a, axis=None, keepdims: bool = False) -> Tensor:
+def reduce_mean(a, axis=None) -> Tensor:
     a = _wrap(a)
     scale = a.size if axis is None else np.prod([a.shape[ax] for ax in np.atleast_1d(axis)])
-    return reduce_sum(a, axis, keepdims) * (1.0 / float(scale))
+    return reduce_sum(a, axis) * (1.0 / float(scale))
 
 
 def reshape(a, shape) -> Tensor:
@@ -694,10 +689,6 @@ class Module:
             out.update(child.named_buffers(prefix + cname + "."))
         return out
 
-    def zero_grad(self):
-        for t in self.named_parameters().values():
-            t.zero_grad()
-
     def state_dict(self) -> dict[str, np.ndarray]:
         out = {name: t.data for name, t in self.named_parameters().items()}
         out.update(self.named_buffers())
@@ -787,18 +778,20 @@ def conv_bn(x, conv: Conv2d, norm: BatchNorm, with_relu: bool = True) -> Tensor:
                   relu=with_relu)
 
 
+_ADAM_EPS = 1e-8
+# last name parts that take no weight decay: biases and BatchNorm's gamma and beta
+_NO_DECAY = ("bias", "gamma", "beta")
+
+
 class AdamW:
     """Decoupled weight-decay Adam over a named parameter dict."""
 
     def __init__(self, params: dict[str, Tensor], lr: float, weight_decay: float = 0.01,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
-                 no_decay: tuple[str, ...] = ("bias", "gamma", "beta")):
+                 betas: tuple[float, float] = (0.9, 0.999)):
         self.params = dict(params)
         self.lr = lr
         self.weight_decay = weight_decay
         self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.no_decay = no_decay
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
@@ -821,9 +814,9 @@ class AdamW:
             m += (1 - self.beta1) * g
             v *= self.beta2
             v += (1 - self.beta2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            update = (m / bc1) / (np.sqrt(v / bc2) + _ADAM_EPS)
             p.data -= self.lr * update
-            if self.weight_decay and not name.split(".")[-1] in self.no_decay:
+            if self.weight_decay and not name.split(".")[-1] in _NO_DECAY:
                 p.data -= self.lr * self.weight_decay * p.data
 
 

@@ -118,6 +118,11 @@ class ResidualBlock(Module):
         return nn_core.relu(x + y)
 
 
+# the mask head starts at the foreground base rate, so early steps discriminate
+# instead of deflating the map wholesale
+MASK_PRIOR = 0.15
+
+
 class SegmentationBranch(Module):
     """Feature pyramid over the BEV map ending in a sigmoid probability head.
 
@@ -126,7 +131,7 @@ class SegmentationBranch(Module):
     scales before the 1x1 head.
     """
 
-    def __init__(self, channels: int = 128, seed: int = 0, prior_prob: float = 0.15):
+    def __init__(self, channels: int = 128, seed: int = 0):
         super().__init__()
         rng = np.random.default_rng(seed)
         self.channels = channels
@@ -140,10 +145,8 @@ class SegmentationBranch(Module):
         self.fuse_full = Conv2d(ConvSpec(channels, channels, 3, padding=1, bias=False), rng)
         self.fuse_full_norm = BatchNorm(channels)
         self.head = Conv2d(ConvSpec(channels, 1, 1), rng)
-        # start at the foreground base rate so early steps discriminate
-        # instead of deflating the map wholesale
         self.head.weight.data[:] = rng.normal(0.0, 0.01, size=self.head.weight.shape)
-        self.head.bias.data[:] = -np.log((1.0 - prior_prob) / prior_prob)
+        self.head.bias.data[:] = -np.log((1.0 - MASK_PRIOR) / MASK_PRIOR)
 
     def __call__(self, bev: Tensor) -> Tensor:
         _, c, h, w = bev.shape
@@ -201,10 +204,10 @@ def fuse(features: Tensor, probability: Tensor) -> Tensor:
     return (1.0 + probability) * features
 
 
-def seg_loss(probability: Tensor, labels: np.ndarray, clamp_at: float = 1e-7) -> Tensor:
+def seg_loss(probability: Tensor, labels: np.ndarray) -> Tensor:
     """Mean binary cross-entropy over all cells, with each probability clamped."""
     y = np.asarray(labels, dtype=np.float64).reshape(probability.shape)
-    p = nn_core.clamp(probability, clamp_at, 1.0 - clamp_at)
+    p = nn_core.clamp(probability, 1e-7, 1.0 - 1e-7)
     y_t = Tensor(y)
     losses = -(y_t * nn_core.log(p) + (1.0 - y_t) * nn_core.log(1.0 - p))
     return losses.mean()

@@ -278,10 +278,9 @@ def bev_map_shape(grid_shape, blocks) -> tuple[int, int, int]:
 
 
 class SparseConv3d(Module):
-    """One sparse convolution layer; rulebooks are supplied at call time."""
+    """One bias-free sparse convolution layer; rulebooks are supplied at call time."""
 
-    def __init__(self, in_channels: int, out_channels: int, kernel, rng,
-                 bias: bool = False):
+    def __init__(self, in_channels: int, out_channels: int, kernel, rng):
         super().__init__()
         self.kernel = _as_triple(kernel)
         n_off = int(np.prod(self.kernel))
@@ -289,10 +288,9 @@ class SparseConv3d(Module):
         self.weight = self.register_parameter(
             "weight", he_normal(rng, (n_off, in_channels, out_channels), fan_in)
         )
-        self.bias = self.register_parameter("bias", np.zeros(out_channels)) if bias else None
 
     def __call__(self, features: Tensor, rulebook: Rulebook) -> Tensor:
-        return sparse_conv_op(features, self.weight, self.bias, rulebook)
+        return sparse_conv_op(features, self.weight, None, rulebook)
 
 
 @dataclass

@@ -294,14 +294,13 @@ def train_step(model: VehicleDetector, batch: PreparedBatch, weights: LossWeight
     return report
 
 
-def train_toy(cfg: RunConfig, scenes, steps: int | None = None,
-              model: VehicleDetector | None = None) -> TrainResult:
+def train_toy(cfg: RunConfig, scenes, steps: int | None = None) -> TrainResult:
     """Fixed-seed toy training: full forward/backward with AdamW each step.
 
     Raises :class:`TrainingDiverged` if the total loss stops being finite.
     """
     steps = cfg.train_steps if steps is None else steps
-    model = model or VehicleDetector(cfg)
+    model = VehicleDetector(cfg)
     model.train()
     batches = prepare_batches(cfg, model, scenes)
     optimizer = AdamW(

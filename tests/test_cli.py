@@ -110,9 +110,26 @@ class TestConfigFile:
         ("bev_stride = 0", "unknown key 'bev_stride'"),
         ("sce_channels = 128", "unknown key 'sce_channels'"),
         ("part_kernels = 1,3", "3 parts, 2 kernels, 3 dilations"),
+        ("learning_rate = nan", "learning_rate must be finite, got nan"),
+        ("anchor_z = nan", "anchor_z must be finite, got nan"),
+        ("ransac_inlier_tol = 0", "ransac_inlier_tol must be > 0, got 0.0"),
+        ("adam_beta1 = 1.0", "adam_beta1 must lie in [0, 1), got 1.0"),
+        ("adam_beta2 = -0.1", "adam_beta2 must lie in [0, 1), got -0.1"),
+        ("pre_nms_top_k = -1", "pre_nms_top_k must be >= 1, got -1"),
+        ("pre_nms_top_k = 0", "pre_nms_top_k must be >= 1, got 0"),
+        ("head_mid_channels = 0", "head_mid_channels must be >= 1, got 0"),
+        ("toy_scenes = 0", "toy_scenes must be >= 1, got 0"),
+        ("toy_max_cars = 0", "toy_max_cars must be >= 1, got 0"),
+        ("ransac_iterations = 0", "ransac_iterations must be >= 1, got 0"),
+        ("aug_max_samples = -1", "aug_max_samples must be >= 0, got -1"),
+        ("toy_ground_points = -1", "toy_ground_points must be >= 0, got -1"),
+        ("toy_car_points = -3", "toy_car_points must be >= 0, got -3"),
     ], ids=["range_min", "range_max", "range_max_inf", "voxel_size_nan", "voxel_size",
             "anchor_size", "vfe_blocks_3", "vfe_blocks_6", "part_bounds", "bev_stride",
-            "sce_channels", "part_kernels"])
+            "sce_channels", "part_kernels", "learning_rate_nan", "anchor_z_nan",
+            "ransac_inlier_tol", "adam_beta1", "adam_beta2", "pre_nms_top_k_neg",
+            "pre_nms_top_k_0", "head_mid_channels", "toy_scenes", "toy_max_cars",
+            "ransac_iterations", "aug_max_samples", "toy_ground_points", "toy_car_points"])
     def test_malformed_value_exits_2_naming_the_key(self, tmp_path, capsys, line, message):
         path = tmp_path / "bad.cfg"
         path.write_text(line + "\n")

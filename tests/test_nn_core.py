@@ -295,7 +295,7 @@ class TestAdamW:
 
     def test_decoupled_weight_decay(self):
         p = _param(np.array([1.0]))
-        opt = AdamW({"w": p}, lr=0.1, weight_decay=0.01, no_decay=())
+        opt = AdamW({"w": p}, lr=0.1, weight_decay=0.01)
         opt.step()
         np.testing.assert_allclose(p.data, [1.0 * (1 - 0.001)])
 

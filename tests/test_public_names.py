@@ -1,5 +1,6 @@
-"""Every top-level public function and class and every dataclass field in
-``voxeldet`` has a reader.
+"""Every top-level public function and class, every public method and
+property of a public class, and every dataclass field in ``voxeldet`` has a
+reader.
 
 A name counts as read when it appears as a whole word in a ``.py`` file under
 ``src/``, ``tests/`` or ``benchmark/`` on any line other than its own
@@ -9,6 +10,13 @@ An attribute of anything else (``np.matmul``) is a different name.
 
 A dataclass field counts as read when ``.field`` appears anywhere in those
 files, on whatever object; building the dataclass does not read its fields.
+A method or property counts as read when ``.name`` appears on any line other
+than its own ``def``, again on whatever object. Dunders, ``_private`` methods
+and the methods of private classes (``cli._Parser.error`` overrides argparse)
+are not checked. Because a read on any object counts, a method shares its
+reader with every method of the same name elsewhere: a ``Module.zero_grad``
+without a caller would pass, since ``.zero_grad`` is read on ``Tensor`` and
+``AdamW``.
 """
 
 import ast
@@ -55,17 +63,38 @@ def unread_fields(package: Path, search_roots) -> list[str]:
             if not re.search(rf"\.{name}\b", text)]
 
 
+def public_methods(package: Path):
+    """(module, class, name, path, line) of each public method and property of
+    a top-level public class."""
+    out = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                out += [(path.stem, node.name, item.name, path, item.lineno)
+                        for item in node.body
+                        if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")]
+    return out
+
+
+def _read_elsewhere(pattern, sources, def_path, def_line) -> bool:
+    return any(pattern.search(line)
+               for path, lines in sources.items()
+               for lineno, line in enumerate(lines, start=1)
+               if (path, lineno) != (def_path, def_line))
+
+
 def unread_names(package: Path, search_roots) -> list[str]:
     sources = _sources(search_roots)
-    unread = []
-    for module, name, def_path, def_line in public_definitions(package):
-        word = re.compile(rf"(?:(?<![\w.])|(?<![\w.]){module}\.){name}\b")
-        if not any(word.search(line)
-                   for path, lines in sources.items()
-                   for lineno, line in enumerate(lines, start=1)
-                   if (path, lineno) != (def_path, def_line)):
-            unread.append(f"{module}.{name}")
-    return unread
+    return [f"{module}.{name}" for module, name, def_path, def_line in public_definitions(package)
+            if not _read_elsewhere(re.compile(rf"(?:(?<![\w.])|(?<![\w.]){module}\.){name}\b"),
+                                   sources, def_path, def_line)]
+
+
+def unread_methods(package: Path, search_roots) -> list[str]:
+    sources = _sources(search_roots)
+    return [f"{module}.{cls}.{name}" for module, cls, name, def_path, def_line
+            in public_methods(package)
+            if not _read_elsewhere(re.compile(rf"\.{name}\b"), sources, def_path, def_line)]
 
 
 def test_every_public_name_is_read():
@@ -73,6 +102,13 @@ def test_every_public_name_is_read():
     roots = [ROOT / "src", ROOT / "tests", ROOT / "benchmark"]
     assert public_definitions(package), "no definitions found"
     assert unread_names(package, roots) == []
+
+
+def test_every_public_method_and_property_is_read():
+    package = ROOT / "src" / "voxeldet"
+    roots = [ROOT / "src", ROOT / "tests", ROOT / "benchmark"]
+    assert public_methods(package), "no methods found"
+    assert unread_methods(package, roots) == []
 
 
 def test_every_dataclass_field_is_read():
@@ -105,3 +141,20 @@ def test_scanner_flags_unread_dataclass_fields(tmp_path):
     )
     (tmp_path / "reader.py").write_text("grid = Grid([], n_x=3)\nprint(grid.boxes)\n")
     assert unread_fields(package, [tmp_path]) == ["shapes.Grid.n_x"]
+
+
+def test_scanner_flags_unread_methods_and_properties(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "layers.py").write_text(
+        "class Layer:\n"
+        "    def __call__(self, x):\n        return self.forward(x)\n\n"
+        "    def forward(self, x):\n        return x\n\n"
+        "    def reset(self):\n        pass\n\n"
+        "    @property\n    def width(self):\n        return 1\n\n"
+        "    @property\n    def depth(self):\n        return 1\n\n"
+        "    def _helper(self):\n        pass\n\n\n"
+        "class _Private:\n    def unused(self):\n        pass\n"
+    )
+    (tmp_path / "reader.py").write_text("layer = Layer()\nprint(layer.width)\n")
+    assert unread_methods(package, [tmp_path]) == ["layers.Layer.reset", "layers.Layer.depth"]
