@@ -12,9 +12,16 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import math
 import os
 import sys
+import time
+
+import numpy as np
+
+from . import (augment, box_geom, config, eval_metrics, kitti_io, model, nn_core, seg_context,
+               synthetic, train, voxel_grid)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -97,11 +104,9 @@ def _build_parser() -> _Parser:
 
 
 def _load_config(args):
-    from .config import RunConfig, load_config, toy_config
-
-    base = toy_config() if args.toy else RunConfig()
+    base = config.toy_config() if args.toy else config.RunConfig()
     if args.config:
-        return load_config(args.config, base)
+        return config.load_config(args.config, base)
     return base.validate()
 
 
@@ -127,8 +132,6 @@ def write_simple_detections(path, detections):
 
 
 def read_simple_detections(path):
-    from .box_geom import Box3D, Detection
-
     dets = []
     with open(path, "r") as f:
         for lineno, line in enumerate(f, start=1):
@@ -140,37 +143,24 @@ def read_simple_detections(path):
             vals = [float(v) for v in fields]
             if not all(math.isfinite(v) for v in vals):
                 raise ValueError(f"{path}:{lineno}: fields must be finite")
-            dets.append(Detection(Box3D(*vals[:7]), vals[7]))
+            dets.append(box_geom.Detection(box_geom.Box3D(*vals[:7]), vals[7]))
     return dets
 
 
 # -- image emitters ------------------------------------------------------------------
 
 
-def write_pgm(path, gray):
-    import numpy as np
-
-    gray = np.asarray(gray)
-    h, w = gray.shape
+def write_pnm(path, image):
+    """Binary graymap (P5) for an (h, w) array, pixmap (P6) for an (h, w, 3) one."""
+    image = np.asarray(image)
+    h, w = image.shape[:2]
     with open(path, "wb") as f:
-        f.write(f"P5\n{w} {h}\n255\n".encode())
-        f.write(gray.astype(np.uint8).tobytes())
-
-
-def write_ppm(path, rgb):
-    import numpy as np
-
-    rgb = np.asarray(rgb)
-    h, w, _ = rgb.shape
-    with open(path, "wb") as f:
-        f.write(f"P6\n{w} {h}\n255\n".encode())
-        f.write(rgb.astype(np.uint8).tobytes())
+        f.write(f"{'P5' if image.ndim == 2 else 'P6'}\n{w} {h}\n255\n".encode())
+        f.write(image.astype(np.uint8).tobytes())
 
 
 def render_bev_image(cfg, cloud, gt_boxes=(), det_boxes=()):
     """Occupancy-gray BEV with gt boxes in green and detections in red."""
-    import numpy as np
-
     nx, ny, _ = cfg.grid_shape
     lo = np.array(cfg.range_min[:2])
     v = np.array(cfg.voxel_size[:2])
@@ -185,9 +175,7 @@ def render_bev_image(cfg, cloud, gt_boxes=(), det_boxes=()):
         img[:] = shade[:, :, None]
 
     def draw(box, color):
-        from .box_geom import bev_corners
-
-        corners = bev_corners(box)
+        corners = box_geom.bev_corners(box)
         for i in range(4):
             a, b = corners[i], corners[(i + 1) % 4]
             steps = max(2, int(np.hypot(*(b - a)) / min(v) * 2))
@@ -208,116 +196,82 @@ def render_bev_image(cfg, cloud, gt_boxes=(), det_boxes=()):
 
 
 def _cmd_voxelize(args, cfg) -> int:
-    from .kitti_io import read_point_cloud
-    from .voxel_grid import format_grid_dump, voxelize
-
-    grid = voxelize(read_point_cloud(args.cloud), cfg.voxelizer())
-    _write_text(args.out, format_grid_dump(grid))
+    grid = voxel_grid.voxelize(kitti_io.read_point_cloud(args.cloud), cfg.voxelizer())
+    _write_text(args.out, voxel_grid.format_grid_dump(grid))
     return EXIT_OK
 
 
 def _cmd_masks(args, cfg) -> int:
-    import numpy as np
-
-    from .kitti_io import labels_to_lidar_boxes, read_calib, read_labels, read_point_cloud
-    from .seg_context import MaskKind, make_mask
-    from .voxel_grid import voxelize
-
-    cloud = read_point_cloud(args.cloud)
-    calib = read_calib(args.calib)
-    boxes, _ = labels_to_lidar_boxes(read_labels(args.labels), calib)
-    grid = voxelize(cloud, cfg.voxelizer())
-    kind = MaskKind(args.kind or cfg.mask_kind)
-    mask = make_mask(grid, boxes, kind, cfg.voxelizer(), cfg.bev_stride)
-    write_pgm(args.out, np.where(mask.labels, 255, 0))
+    cloud = kitti_io.read_point_cloud(args.cloud)
+    calib = kitti_io.read_calib(args.calib)
+    boxes, _ = kitti_io.labels_to_lidar_boxes(kitti_io.read_labels(args.labels), calib)
+    grid = voxel_grid.voxelize(cloud, cfg.voxelizer())
+    kind = seg_context.MaskKind(args.kind or cfg.mask_kind)
+    mask = seg_context.make_mask(grid, boxes, kind, cfg.voxelizer(), cfg.bev_stride)
+    write_pnm(args.out, np.where(mask.labels, 255, 0))
     return EXIT_OK
 
 
 def _load_model(cfg, checkpoint=None):
-    from .model import VehicleDetector
-    from .nn_core import load_checkpoint
-
-    model = VehicleDetector(cfg)
+    detector = model.VehicleDetector(cfg)
     if checkpoint:
-        model.load_state_dict(load_checkpoint(checkpoint))
-    model.eval()
-    return model
+        detector.load_state_dict(nn_core.load_checkpoint(checkpoint))
+    detector.eval()
+    return detector
 
 
 def _cmd_forward(args, cfg) -> int:
-    from .kitti_io import read_calib, read_point_cloud, write_detections
-    from .voxel_grid import voxelize
-
-    from .nn_core import no_grad
-
     if args.kitti_out and not args.calib:
         raise UsageError("--kitti-out requires --calib")
-    calib = read_calib(args.calib) if args.kitti_out else None
-    model = _load_model(cfg, args.checkpoint)
-    grid = voxelize(read_point_cloud(args.cloud), cfg.voxelizer())
-    with no_grad():
-        output = model.forward([grid])
-    detections = model.detect(output)[0]
+    calib = kitti_io.read_calib(args.calib) if args.kitti_out else None
+    detector = _load_model(cfg, args.checkpoint)
+    grid = voxel_grid.voxelize(kitti_io.read_point_cloud(args.cloud), cfg.voxelizer())
+    with nn_core.no_grad():
+        output = detector.forward([grid])
+    detections = detector.detect(output)[0]
     write_simple_detections(args.out, detections)
     if args.kitti_out:
-        write_detections(args.kitti_out, detections, calib)
+        kitti_io.write_detections(args.kitti_out, detections, calib)
     return EXIT_OK
 
 
 def _cmd_train_toy(args, cfg) -> int:
-    import numpy as np
-
-    from .augment import augment_scene, build_gt_database, fit_ground_plane
-    from .nn_core import save_checkpoint
-    from .synthetic import make_toy_dataset
-    from .train import LossReport, train_toy
-
     if args.steps is not None and args.steps < 1:
         raise UsageError("--steps must be >= 1")
-    scenes = make_toy_dataset(cfg)
+    scenes = synthetic.make_toy_dataset(cfg)
     if args.augment:
         rng = np.random.default_rng([cfg.data_seed, 0xA6])
-        database = build_gt_database(scenes)
+        database = augment.build_gt_database(scenes)
         augmented = []
         for scene in scenes:
-            plane = fit_ground_plane(scene.cloud, cfg.ransac_iterations,
-                                     cfg.ransac_inlier_tol, seed=cfg.seed)
+            plane = augment.fit_ground_plane(scene.cloud, cfg.ransac_iterations,
+                                             cfg.ransac_inlier_tol, seed=cfg.seed)
             augmented.append(
-                augment_scene(scene, database, plane, rng,
-                              max_samples=cfg.aug_max_samples,
-                              translation_var=cfg.aug_translation_var,
-                              box_yaw=cfg.aug_box_yaw,
-                              box_yaw_range=cfg.aug_box_yaw_range,
-                              global_rotation=cfg.aug_global_rotation)
+                augment.augment_scene(scene, database, plane, rng,
+                                      max_samples=cfg.aug_max_samples,
+                                      translation_var=cfg.aug_translation_var,
+                                      box_yaw=cfg.aug_box_yaw,
+                                      box_yaw_range=cfg.aug_box_yaw_range,
+                                      global_rotation=cfg.aug_global_rotation)
             )
         scenes = augmented
-    result = train_toy(cfg, scenes, steps=args.steps)
-    save_checkpoint(args.checkpoint, result.model.state_dict())
-    n_parts = len(cfg.parts())
-    lines = [LossReport.csv_header(n_parts)]
+    result = train.train_toy(cfg, scenes, steps=args.steps)
+    nn_core.save_checkpoint(args.checkpoint, result.model.state_dict())
+    lines = [train.LossReport.csv_header(len(cfg.parts()))]
     lines += [r.csv_row(i) for i, r in enumerate(result.reports)]
-    with open(args.trace, "w") as f:
-        f.write("\n".join(lines) + "\n")
+    _write_text(args.trace, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
 def _cmd_nms(args, cfg) -> int:
-    from .box_geom import oriented_nms
-
     dets = [d for d in read_simple_detections(args.detections)
             if d.score >= cfg.score_threshold]
-    kept = oriented_nms(dets, cfg.nms_iou)
+    kept = box_geom.oriented_nms(dets, cfg.nms_iou)
     write_simple_detections(args.out, kept)
     return EXIT_OK
 
 
 def _cmd_eval(args, cfg) -> int:
-    import numpy as np
-
-    from .eval_metrics import (FrameDetections, FrameGroundTruth, evaluate_frames,
-                               format_machine_report, format_report)
-    from .kitti_io import labels_to_lidar_boxes, read_calib, read_labels
-
     det_dir = args.detections_dir
     stems = sorted(
         os.path.splitext(name)[0]
@@ -329,105 +283,77 @@ def _cmd_eval(args, cfg) -> int:
     frames = []
     for stem in stems:
         dets = read_simple_detections(os.path.join(det_dir, stem + ".txt"))
-        calib = read_calib(os.path.join(args.calib_dir, stem + ".txt"))
-        records = read_labels(os.path.join(args.labels_dir, stem + ".txt"))
-        labelled = list(zip(*labels_to_lidar_boxes(records, calib)))
-        cars = [rec for _, rec in labelled if rec.cls == "Car"]
+        calib = kitti_io.read_calib(os.path.join(args.calib_dir, stem + ".txt"))
+        records = kitti_io.read_labels(os.path.join(args.labels_dir, stem + ".txt"))
+        labelled = list(zip(*kitti_io.labels_to_lidar_boxes(records, calib)))
+        cars = [(box, rec) for box, rec in labelled if rec.cls == "Car"]
         frames.append((
-            FrameDetections([d.box for d in dets], np.array([d.score for d in dets])),
-            FrameGroundTruth([box for box, rec in labelled if rec.cls == "Car"],
-                             np.array([rec.bbox_height for rec in cars]),
-                             np.array([rec.occlusion for rec in cars]),
-                             np.array([rec.truncation for rec in cars]),
-                             [box for box, rec in labelled if rec.cls != "Car"]),
+            eval_metrics.FrameDetections([d.box for d in dets], np.array([d.score for d in dets])),
+            eval_metrics.FrameGroundTruth([box for box, _ in cars],
+                                          np.array([rec.bbox_height for _, rec in cars]),
+                                          np.array([rec.occlusion for _, rec in cars]),
+                                          np.array([rec.truncation for _, rec in cars]),
+                                          [box for box, rec in labelled if rec.cls != "Car"]),
         ))
-    result = evaluate_frames(frames, mode=cfg.ap_mode, threshold=cfg.eval_iou)
-    _write_text(args.out, format_report(result))
+    result = eval_metrics.evaluate_frames(frames, mode=cfg.ap_mode, threshold=cfg.eval_iou)
+    _write_text(args.out, eval_metrics.format_report(result))
     if args.machine_out:
-        with open(args.machine_out, "w") as f:
-            f.write(format_machine_report(result))
+        _write_text(args.machine_out, eval_metrics.format_machine_report(result))
     return EXIT_OK
 
 
 def _cmd_render_bev(args, cfg) -> int:
-    from .kitti_io import labels_to_lidar_boxes, read_calib, read_labels, read_point_cloud
-
-    cloud = read_point_cloud(args.cloud)
+    cloud = kitti_io.read_point_cloud(args.cloud)
     gt_boxes = []
     if args.labels:
         if not args.calib:
             raise UsageError("--labels requires --calib")
-        gt_boxes, _ = labels_to_lidar_boxes(read_labels(args.labels), read_calib(args.calib))
+        gt_boxes, _ = kitti_io.labels_to_lidar_boxes(kitti_io.read_labels(args.labels),
+                                                     kitti_io.read_calib(args.calib))
     det_boxes = []
     if args.detections:
         det_boxes = [d.box for d in read_simple_detections(args.detections)]
-    write_ppm(args.out, render_bev_image(cfg, cloud, gt_boxes, det_boxes))
+    write_pnm(args.out, render_bev_image(cfg, cloud, gt_boxes, det_boxes))
     return EXIT_OK
 
 
 def _cmd_bench(args, cfg) -> int:
-    import hashlib
-    import time
-
-    import numpy as np
-
-    from .model import ModelOutput
-    from .nn_core import no_grad
-    from .synthetic import make_benchmark_cloud
-    from .voxel_grid import voxelize
-
     if args.points < 0:
         raise UsageError("--points must be >= 0")
-    model = _load_model(cfg)
-    cloud = make_benchmark_cloud(cfg, n_points=args.points, seed=cfg.seed)
+    detector = _load_model(cfg)
+    cloud = synthetic.make_benchmark_cloud(cfg, n_points=args.points, seed=cfg.seed)
+    timings = []
+
+    def timed(name, run):
+        t0 = time.perf_counter()
+        with nn_core.no_grad():
+            result = run()
+        timings.append((name, time.perf_counter() - t0))
+        return result
 
     def digest(arr) -> str:
         return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()[:16]
 
-    rows, timings = [], []
+    grid = timed("voxelize", lambda: voxel_grid.voxelize(cloud, cfg.voxelizer()))
+    plan = timed("plan", lambda: detector.vfe.build_plan([grid]))
+    bev = timed("vfe", lambda: detector.vfe.forward(plan))
+    fused, probability = timed("sce", lambda: detector.sce(bev))
+    parts = timed("head", lambda: detector.head(fused))
+    output = model.ModelOutput(bev, probability, fused, parts)
+    scores = detector.fuse(output).scores   # untimed: the nms span fuses again in detect
+    detections = timed("nms", lambda: detector.detect(output)[0])
 
-    t0 = time.perf_counter()
-    grid = voxelize(cloud, cfg.voxelizer())
-    timings.append(("voxelize", time.perf_counter() - t0))
-    rows.append(("voxelize", f"sites={grid.num_sites} {grid.features.dtype}",
-                 digest(grid.features)))
-
-    t0 = time.perf_counter()
-    plan = model.vfe.build_plan([grid])
-    timings.append(("plan", time.perf_counter() - t0))
     sites = ",".join(str(bp.subm_rulebook.n_in) for bp in plan.blocks)
     pairs = ",".join(str(bp.subm_rulebook.total_pairs + bp.strided_rulebook.total_pairs)
                      for bp in plan.blocks)
-    rows.append(("plan", f"sites={sites} pairs={pairs}", digest(plan.final_coords)))
-
-    t0 = time.perf_counter()
-    with no_grad():
-        bev = model.vfe.forward(plan)
-    timings.append(("vfe", time.perf_counter() - t0))
-    rows.append(("vfe", f"shape={bev.shape} {bev.data.dtype}", digest(bev.data)))
-
-    t0 = time.perf_counter()
-    with no_grad():
-        fused, probability = model.sce(bev)
-    timings.append(("sce", time.perf_counter() - t0))
-    rows.append(("sce", f"shape={fused.shape} {fused.data.dtype}", digest(fused.data)))
-
-    t0 = time.perf_counter()
-    with no_grad():
-        parts = model.head(fused)
-    timings.append(("head", time.perf_counter() - t0))
-    output = ModelOutput(bev, probability, fused, parts)
-    scores = model.fuse(output).scores   # untimed: the nms span fuses again in detect
-    rows.append(("head", f"scores={scores.shape} {scores.dtype}", digest(scores)))
-
-    t0 = time.perf_counter()
-    detections = model.detect(output)[0]
-    timings.append(("nms", time.perf_counter() - t0))
-    rows.append(("nms", f"kept={len(detections)}", "-"))
-
+    rows = [("voxelize", f"sites={grid.num_sites} {grid.features.dtype}", digest(grid.features)),
+            ("plan", f"sites={sites} pairs={pairs}", digest(plan.final_coords)),
+            ("vfe", f"shape={bev.shape} {bev.data.dtype}", digest(bev.data)),
+            ("sce", f"shape={fused.shape} {fused.data.dtype}", digest(fused.data)),
+            ("head", f"scores={scores.shape} {scores.dtype}", digest(scores)),
+            ("nms", f"kept={len(detections)}", "-")]
     table = [f"{'stage':<16} {'summary':<40} digest"]
-    for (name, summary, dig) in rows:
-        table.append(f"{name:<16} {summary:<40} {dig}")
+    table += [f"{name:<16} {summary:<40} {dig}" for name, summary, dig in rows]
     _write_text(args.out, "\n".join(table) + "\n")
     sys.stderr.write("stage timings (machine-dependent):\n")
     for name, dt in timings:
@@ -437,9 +363,7 @@ def _cmd_bench(args, cfg) -> int:
 
 
 def _cmd_dump_config(args, cfg) -> int:
-    from .config import dump_config
-
-    _write_text(args.out, dump_config(cfg))
+    _write_text(args.out, config.dump_config(cfg))
     return EXIT_OK
 
 
@@ -473,13 +397,6 @@ def main(argv=None) -> int:
     except ArithmeticError as exc:
         sys.stderr.write(f"numeric failure: {exc}\n")
         return EXIT_NUMERIC
-    except Exception as exc:  # noqa: BLE001 - classify trainer divergence
-        from .train import TrainingDiverged
-
-        if isinstance(exc, TrainingDiverged):
-            sys.stderr.write(f"numeric failure: {exc}\n")
-            return EXIT_NUMERIC
-        raise
 
 
 if __name__ == "__main__":

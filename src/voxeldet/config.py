@@ -135,7 +135,8 @@ class RunConfig:
         for low, names in ((1, ("train_steps", "batch_size", "pre_nms_top_k", "head_mid_channels",
                                 "toy_scenes", "toy_max_cars", "ransac_iterations")),
                            (0, ("weight_decay", "aug_max_samples", "toy_ground_points",
-                                "toy_car_points"))):
+                                "toy_car_points", "lambda_loc", "lambda_dir", "lambda_seg",
+                                "focal_gamma", "aug_translation_var", "aug_box_yaw_range"))):
             for name in names:
                 if getattr(self, name) < low:
                     raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
@@ -144,6 +145,9 @@ class RunConfig:
                 f"need one kernel and one dilation per part: {len(self.part_bounds)} parts, "
                 f"{len(self.part_kernels)} kernels, {len(self.part_dilations)} dilations"
             )
+        for name in ("part_kernels", "part_dilations"):
+            if any(v < 1 for v in getattr(self, name)):
+                raise ValueError(f"every {name} element must be >= 1, got {getattr(self, name)}")
         blocks = self.blocks()
         if not blocks or blocks[0].in_channels != 4:
             raise ValueError("first block must accept the 4 voxel feature channels")
@@ -162,7 +166,7 @@ class RunConfig:
                 f"need 0 <= negative_iou <= positive_iou <= 1, got "
                 f"{self.negative_iou}, {self.positive_iou}"
             )
-        for name in ("score_threshold", "nms_iou", "eval_iou"):
+        for name in ("score_threshold", "nms_iou", "eval_iou", "focal_alpha"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
@@ -170,6 +174,8 @@ class RunConfig:
             raise ValueError(
                 f"need {ANCHORS_PER_CELL} anchor yaws, got {len(self.anchor_yaws)}"
             )
+        if not np.isfinite(self.anchor_yaws).all():
+            raise ValueError(f"anchor_yaws must be finite, got {self.anchor_yaws}")
         if min(self.anchor_size) <= 0:
             raise ValueError(f"anchor size must be positive: {self.anchor_size}")
         if self.ap_mode not in ("R11", "R40"):
@@ -182,9 +188,6 @@ class RunConfig:
         for name in ("adam_beta1", "adam_beta2"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
-        if min(self.lambda_loc, self.lambda_dir, self.lambda_seg,
-               self.focal_alpha, self.focal_gamma) < 0:
-            raise ValueError("loss weights must be non-negative")
         return self
 
 

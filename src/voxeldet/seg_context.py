@@ -70,10 +70,9 @@ def make_mask(grid: SparseVoxelGrid, gt_boxes, kind: MaskKind, cfg: VoxelizerCon
 
     if kind is MaskKind.VOXEL_TYPE:
         cols = np.unique(grid.indices[:, :2], axis=0) if grid.num_sites else np.empty((0, 2), np.int64)
-        fg = _foreground_voxel_columns(cols, cfg, gt_boxes)
-        cells = cols[fg] // bev_stride
     elif kind is MaskKind.BOX_TYPE:
-        cells_list = []
+        # a column centre inside a box lies in that box's window
+        windows = [np.empty((0, 2), np.int64)]
         vx, vy = cfg.voxel_size[0], cfg.voxel_size[1]
         x0, y0 = cfg.range_min[0], cfg.range_min[1]
         for box in gt_boxes:
@@ -83,19 +82,15 @@ def make_mask(grid: SparseVoxelGrid, gt_boxes, kind: MaskKind, cfg: VoxelizerCon
             ix_hi = min(nx, int(np.ceil((b[0] + r - x0) / vx)) + 1)
             iy_lo = max(0, int(np.floor((b[1] - r - y0) / vy)))
             iy_hi = min(ny, int(np.ceil((b[1] + r - y0) / vy)) + 1)
-            if ix_lo >= ix_hi or iy_lo >= iy_hi:
-                continue
             gx, gy = np.meshgrid(np.arange(ix_lo, ix_hi), np.arange(iy_lo, iy_hi), indexing="ij")
-            cols = np.column_stack([gx.ravel(), gy.ravel()])
-            fg = _foreground_voxel_columns(cols, cfg, [box])
-            cells_list.append(cols[fg] // bev_stride)
-        cells = np.concatenate(cells_list) if cells_list else np.empty((0, 2), np.int64)
+            windows.append(np.column_stack([gx.ravel(), gy.ravel()]))
+        cols = np.concatenate(windows)
     else:
         raise ValueError(f"unknown mask kind {kind!r}")
 
-    if len(cells):
-        cells = cells[(cells[:, 0] < w) & (cells[:, 1] < h)]
-        labels[cells[:, 1], cells[:, 0]] = True
+    cells = cols[_foreground_voxel_columns(cols, cfg, gt_boxes)] // bev_stride
+    cells = cells[(cells[:, 0] < w) & (cells[:, 1] < h)]
+    labels[cells[:, 1], cells[:, 0]] = True
     return SemanticMask(labels)
 
 

@@ -228,7 +228,7 @@ def part_loss_terms(part_output, targets: PartTargets, weights: LossWeights):
 # -- toy training loop ---------------------------------------------------------------
 
 
-class TrainingDiverged(RuntimeError):
+class TrainingDiverged(ArithmeticError):
     def __init__(self, step: int):
         super().__init__(f"loss became non-finite at step {step}")
         self.step = step

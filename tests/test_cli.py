@@ -124,12 +124,22 @@ class TestConfigFile:
         ("aug_max_samples = -1", "aug_max_samples must be >= 0, got -1"),
         ("toy_ground_points = -1", "toy_ground_points must be >= 0, got -1"),
         ("toy_car_points = -3", "toy_car_points must be >= 0, got -3"),
+        ("anchor_yaws = nan,1.5707963267948966", "anchor_yaws must be finite"),
+        ("aug_translation_var = -1", "aug_translation_var must be >= 0, got -1.0"),
+        ("aug_box_yaw_range = -0.1", "aug_box_yaw_range must be >= 0, got -0.1"),
+        ("lambda_loc = -1", "lambda_loc must be >= 0, got -1.0"),
+        ("focal_gamma = -2", "focal_gamma must be >= 0, got -2.0"),
+        ("part_kernels = -1,3,3", "every part_kernels element must be >= 1, got (-1, 3, 3)"),
+        ("part_dilations = 0,1,2", "every part_dilations element must be >= 1, got (0, 1, 2)"),
+        ("focal_alpha = 2", "focal_alpha must lie in [0, 1], got 2.0"),
     ], ids=["range_min", "range_max", "range_max_inf", "voxel_size_nan", "voxel_size",
             "anchor_size", "vfe_blocks_3", "vfe_blocks_6", "part_bounds", "bev_stride",
             "sce_channels", "part_kernels", "learning_rate_nan", "anchor_z_nan",
             "ransac_inlier_tol", "adam_beta1", "adam_beta2", "pre_nms_top_k_neg",
             "pre_nms_top_k_0", "head_mid_channels", "toy_scenes", "toy_max_cars",
-            "ransac_iterations", "aug_max_samples", "toy_ground_points", "toy_car_points"])
+            "ransac_iterations", "aug_max_samples", "toy_ground_points", "toy_car_points",
+            "anchor_yaws_nan", "aug_translation_var", "aug_box_yaw_range", "lambda_loc",
+            "focal_gamma", "part_kernels_neg", "part_dilations_0", "focal_alpha"])
     def test_malformed_value_exits_2_naming_the_key(self, tmp_path, capsys, line, message):
         path = tmp_path / "bad.cfg"
         path.write_text(line + "\n")
@@ -460,6 +470,18 @@ class TestTrainForwardPipeline:
                        "--checkpoint", str(ckpt), "--trace", str(trace)) == 2
         assert not ckpt.exists() and not trace.exists()
         assert f"{key} must be >= 1, got {value}" in capsys.readouterr().err
+
+    def test_train_toy_divergence_exits_3(self, micro_cfg_file, tmp_path, capsys):
+        cfg = tmp_path / "diverge.cfg"
+        cfg.write_text(micro_cfg_file.read_text() + "learning_rate = 1e300\n")
+        ckpt = tmp_path / "model.bin"
+        trace = tmp_path / "trace.csv"
+        assert run_cli("--config", str(cfg), "train-toy", "--steps", "2",
+                       "--checkpoint", str(ckpt), "--trace", str(trace)) == 3
+        err = capsys.readouterr().err
+        assert "numeric failure: loss became non-finite at step 1" in err
+        assert "Traceback" not in err
+        assert not ckpt.exists() and not trace.exists()
 
     def test_train_toy_deterministic(self, micro_cfg_file, tmp_path):
         outs = []
