@@ -21,13 +21,16 @@ import numpy as np
 
 # Element budget of one conv2d im2col band of one image (c·k² · band columns):
 # 4 MB in float32, sized so that a band is still in L2 when its GEMM reads it.
+# The backward bands its dW GEMMs and its dX transposed conv by the same budget.
 _IM2COL_CHUNK = 1024 * 1024
 
 
 def _as_array(x) -> np.ndarray:
-    """float32 arrays pass through; everything else becomes float64."""
-    if isinstance(x, np.ndarray) and x.dtype == np.float32:
-        return x
+    """float32 arrays and scalars pass through as float32 arrays; everything
+    else becomes float64. numpy returns an op on 0-d arrays as a scalar, so a
+    float32 scalar must keep its dtype too."""
+    if getattr(x, "dtype", None) == np.float32:
+        return np.asarray(x)
     return np.asarray(x, dtype=np.float64)
 
 
@@ -360,7 +363,7 @@ def reduce_sum(a, axis=None) -> Tensor:
             g = np.expand_dims(g, axis=axis)
         a._accumulate(np.broadcast_to(g, a.shape).copy())
 
-    out = _node(np.asarray(out_data), (a,), backward)
+    out = _node(out_data, (a,), backward)
     return out
 
 
@@ -466,6 +469,11 @@ def conv2d(x, weight, bias, spec: ConvSpec, *, relu: bool = False) -> Tensor:
     per-image element budget of a band, sized to L2 so that the GEMM reads
     the columns back from cache; bias and ReLU are applied in place to each
     output band while it is still in cache.
+
+    Backward: dW accumulates one GEMM ``g_band @ cols.T`` per band of each
+    image, copying each band's columns once (BLAS reads the transpose in
+    place). dX is itself a conv (:func:`_conv_input_grad`), banded the same
+    way; db is the sum of the upstream gradient.
     """
     x, weight = _wrap(x), _wrap(weight)
     n, c, h, w = x.shape
@@ -493,9 +501,6 @@ def conv2d(x, weight, bias, spec: ConvSpec, *, relu: bool = False) -> Tensor:
     rows = max(1, _IM2COL_CHUNK // (ckk * ow))
     bands = [(lo, min(lo + rows, oh)) for lo in range(0, oh, rows)]
 
-    def cols(lo, hi):   # (n, ckk, (hi - lo)·ow) copy of the window rows lo:hi
-        return win[:, :, :, :, lo:hi].reshape(n, ckk, (hi - lo) * ow)
-
     out_data = np.empty((n, oc, oh, ow), dtype)
     for b in range(n):
         for lo, hi in bands:
@@ -514,24 +519,45 @@ def conv2d(x, weight, bias, spec: ConvSpec, *, relu: bool = False) -> Tensor:
             g = g * (out_data.reshape(n, oc, oh * ow) > 0)
         if bias is not None and bias.requires_grad:
             bias._accumulate(g.sum(axis=(0, 2)))
-        gxp = np.zeros_like(xp) if x.requires_grad else None
-        for lo, hi in bands:
-            gb = g[:, :, lo * ow : hi * ow]
-            if weight.requires_grad:
-                gw = np.tensordot(gb, cols(lo, hi), axes=([0, 2], [0, 2]))
-                weight._accumulate(gw.reshape(weight.shape))
-            if gxp is not None:
-                # col2im: within one kernel offset every output reads a distinct input
-                dcols = np.matmul(w2.T, gb).reshape(n, c, k, k, hi - lo, ow)
-                for i in range(k):
-                    for j in range(k):
-                        gxp[:, :, i * d + s * lo : i * d + s * (hi - 1) + 1 : s,
-                            j * d : j * d + s * (ow - 1) + 1 : s] += dcols[:, :, i, j]
-        if gxp is not None:
-            x._accumulate(gxp[:, :, p : p + h, p : p + w])
+        if weight.requires_grad:
+            gw = np.zeros((oc, ckk), g.dtype)
+            for b in range(n):
+                for lo, hi in bands:
+                    cols = win[b, :, :, :, lo:hi].reshape(ckk, (hi - lo) * ow)
+                    gw += g[b, :, lo * ow : hi * ow] @ cols.T
+            weight._accumulate(gw.reshape(weight.shape))
+        if x.requires_grad:
+            x._accumulate(_conv_input_grad(g.reshape(n, oc, oh, ow), weight.data, spec, h, w))
 
     out = _node(out_data, parents, backward)
     return out
+
+
+def _conv_input_grad(g: np.ndarray, weight: np.ndarray, spec: ConvSpec, h: int, w: int):
+    """Gradient of ``conv2d`` with respect to its (h, w) input: a transposed conv.
+
+    The upstream gradient ``g`` is zero-stuffed by the stride and padded by
+    (k−1)·d; a stride-1, dilation-d correlation of it with the flipped,
+    transposed kernel, read from row and column ``p`` on, is the unpadded
+    input gradient. Rows and columns that no window read get 0.
+    """
+    n, oc, oh, ow = g.shape
+    p, k, s, d = spec.padding, spec.kernel, spec.stride, spec.dilation
+    c, e = spec.in_channels, (k - 1) * d
+    gs = np.zeros((n, oc, max(p + h, s * (oh - 1) + 1) + e, max(p + w, s * (ow - 1) + 1) + e),
+                  g.dtype)
+    gs[:, :, e : e + s * (oh - 1) + 1 : s, e : e + s * (ow - 1) + 1 : s] = g
+    win = _conv_windows(gs[:, :, p:, p:], ConvSpec(oc, c, k, dilation=d), h, w)
+    okk = oc * k * k
+    wt = weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, okk).astype(g.dtype)
+    rows = max(1, _IM2COL_CHUNK // (okk * w))
+    gx = np.empty((n, c, h, w), g.dtype)
+    for b in range(n):
+        for lo in range(0, h, rows):
+            hi = min(lo + rows, h)
+            np.matmul(wt, win[b, :, :, :, lo:hi].reshape(okk, (hi - lo) * w),
+                      out=gx[b, :, lo:hi].reshape(c, (hi - lo) * w))
+    return gx
 
 
 def maxpool2(x) -> Tensor:
@@ -582,6 +608,11 @@ def batch_norm(x, gamma, beta, state: "BatchNormState", training: bool,
     ``momentum`` is the weight kept by the old estimate:
     ``running = momentum * running + (1 - momentum) * batch``. At 0.9 the
     initial (0, 1) estimates fade to under 1% within 50 steps.
+
+    Backward: dγ = Σ g·x̂ and dβ = Σ g over all but the channel axis. With
+    σ = √(var + eps) and m elements per channel, training mode gives
+    dx = (γ/σ)·(g − Σg/m − x̂·Σ(g·x̂)/m) from those same two sums; eval mode,
+    where the statistics are constants, gives dx = (γ/σ)·g.
     """
     x, gamma, beta = _wrap(x), _wrap(gamma), _wrap(beta)
     c = x.shape[1]
@@ -606,24 +637,23 @@ def batch_norm(x, gamma, beta, state: "BatchNormState", training: bool,
 
     def backward():
         g = out.grad
+        g_sum = g.sum(axis=axes)
+        gxhat_sum = (g * xhat).sum(axis=axes)
         if gamma.requires_grad:
-            gamma._accumulate((g * xhat).sum(axis=axes))
+            gamma._accumulate(gxhat_sum)
         if beta.requires_grad:
-            beta._accumulate(g.sum(axis=axes))
+            beta._accumulate(g_sum)
         if not x.requires_grad:
             return
-        gxhat = g * gamma_b
-        iv = ivar.reshape(pshape)
+        scale = gamma_b * ivar.reshape(pshape)
         if training:
             m = x.data.size // c
-            xc = x.data - mean.reshape(pshape)
-            gvar = (gxhat * xc).sum(axis=axes, keepdims=True) * (-0.5) * iv ** 3
-            gmean = (-gxhat * iv).sum(axis=axes, keepdims=True) + gvar * (
-                -2.0 * xc.sum(axis=axes, keepdims=True) / m
-            )
-            gx = gxhat * iv + gvar * 2.0 * xc / m + gmean / m
+            gx = xhat * (gxhat_sum / -m).reshape(pshape)
+            gx += g
+            gx -= (g_sum / m).reshape(pshape)
+            gx *= scale
         else:
-            gx = gxhat * iv
+            gx = g * scale
         x._accumulate(gx)
 
     out = _node(out_data, (x, gamma, beta), backward)

@@ -169,36 +169,34 @@ def sparse_conv_forward(features: np.ndarray, weights: np.ndarray, bias,
     return out
 
 
-def sparse_conv_backward(upstream: np.ndarray, rulebook: Rulebook, features: np.ndarray,
-                         weights: np.ndarray):
-    """Transpose gather-scatter of the forward pass.
-
-    Returns (input grads, weight grads, bias grads).
-    """
-    d_feat = np.zeros_like(features)
-    d_w = np.zeros_like(weights)
-    for k, (in_idx, out_idx) in enumerate(rulebook.pairs):
-        if len(in_idx):
-            g = upstream[out_idx]
-            d_w[k] = features[in_idx].T @ g
-            d_feat[in_idx] += g @ weights[k].T   # input ordinals are unique per offset
-    return d_feat, d_w, upstream.sum(axis=0)
-
-
 def sparse_conv_op(features: Tensor, weights: Tensor, bias, rulebook: Rulebook) -> Tensor:
-    """Autodiff node wrapping the raw sparse convolution."""
+    """Autodiff node wrapping the raw sparse convolution.
+
+    The backward is the transpose gather-scatter of the forward. It computes
+    only the gradients a parent takes: no input gradient for features without
+    ``requires_grad`` (the first layer's voxel features), and no bias sum for a
+    bias-free layer.
+    """
     bias_data = None if bias is None else bias.data
     out_data = sparse_conv_forward(features.data, weights.data, bias_data, rulebook)
     parents = (features, weights) if bias is None else (features, weights, bias)
 
     def backward():
-        d_feat, d_w, d_b = sparse_conv_backward(out.grad, rulebook, features.data, weights.data)
-        if features.requires_grad:
+        upstream, x, w = out.grad, features.data, weights.data
+        d_feat = np.zeros_like(x) if features.requires_grad else None
+        d_w = np.zeros_like(w)
+        for k, (in_idx, out_idx) in enumerate(rulebook.pairs):
+            if len(in_idx):
+                g = upstream[out_idx]
+                d_w[k] = x[in_idx].T @ g
+                if d_feat is not None:
+                    d_feat[in_idx] += g @ w[k].T   # input ordinals are unique per offset
+        if d_feat is not None:
             features._accumulate(d_feat)
         if weights.requires_grad:
             weights._accumulate(d_w)
         if bias is not None and bias.requires_grad:
-            bias._accumulate(d_b)
+            bias._accumulate(upstream.sum(axis=0))
 
     out = nn_core._node(out_data, parents, backward)
     return out

@@ -1,4 +1,5 @@
-"""Shared test oracles: finite differences, dense 3D convolution, a per-offset
+"""Shared test oracles: finite differences, the col2im conv2d backward, the
+explicit BatchNorm backward chain, dense 3D convolution, a per-offset
 rulebook, Monte-Carlo IoU, per-pair KITTI matching, and per-part, per-candidate
 and per-scene loops over the head maps."""
 
@@ -97,6 +98,61 @@ def conv2d_naive(x, w, b, stride, padding, dilation):
                                 )
                     out[ni, oi, yi, xi] = acc + (b[oi] if b is not None else 0.0)
     return out
+
+
+def conv2d_backward_col2im(x, w, g, stride, padding, dilation):
+    """(dx, dw, db) of a 2D cross-correlation by im2col, ``tensordot`` and col2im.
+
+    ``g`` is the upstream gradient (n, oc, oh, ow). dW contracts ``g`` with
+    the im2col columns over batch and positions; dX multiplies ``g`` by the
+    transposed weight matrix and adds each kernel offset's slice back into the
+    padded input, whose centre is dX.
+    """
+    n, c, h, wd = x.shape
+    oc, _, k, _ = w.shape
+    s, p, d = stride, padding, dilation
+    oh, ow = g.shape[2:]
+    xp = np.zeros((n, c, h + 2 * p, wd + 2 * p))
+    xp[:, :, p : p + h, p : p + wd] = x
+    ys = [slice(i * d, i * d + s * (oh - 1) + 1, s) for i in range(k)]
+    xs = [slice(j * d, j * d + s * (ow - 1) + 1, s) for j in range(k)]
+    cols = np.empty((n, c, k, k, oh, ow))
+    for i in range(k):
+        for j in range(k):
+            cols[:, :, i, j] = xp[:, :, ys[i], xs[j]]
+    g2 = g.reshape(n, oc, oh * ow)
+    dw = np.tensordot(g2, cols.reshape(n, c * k * k, oh * ow), axes=([0, 2], [0, 2]))
+    dcols = np.matmul(w.reshape(oc, -1).T, g2).reshape(n, c, k, k, oh, ow)
+    gxp = np.zeros_like(xp)
+    for i in range(k):
+        for j in range(k):
+            gxp[:, :, ys[i], xs[j]] += dcols[:, :, i, j]
+    return gxp[:, :, p : p + h, p : p + wd], dw.reshape(w.shape), g2.sum(axis=(0, 2))
+
+
+def batch_norm_backward_chain(x, gamma, g, eps, running=None):
+    """(dx, dγ, dβ) of BatchNorm over all axes but 1, through the chain rule.
+
+    With ``running=None`` the statistics are the batch's, and dx flows through
+    the batch variance and mean as separate terms; with ``running=(mean,
+    var)`` they are constants.
+    """
+    axes = tuple(ax for ax in range(x.ndim) if ax != 1)
+    pshape = tuple(-1 if ax == 1 else 1 for ax in range(x.ndim))
+    mean, var = (x.mean(axis=axes), x.var(axis=axes)) if running is None else running
+    iv = (1.0 / np.sqrt(var + eps)).reshape(pshape)
+    xc = x - mean.reshape(pshape)
+    gxhat = g * gamma.reshape(pshape)
+    if running is None:
+        m = x.size // x.shape[1]
+        gvar = (gxhat * xc).sum(axis=axes, keepdims=True) * (-0.5) * iv ** 3
+        gmean = (-gxhat * iv).sum(axis=axes, keepdims=True) + gvar * (
+            -2.0 * xc.sum(axis=axes, keepdims=True) / m
+        )
+        dx = gxhat * iv + gvar * 2.0 * xc / m + gmean / m
+    else:
+        dx = gxhat * iv
+    return dx, (g * xc * iv).sum(axis=axes), g.sum(axis=axes)
 
 
 def dense_conv3d_oracle(dense, weights, bias, offsets, out_shape, stride=(1, 1, 1),

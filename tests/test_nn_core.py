@@ -25,11 +25,24 @@ from voxeldet.nn_core import (
     upsample_nearest2,
 )
 
-from helpers import conv2d_naive, finite_diff_error, projected_loss, random_cotangent
+from helpers import (
+    batch_norm_backward_chain,
+    conv2d_backward_col2im,
+    conv2d_naive,
+    finite_diff_error,
+    projected_loss,
+    random_cotangent,
+)
 
 
 def _param(arr):
     return Tensor(arr, requires_grad=True)
+
+
+def _assert_close_rel(got, ref, rtol=1e-12):
+    """``got`` within ``rtol`` of ``ref``, relative to the largest entry of ``ref``."""
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max(initial=0.0) <= rtol * np.abs(ref).max(initial=0.0)
 
 
 class TestConv2d:
@@ -149,6 +162,66 @@ class TestConv2dBands:
         assert finite_diff_error(loss, [x, w, b], max_entries=40) < 1e-5
 
 
+def _conv_grads_and_oracle(rng, spec, h, w, x_grad=True, w_grad=True):
+    """conv2d's (dx, dw, db) from backward, and the col2im oracle's."""
+    x = Tensor(rng.normal(size=(2, spec.in_channels, h, w)), requires_grad=x_grad)
+    wt = Tensor(rng.normal(size=(spec.out_channels, spec.in_channels, spec.kernel, spec.kernel)),
+                requires_grad=w_grad)
+    b = _param(rng.normal(size=spec.out_channels))
+    out = conv2d(x, wt, b, spec)
+    cot = rng.normal(size=out.shape)
+    projected_loss(out, Tensor(cot)).backward()
+    ref = conv2d_backward_col2im(x.data, wt.data, cot, spec.stride, spec.padding, spec.dilation)
+    return (x.grad, wt.grad, b.grad), ref
+
+
+class TestConv2dBackwardOracle:
+    """dX as one transposed conv and banded dW GEMMs against the col2im backward."""
+
+    @pytest.mark.parametrize("stride,padding,dilation,kernel", _BAND_CASES)
+    @pytest.mark.parametrize("bands", ["single", "multi"])
+    def test_band_cases(self, monkeypatch, stride, padding, dilation, kernel, bands):
+        spec = ConvSpec(3, 4, kernel=kernel, stride=stride, padding=padding, dilation=dilation)
+        if bands == "multi":
+            _two_row_bands(monkeypatch, spec, 9, 8)
+        got, ref = _conv_grads_and_oracle(np.random.default_rng(100 + kernel * 7 + stride),
+                                          spec, 9, 8)
+        for g, r in zip(got, ref):
+            _assert_close_rel(g, r)
+
+    @pytest.mark.parametrize("name,spec,h,w", [
+        ("1x1_stride2", ConvSpec(3, 4, kernel=1, stride=2), 9, 8),
+        ("stride2_unread_tail", ConvSpec(3, 4, kernel=3, stride=2), 10, 8),
+        ("padding_over_reach", ConvSpec(3, 4, kernel=3, padding=3), 9, 8),
+        ("padding_over_reach_stride2", ConvSpec(3, 4, kernel=3, stride=2, padding=3), 9, 8),
+    ])
+    def test_geometries(self, name, spec, h, w):
+        got, ref = _conv_grads_and_oracle(np.random.default_rng(7), spec, h, w)
+        for g, r in zip(got, ref):
+            _assert_close_rel(g, r)
+        # input rows and columns that no window reads get no gradient
+        eff = spec.dilation * (spec.kernel - 1) + 1
+        read_h = (spec.out_size(h) - 1) * spec.stride + eff - spec.padding
+        read_w = (spec.out_size(w) - 1) * spec.stride + eff - spec.padding
+        assert not got[0][:, :, read_h:].any() and not got[0][:, :, :, read_w:].any()
+        if name == "stride2_unread_tail":
+            assert read_h == h - 1 and read_w == w - 1
+
+    def test_input_without_grad(self):
+        spec = ConvSpec(3, 4, kernel=3, stride=2, padding=1)
+        got, ref = _conv_grads_and_oracle(np.random.default_rng(5), spec, 9, 8, x_grad=False)
+        assert got[0] is None
+        _assert_close_rel(got[1], ref[1])
+        _assert_close_rel(got[2], ref[2])
+
+    def test_frozen_weight(self):
+        spec = ConvSpec(3, 4, kernel=3, padding=2, dilation=2)
+        got, ref = _conv_grads_and_oracle(np.random.default_rng(6), spec, 9, 8, w_grad=False)
+        assert got[1] is None
+        _assert_close_rel(got[0], ref[0])
+        _assert_close_rel(got[2], ref[2])
+
+
 class TestBatchNorm:
     def test_constant_channel_zero_centered(self):
         bn = BatchNorm(2)
@@ -198,6 +271,29 @@ class TestBatchNorm:
             return projected_loss(out, cot)
 
         assert finite_diff_error(loss, [x, gamma, beta], max_entries=30) < 1e-4
+
+
+class TestBatchNormBackwardOracle:
+    """dx from x̂ and the two per-channel sums against the explicit chain rule."""
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_matches_chain(self, mode):
+        rng = np.random.default_rng(13)
+        x = rng.normal(2.0, 1.5, size=(3, 3, 4, 5))
+        x[:, 1] = 2.5   # constant channel: batch variance 0, so only eps keeps σ > 0
+        gamma = rng.normal(1.0, 0.2, size=3)
+        g = rng.normal(size=x.shape)
+        state = BatchNormState(3)
+        state.running_mean[:] = rng.normal(size=3)
+        state.running_var[:] = [1.3, 0.0, 0.7]
+        xt, gt, bt = _param(x.copy()), _param(gamma.copy()), _param(rng.normal(size=3))
+        out = batch_norm(xt, gt, bt, state if mode == "eval" else BatchNormState(3),
+                         training=(mode == "train"))
+        projected_loss(out, Tensor(g)).backward()
+        running = (state.running_mean, state.running_var) if mode == "eval" else None
+        ref = batch_norm_backward_chain(x, gamma, g, 1e-5, running)
+        for got, r in zip((xt.grad, gt.grad, bt.grad), ref):
+            _assert_close_rel(got, r)
 
 
 class TestActivations:

@@ -15,13 +15,25 @@ from voxeldet.nn_core import (
     BatchNormState,
     ConvSpec,
     Tensor,
+    absolute,
+    add,
     batch_norm,
+    clamp,
     concat,
+    concat_channels,
     conv2d,
+    div,
+    log,
+    logsumexp,
     maxpool2,
+    mul,
     narrow,
     no_grad,
+    power,
+    reduce_mean,
+    reduce_sum,
     relu,
+    reshape,
     save_checkpoint,
     sigmoid,
     upsample_nearest2,
@@ -125,6 +137,58 @@ class TestEngineDtype:
         np.testing.assert_array_equal(out64, ref(x))
         out32 = op(Tensor(x.astype(np.float32))).data
         _close_f32(out32, ref(x), rtol=1e-6)
+
+    @pytest.mark.parametrize("name, op", [
+        ("add", lambda t, u: add(t, u)),
+        ("mul", lambda t, u: mul(t, u)),
+        ("div", lambda t, u: div(t, u)),
+        ("sub_neg", lambda t, u: -(t - u)),
+        ("power", lambda t, u: power(t, 1.5)),
+        ("log", lambda t, u: log(t)),
+        ("absolute", lambda t, u: absolute(t)),
+        ("clamp", lambda t, u: clamp(t, 0.8, 1.5)),
+        ("relu", lambda t, u: relu(t)),
+        ("sigmoid", lambda t, u: sigmoid(t)),
+        ("logsumexp", lambda t, u: logsumexp(t, axis=1)),
+        ("reduce_sum_axis", lambda t, u: reduce_sum(t, axis=(0, 2))),
+        ("reduce_sum_full", lambda t, u: reduce_sum(t)),
+        ("reduce_mean_axis", lambda t, u: reduce_mean(t, axis=1)),
+        ("reduce_mean_full", lambda t, u: reduce_mean(t)),
+        ("scalar_chain", lambda t, u: mul(reduce_sum(t), 0.5) / 3.0 + 1.0),
+        ("reshape", lambda t, u: reshape(t, (6, 16))),
+        ("narrow", lambda t, u: narrow(t, 2, 1, 2)),
+        ("concat", lambda t, u: concat([t, u], axis=0)),
+        ("concat_channels", lambda t, u: concat_channels([t, u])),
+        ("conv2d", lambda t, u: conv2d(t, Tensor(np.full((2, 3, 3, 3), 0.1), requires_grad=True),
+                                       Tensor(np.zeros(2), requires_grad=True),
+                                       ConvSpec(3, 2, kernel=3, stride=2, padding=1))),
+        ("conv2d_relu", lambda t, u: conv2d(t, Tensor(np.full((2, 3, 1, 1), -0.1),
+                                                      requires_grad=True),
+                                            None, ConvSpec(3, 2, kernel=1), relu=True)),
+        ("maxpool2", lambda t, u: maxpool2(t)),
+        ("upsample_nearest2", lambda t, u: upsample_nearest2(t)),
+        ("batch_norm_train", lambda t, u: batch_norm(
+            t, Tensor(np.ones(3), requires_grad=True), Tensor(np.zeros(3), requires_grad=True),
+            BatchNormState(3), training=True)),
+        ("batch_norm_eval", lambda t, u: batch_norm(
+            t, Tensor(np.ones(3), requires_grad=True), Tensor(np.zeros(3), requires_grad=True),
+            BatchNormState(3), training=False)),
+    ])
+    def test_float32_in_float32_out_and_grad(self, name, op):
+        """Every op, full reductions and scalar arithmetic included, keeps float32:
+        numpy returns an op on 0-d float32 arrays as an ``np.float32`` scalar."""
+        rng = np.random.default_rng(85)
+        t = Tensor(rng.uniform(0.5, 2.0, size=(2, 3, 4, 4)).astype(np.float32),
+                   requires_grad=True)
+        u = Tensor(rng.uniform(0.5, 2.0, size=(2, 3, 4, 4)).astype(np.float32),
+                   requires_grad=True)
+        out = op(t, u)
+        assert out.data.dtype == np.float32
+        loss = out.sum()
+        assert loss.data.dtype == np.float32
+        loss.backward()
+        assert t.grad.dtype == np.float32 and np.isfinite(t.grad).all()
+        assert u.grad is None or u.grad.dtype == np.float32
 
     def test_sparse_conv_forward_and_densify(self):
         rng = np.random.default_rng(90)

@@ -12,7 +12,6 @@ from voxeldet.sparse_conv import (
     build_rulebook,
     densify_grid,
     kernel_offsets,
-    sparse_conv_backward,
     sparse_conv_forward,
     sparse_conv_op,
 )
@@ -279,20 +278,59 @@ class TestSparseBackward:
         assert finite_diff_error(loss, [feats, weights, bias], max_entries=60) < 1e-5
 
     def test_zero_upstream(self):
-        rb, feats, weights, _ = self._setup()
-        d_feat, d_w, d_b = sparse_conv_backward(
-            np.zeros((rb.n_out, 2)), rb, feats.data, weights.data
-        )
-        assert not d_feat.any() and not d_w.any() and not d_b.any()
+        rb, feats, weights, bias = self._setup()
+        projected_loss(sparse_conv_op(feats, weights, bias, rb), Tensor(np.zeros((rb.n_out, 2)))
+                       ).backward()
+        assert not feats.grad.any() and not weights.grad.any() and not bias.grad.any()
 
     def test_single_pair_outer_product(self):
         offsets = tuple(kernel_offsets(1, centered=True))
         rb = Rulebook(offsets, ((np.array([0]), np.array([0])),), n_in=1, n_out=1)
         x = np.array([[1.5, -2.0]])
-        w = np.zeros((1, 2, 3))
+        w = Tensor(np.zeros((1, 2, 3)), requires_grad=True)
         up = np.array([[0.5, 1.0, -1.0]])
-        _, d_w, _ = sparse_conv_backward(up, rb, x, w)
-        np.testing.assert_allclose(d_w[0], np.outer(x[0], up[0]))
+        projected_loss(sparse_conv_op(Tensor(x), w, None, rb), Tensor(up)).backward()
+        np.testing.assert_allclose(w.grad[0], np.outer(x[0], up[0]))
+
+    def test_skips_unused_gradients(self):
+        """No input gradient for features without grad and no bias sum for no bias; the
+        gradients that are computed are bit-identical to a full backward's."""
+        rb, feats, weights, bias = self._setup()
+        full = sparse_conv_op(feats, weights, bias, rb)
+        upstream = np.random.default_rng(6).normal(size=full.shape)
+        full.grad = upstream
+        full._backward()
+
+        calls = []
+
+        class Watched(np.ndarray):
+            """Records ``.sum`` calls and ``.T`` reads on itself and its slices."""
+
+            def sum(self, *args, **kwargs):
+                calls.append("sum")
+                return np.asarray(self).sum(*args, **kwargs)
+
+            @property
+            def T(self):
+                calls.append("T")
+                return np.asarray(self).T
+
+        frozen = Tensor(feats.data)
+        w2 = Tensor(weights.data, requires_grad=True)
+        w2.data = weights.data.view(Watched)
+        part = sparse_conv_op(frozen, w2, None, rb)
+        part.grad = upstream.view(Watched)
+        part._backward()
+        assert calls == [] and frozen.grad is None
+        np.testing.assert_array_equal(w2.grad, weights.grad)
+
+        f3, w3 = Tensor(feats.data, requires_grad=True), Tensor(weights.data, requires_grad=True)
+        no_bias = sparse_conv_op(f3, w3, None, rb)
+        no_bias.grad = upstream.view(Watched)
+        no_bias._backward()
+        assert "sum" not in calls
+        np.testing.assert_array_equal(f3.grad, feats.grad)
+        np.testing.assert_array_equal(w3.grad, weights.grad)
 
 
 class TestVfe:
