@@ -3,12 +3,14 @@
 A :class:`Tensor` wraps a float64 or float32 numpy buffer plus an optional
 gradient buffer; operations record closures that accumulate gradients when
 :meth:`Tensor.backward` is called on a scalar. Every op keeps the dtype of
-its input and casts parameters at use, so the float64 parameters, running
-statistics, gradients and checkpoints serve float64 training and float32
-eval-mode inference alike. For a fixed dtype and BLAS thread count the
-outputs are byte-identical from run to run. Feature maps follow the
-(batch, channel, height, width) layout; sparse voxel features travel
-through the same engine as (sites, channels) matrices.
+its input and casts parameters at use, and a gradient is accumulated in the
+dtype of the tensor it belongs to. So feature maps and their gradients run
+in float32, in training and inference alike, while the parameters, their
+gradients, running statistics and checkpoints stay float64; :func:`astype`
+moves a value, and its gradient back, between the two. For a fixed dtype
+and BLAS thread count the outputs are byte-identical from run to run.
+Feature maps follow the (batch, channel, height, width) layout; sparse voxel
+features travel through the same engine as (sites, channels) matrices.
 """
 
 from __future__ import annotations
@@ -35,11 +37,11 @@ def _as_array(x) -> np.ndarray:
 
 
 class Tensor:
-    """A float64 (or float32) array with an optional gradient slot.
+    """A float64 (or float32) array with an optional gradient slot of the same dtype.
 
-    Training, gradients and checkpoints use float64; eval-mode inference
-    runs in float32. Tensors produced by engine operations remember their
-    parents and a backward closure; leaves created with
+    Parameters and their gradients are float64; feature maps, in training
+    and inference, are float32. Tensors produced by engine operations
+    remember their parents and a backward closure; leaves created with
     ``requires_grad=True`` collect gradients.
     """
 
@@ -79,9 +81,13 @@ class Tensor:
         self.grad = None
 
     def _accumulate(self, g: np.ndarray):
+        # The first gradient is copied into this tensor's dtype, never aliased
+        # (``add`` hands one buffer to both parents); np.array also turns the
+        # numpy scalar that an op on 0-d arrays returns back into an array.
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.array(g, dtype=self.data.dtype)
+        else:
+            self.grad += g
 
     # -- autodiff ------------------------------------------------------------
 
@@ -384,6 +390,21 @@ def reshape(a, shape) -> Tensor:
     return out
 
 
+def astype(a, dtype) -> Tensor:
+    """``a`` cast to ``dtype`` (float32 or float64); the gradient flows back in
+    ``a``'s dtype. A cast to ``a``'s own dtype returns ``a``."""
+    a = _wrap(a)
+    if a.data.dtype == dtype:
+        return a
+    out_data = a.data.astype(dtype)
+
+    def backward():
+        a._accumulate(out.grad.astype(a.data.dtype))
+
+    out = _node(out_data, (a,), backward)
+    return out
+
+
 def narrow(a, axis: int, start: int, length: int) -> Tensor:
     """Slice ``length`` entries along ``axis`` starting at ``start``."""
     a = _wrap(a)
@@ -573,7 +594,7 @@ def maxpool2(x) -> Tensor:
     out_data = np.take_along_axis(windows, arg[..., None], axis=-1)[..., 0]
 
     def backward():
-        g = np.zeros((n, c, oh, ow, 4))
+        g = np.zeros((n, c, oh, ow, 4), out.grad.dtype)
         np.put_along_axis(g, arg[..., None], out.grad[..., None], axis=-1)
         g = g.reshape(n, c, oh, ow, 2, 2).transpose(0, 1, 2, 4, 3, 5)
         gx = np.zeros_like(x.data)
@@ -831,6 +852,9 @@ class AdamW:
             p.zero_grad()
 
     def step(self):
+        """One update, in place: per parameter one scratch buffer and one
+        denominator buffer, and the bits of the textbook expression
+        ``p -= lr·(m/bc1)/(√(v/bc2) + eps)``, then ``p -= lr·wd·p``."""
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
@@ -838,16 +862,20 @@ class AdamW:
             g = p.grad
             if g is None:
                 g = np.zeros_like(p.data)
-            m = self.m[name]
-            v = self.v[name]
+            m, v, s = self.m[name], self.v[name], np.empty_like(p.data)
             m *= self.beta1
-            m += (1 - self.beta1) * g
+            m += np.multiply(g, 1 - self.beta1, out=s)
             v *= self.beta2
-            v += (1 - self.beta2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + _ADAM_EPS)
-            p.data -= self.lr * update
+            np.multiply(g, 1 - self.beta2, out=s)
+            v += np.multiply(s, g, out=s)
+            denom = np.divide(v, bc2)
+            np.sqrt(denom, out=denom)
+            denom += _ADAM_EPS
+            np.divide(m, bc1, out=s)
+            s /= denom
+            p.data -= np.multiply(s, self.lr, out=s)
             if self.weight_decay and not name.split(".")[-1] in _NO_DECAY:
-                p.data -= self.lr * self.weight_decay * p.data
+                p.data -= np.multiply(p.data, self.lr * self.weight_decay, out=s)
 
 
 # -- checkpoint format ---------------------------------------------------------------

@@ -23,8 +23,9 @@ from . import nn_core
 from .nn_core import BatchNorm, Module, Tensor, he_normal, relu
 from .voxel_grid import SparseVoxelGrid
 
-# Feature dtype of eval-mode forward passes; training stays float64.
-_INFERENCE_DTYPE = np.float32
+# Feature dtype of every forward pass, training and eval alike; parameters,
+# gradients, running statistics and checkpoints stay float64 and are cast at use.
+_FEATURE_DTYPE = np.float32
 
 
 def _as_triple(v) -> tuple[int, int, int]:
@@ -182,7 +183,8 @@ def sparse_conv_op(features: Tensor, weights: Tensor, bias, rulebook: Rulebook) 
     parents = (features, weights) if bias is None else (features, weights, bias)
 
     def backward():
-        upstream, x, w = out.grad, features.data, weights.data
+        upstream, x = out.grad, features.data
+        w = weights.data.astype(x.dtype, copy=False)
         d_feat = np.zeros_like(x) if features.requires_grad else None
         d_w = np.zeros_like(w)
         for k, (in_idx, out_idx) in enumerate(rulebook.pairs):
@@ -379,15 +381,14 @@ class VfeEncoder(Module):
         )
 
     def forward(self, plan: VfePlan) -> Tensor:
-        """BEV map of the plan's grids: float64 in training, else ``_INFERENCE_DTYPE``.
+        """BEV map of the plan's grids in ``_FEATURE_DTYPE``.
 
         The dense layers downstream follow the dtype of this map.
         """
         c, h, w = self.bev_shape
-        dtype = plan.init_features.dtype if self.training else _INFERENCE_DTYPE
         if plan.empty:
-            return Tensor(np.zeros((plan.batch_size, c, h, w), dtype))
-        x = Tensor(plan.init_features.astype(dtype, copy=False))
+            return Tensor(np.zeros((plan.batch_size, c, h, w), _FEATURE_DTYPE))
+        x = Tensor(plan.init_features.astype(_FEATURE_DTYPE, copy=False))
         for bi, spec in enumerate(self.blocks):
             bp = plan.blocks[bi]
             for li in range(spec.n_submanifold):

@@ -16,7 +16,7 @@ import numpy as np
 from . import nn_core
 from .box_geom import direction_bit, encode, pairwise_iou3d
 from .config import RunConfig
-from .depth_head import ANCHORS_PER_CELL
+from .depth_head import ANCHORS_PER_CELL, PartOutput
 from .model import ModelOutput, VehicleDetector
 from .nn_core import AdamW, Tensor
 from .seg_context import MaskKind, make_mask, seg_loss
@@ -281,12 +281,17 @@ def prepare_batches(cfg: RunConfig, model: VehicleDetector, scenes) -> list[Prep
 
 def train_step(model: VehicleDetector, batch: PreparedBatch, weights: LossWeights,
                optimizer: AdamW) -> LossReport:
+    """One AdamW step. The network runs in its feature dtype (float32); its
+    outputs are cast to float64 first, so every loss term is computed and
+    summed in float64."""
     optimizer.zero_grad()
     output = model.forward_from_plan(batch.plan)
-    seg_term = seg_loss(output.probability, batch.seg_labels)
+    seg_term = seg_loss(nn_core.astype(output.probability, np.float64), batch.seg_labels)
     terms = [
-        part_loss_terms(part_out, targets, weights)
-        for part_out, targets in zip(output.parts, batch.part_targets)
+        part_loss_terms(PartOutput(*(nn_core.astype(t, np.float64)
+                                     for t in (p.cls_logits, p.box, p.dir_logits))),
+                        targets, weights)
+        for p, targets in zip(output.parts, batch.part_targets)
     ]
     total, report = total_loss(terms, seg_term, weights)
     total.backward()

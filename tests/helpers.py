@@ -155,6 +155,24 @@ def batch_norm_backward_chain(x, gamma, g, eps, running=None):
     return dx, (g * xc * iv).sum(axis=axes), g.sum(axis=axes)
 
 
+def adamw_step_textbook(opt):
+    """One AdamW step of ``opt`` as the plain expressions, one temporary per operation."""
+    opt.t += 1
+    bc1 = 1.0 - opt.beta1 ** opt.t
+    bc2 = 1.0 - opt.beta2 ** opt.t
+    for name, p in opt.params.items():
+        g = np.zeros_like(p.data) if p.grad is None else p.grad
+        m, v = opt.m[name], opt.v[name]
+        m *= opt.beta1
+        m += (1 - opt.beta1) * g
+        v *= opt.beta2
+        v += (1 - opt.beta2) * g * g
+        update = (m / bc1) / (np.sqrt(v / bc2) + nn_core._ADAM_EPS)
+        p.data -= opt.lr * update
+        if opt.weight_decay and not name.split(".")[-1] in nn_core._NO_DECAY:
+            p.data -= opt.lr * opt.weight_decay * p.data
+
+
 def dense_conv3d_oracle(dense, weights, bias, offsets, out_shape, stride=(1, 1, 1),
                         origin=(0, 0, 0)):
     """Dense 3D convolution by explicit shifting, independent of any rulebook.

@@ -2,7 +2,7 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines as they complete. Measured on a 2-core x86-64 host: the toy-training
-criterion (8) takes about 210 s of its 600 s bound, the geometry oracle (1)
+criterion (8) takes about 100 s of its 600 s bound, the geometry oracle (1)
 42-47 s of its 60 s bound, CLI determinism (10) about 10 s; the rest take
 under a second each.
 """

@@ -116,7 +116,7 @@ def _no_norm_pass(*args, **kwargs):
 
 @pytest.mark.parametrize("case", CASES)
 def test_eval_fold_matches_unfolded_in_float64(monkeypatch, case):
-    monkeypatch.setattr(sparse_conv, "_INFERENCE_DTYPE", np.float64)
+    monkeypatch.setattr(sparse_conv, "_FEATURE_DTYPE", np.float64)
     module, x, forward = _build(case)
     module.eval()
     with no_grad(), monkeypatch.context() as m:

@@ -26,6 +26,7 @@ from voxeldet.nn_core import (
 )
 
 from helpers import (
+    adamw_step_textbook,
     batch_norm_backward_chain,
     conv2d_backward_col2im,
     conv2d_naive,
@@ -360,6 +361,18 @@ class TestBackward:
         (x + x).sum().backward()
         np.testing.assert_allclose(x.grad, 2.0)
 
+    def test_first_gradient_is_an_owned_array(self):
+        """``add`` hands one upstream buffer to both parents; each stores its own
+        copy. A 0-d gradient stays a 0-d array in the leaf's dtype."""
+        a, b = _param(np.ones(3)), _param(np.ones(3))
+        (a + b).sum().backward()
+        assert not np.shares_memory(a.grad, b.grad)
+        for dtype in (np.float64, np.float32):
+            s = Tensor(np.array(2.0, dtype), requires_grad=True)
+            (s * s).backward()
+            assert isinstance(s.grad, np.ndarray) and s.grad.dtype == dtype
+            assert s.grad.shape == () and s.grad == 4.0
+
     @pytest.mark.parametrize("seed", range(5))
     def test_elementwise_chain_gradcheck(self, seed):
         rng = np.random.default_rng(seed)
@@ -394,6 +407,28 @@ class TestAdamW:
         opt = AdamW({"w": p}, lr=0.1, weight_decay=0.01)
         opt.step()
         np.testing.assert_allclose(p.data, [1.0 * (1 - 0.001)])
+
+
+    def test_in_place_step_matches_textbook_bits(self):
+        """Decayed and undecayed names and a parameter that never gets a gradient,
+        over 11 steps: the in-place update gives the textbook expression's bits."""
+        shapes = {"conv.weight": (4, 3, 3, 3), "conv.bias": (4,), "norm.gamma": (4,),
+                  "idle.weight": (5,)}
+        runs = []
+        for step in (AdamW.step, adamw_step_textbook):
+            rng = np.random.default_rng(31)
+            params = {name: _param(rng.normal(size=shape)) for name, shape in shapes.items()}
+            opt = AdamW(params, lr=0.01, weight_decay=0.05, betas=(0.8, 0.99))
+            for _ in range(11):
+                for name, p in params.items():
+                    p.grad = None if name == "idle.weight" else rng.normal(size=p.shape)
+                step(opt)
+            runs.append((params, opt))
+        (params, opt), (params_ref, opt_ref) = runs
+        for name in shapes:
+            np.testing.assert_array_equal(params[name].data, params_ref[name].data, err_msg=name)
+            np.testing.assert_array_equal(opt.m[name], opt_ref.m[name], err_msg=name)
+            np.testing.assert_array_equal(opt.v[name], opt_ref.v[name], err_msg=name)
 
 
 class TestCheckpoint:
