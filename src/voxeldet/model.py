@@ -29,15 +29,19 @@ class VehicleDetector(Module):
         super().__init__()
         cfg.validate()
         self.cfg = cfg
-        self.vfe = VfeEncoder(cfg.grid_shape, cfg.blocks(), seed=cfg.model_seed)
+        # Four init streams per model seed: 4·seed + 0 for the VFE, + 1 for the
+        # SCE's segmentation branch (its detection branch takes + 2) and + 3 for
+        # the head, so no two streams coincide within one model or across seeds.
+        seed = 4 * cfg.model_seed
+        self.vfe = VfeEncoder(cfg.grid_shape, cfg.blocks(), seed=seed)
         channels, height, width = self.vfe.bev_shape
-        self.sce = SemanticContextEncoder(channels, seed=cfg.model_seed + 1)
+        self.sce = SemanticContextEncoder(channels, seed=seed + 1)
         self.head = DepthAwareHead(
             cfg.parts(),
             map_width=width,
             in_channels=self.sce.out_channels,
             mid_channels=cfg.head_mid_channels,
-            seed=cfg.model_seed + 2,
+            seed=seed + 3,
         )
         self.anchors = build_anchor_grid(
             cfg.range_min[0],
@@ -75,7 +79,7 @@ class VehicleDetector(Module):
             cand = np.nonzero(fused.scores[bi] >= cfg.score_threshold)   # (a, iy, ix)
             scores = fused.scores[bi][cand]
             if len(scores) > cfg.pre_nms_top_k:
-                order = np.lexsort((np.arange(len(scores)), -scores))[: cfg.pre_nms_top_k]
+                order = np.argsort(-scores, kind="stable")[: cfg.pre_nms_top_k]
                 cand = tuple(axis[order] for axis in cand)
                 scores = scores[order]
             a, iy, ix = cand

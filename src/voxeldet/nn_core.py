@@ -11,6 +11,14 @@ moves a value, and its gradient back, between the two. For a fixed dtype
 and BLAS thread count the outputs are byte-identical from run to run.
 Feature maps follow the (batch, channel, height, width) layout; sparse voxel
 features travel through the same engine as (sites, channels) matrices.
+
+Ops build their graph nodes through two builders. A one-input op computes
+its output and calls ``_unary(a, out_data, grad)``, whose backward adds
+``grad(out.grad)`` to ``a``; a broadcasting two-input op calls
+``_binary(a, b, out_data, grad_a, grad_b)``, which sums each gradient down
+to its input's shape and skips an input that takes none. Only ``concat``
+(many inputs), ``conv2d``, ``batch_norm`` and ``sparse_conv.sparse_conv_op``
+(whose input gradients share work) write their own backward closures.
 """
 
 from __future__ import annotations
@@ -225,105 +233,73 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
+def _unary(a: Tensor, out_data: np.ndarray, grad) -> Tensor:
+    """The node of a one-input op: backward adds ``grad(out.grad)`` to ``a``."""
+
+    def backward():
+        a._accumulate(grad(out.grad))
+
+    out = _node(out_data, (a,), backward)
+    return out
+
+
+def _binary(a: Tensor, b: Tensor, out_data: np.ndarray, grad_a, grad_b) -> Tensor:
+    """The node of a broadcasting two-input op: backward adds
+    ``grad_a(out.grad)`` and ``grad_b(out.grad)``, each summed down to its
+    input's shape, to each input that requires a gradient."""
+
+    def backward():
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(grad_a(out.grad), a.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(grad_b(out.grad), b.shape))
+
+    out = _node(out_data, (a, b), backward)
+    return out
+
+
 # -- elementwise arithmetic ----------------------------------------------------
 
 
 def add(a, b) -> Tensor:
     a, b = _wrap_pair(a, b)
-    out_data = a.data + b.data
-
-    def backward():
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(out.grad, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(out.grad, b.shape))
-
-    out = _node(out_data, (a, b), backward)
-    return out
+    return _binary(a, b, a.data + b.data, lambda g: g, lambda g: g)
 
 
 def mul(a, b) -> Tensor:
     a, b = _wrap_pair(a, b)
-    out_data = a.data * b.data
-
-    def backward():
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(out.grad * b.data, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(out.grad * a.data, b.shape))
-
-    out = _node(out_data, (a, b), backward)
-    return out
+    return _binary(a, b, a.data * b.data, lambda g: g * b.data, lambda g: g * a.data)
 
 
 def div(a, b) -> Tensor:
     a, b = _wrap_pair(a, b)
-    out_data = a.data / b.data
-
-    def backward():
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(out.grad / b.data, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-out.grad * a.data / (b.data * b.data), b.shape))
-
-    out = _node(out_data, (a, b), backward)
-    return out
+    return _binary(a, b, a.data / b.data, lambda g: g / b.data,
+                   lambda g: -g * a.data / (b.data * b.data))
 
 
 def power(a, p: float) -> Tensor:
     a = _wrap(a)
-    out_data = a.data ** p
-
-    def backward():
-        a._accumulate(out.grad * p * a.data ** (p - 1))
-
-    out = _node(out_data, (a,), backward)
-    return out
+    return _unary(a, a.data ** p, lambda g: g * p * a.data ** (p - 1))
 
 
 def log(a) -> Tensor:
     a = _wrap(a)
-    out_data = np.log(a.data)
-
-    def backward():
-        a._accumulate(out.grad / a.data)
-
-    out = _node(out_data, (a,), backward)
-    return out
+    return _unary(a, np.log(a.data), lambda g: g / a.data)
 
 
 def absolute(a) -> Tensor:
     a = _wrap(a)
-    out_data = np.abs(a.data)
-
-    def backward():
-        a._accumulate(out.grad * np.sign(a.data))
-
-    out = _node(out_data, (a,), backward)
-    return out
+    return _unary(a, np.abs(a.data), lambda g: g * np.sign(a.data))
 
 
 def clamp(a, lo: float, hi: float) -> Tensor:
     a = _wrap(a)
-    out_data = np.clip(a.data, lo, hi)
-
-    def backward():
-        mask = (a.data >= lo) & (a.data <= hi)
-        a._accumulate(out.grad * mask)
-
-    out = _node(out_data, (a,), backward)
-    return out
+    return _unary(a, np.clip(a.data, lo, hi), lambda g: g * ((a.data >= lo) & (a.data <= hi)))
 
 
 def relu(a) -> Tensor:
     a = _wrap(a)
-    out_data = np.maximum(a.data, 0.0)
-
-    def backward():
-        a._accumulate(out.grad * (a.data > 0))
-
-    out = _node(out_data, (a,), backward)
-    return out
+    return _unary(a, np.maximum(a.data, 0.0), lambda g: g * (a.data > 0))
 
 
 def sigmoid(a) -> Tensor:
@@ -334,12 +310,7 @@ def sigmoid(a) -> Tensor:
     out_data[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
     out_data[~pos] = ex / (1.0 + ex)
-
-    def backward():
-        a._accumulate(out.grad * out_data * (1.0 - out_data))
-
-    out = _node(out_data, (a,), backward)
-    return out
+    return _unary(a, out_data, lambda g: g * out_data * (1.0 - out_data))
 
 
 def logsumexp(a, axis: int = 1) -> Tensor:
@@ -347,13 +318,8 @@ def logsumexp(a, axis: int = 1) -> Tensor:
     m = a.data.max(axis=axis, keepdims=True)
     e = np.exp(a.data - m)
     s = e.sum(axis=axis, keepdims=True)
-    out_data = np.squeeze(m + np.log(s), axis=axis)
-
-    def backward():
-        a._accumulate(np.expand_dims(out.grad, axis=axis) * (e / s))
-
-    out = _node(out_data, (a,), backward)
-    return out
+    return _unary(a, np.squeeze(m + np.log(s), axis=axis),
+                  lambda g: np.expand_dims(g, axis=axis) * (e / s))
 
 
 # -- reductions and shape ops ----------------------------------------------------
@@ -361,16 +327,8 @@ def logsumexp(a, axis: int = 1) -> Tensor:
 
 def reduce_sum(a, axis=None) -> Tensor:
     a = _wrap(a)
-    out_data = a.data.sum(axis=axis)
-
-    def backward():
-        g = out.grad
-        if axis is not None:
-            g = np.expand_dims(g, axis=axis)
-        a._accumulate(np.broadcast_to(g, a.shape).copy())
-
-    out = _node(out_data, (a,), backward)
-    return out
+    return _unary(a, a.data.sum(axis=axis), lambda g: np.broadcast_to(
+        g if axis is None else np.expand_dims(g, axis=axis), a.shape).copy())
 
 
 def reduce_mean(a, axis=None) -> Tensor:
@@ -381,13 +339,7 @@ def reduce_mean(a, axis=None) -> Tensor:
 
 def reshape(a, shape) -> Tensor:
     a = _wrap(a)
-    out_data = a.data.reshape(shape)
-
-    def backward():
-        a._accumulate(out.grad.reshape(a.shape))
-
-    out = _node(out_data, (a,), backward)
-    return out
+    return _unary(a, a.data.reshape(shape), lambda g: g.reshape(a.shape))
 
 
 def astype(a, dtype) -> Tensor:
@@ -396,13 +348,7 @@ def astype(a, dtype) -> Tensor:
     a = _wrap(a)
     if a.data.dtype == dtype:
         return a
-    out_data = a.data.astype(dtype)
-
-    def backward():
-        a._accumulate(out.grad.astype(a.data.dtype))
-
-    out = _node(out_data, (a,), backward)
-    return out
+    return _unary(a, a.data.astype(dtype), lambda g: g.astype(a.data.dtype))
 
 
 def narrow(a, axis: int, start: int, length: int) -> Tensor:
@@ -411,15 +357,13 @@ def narrow(a, axis: int, start: int, length: int) -> Tensor:
     index = [slice(None)] * a.ndim
     index[axis] = slice(start, start + length)
     index = tuple(index)
-    out_data = a.data[index].copy()
 
-    def backward():
-        g = np.zeros_like(a.data)
-        g[index] = out.grad
-        a._accumulate(g)
+    def grad(g):
+        ga = np.zeros_like(a.data)
+        ga[index] = g
+        return ga
 
-    out = _node(out_data, (a,), backward)
-    return out
+    return _unary(a, a.data[index].copy(), grad)
 
 
 def concat(tensors, axis: int = 1) -> Tensor:
@@ -591,32 +535,24 @@ def maxpool2(x) -> Tensor:
     view = x.data[:, :, : 2 * oh, : 2 * ow].reshape(n, c, oh, 2, ow, 2)
     windows = view.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, oh, ow, 4)
     arg = windows.argmax(axis=-1)
-    out_data = np.take_along_axis(windows, arg[..., None], axis=-1)[..., 0]
 
-    def backward():
-        g = np.zeros((n, c, oh, ow, 4), out.grad.dtype)
-        np.put_along_axis(g, arg[..., None], out.grad[..., None], axis=-1)
+    def grad(g_out):
+        g = np.zeros((n, c, oh, ow, 4), g_out.dtype)
+        np.put_along_axis(g, arg[..., None], g_out[..., None], axis=-1)
         g = g.reshape(n, c, oh, ow, 2, 2).transpose(0, 1, 2, 4, 3, 5)
         gx = np.zeros_like(x.data)
         gx[:, :, : 2 * oh, : 2 * ow] = g.reshape(n, c, 2 * oh, 2 * ow)
-        x._accumulate(gx)
+        return gx
 
-    out = _node(out_data, (x,), backward)
-    return out
+    return _unary(x, np.take_along_axis(windows, arg[..., None], axis=-1)[..., 0], grad)
 
 
 def upsample_nearest2(x) -> Tensor:
     """Double both spatial dims by replication."""
     x = _wrap(x)
-    out_data = x.data.repeat(2, axis=2).repeat(2, axis=3)
-
-    def backward():
-        n, c, h2, w2 = out.grad.shape
-        g = out.grad.reshape(n, c, h2 // 2, 2, w2 // 2, 2).sum(axis=(3, 5))
-        x._accumulate(g)
-
-    out = _node(out_data, (x,), backward)
-    return out
+    n, c, h, w = x.shape
+    return _unary(x, x.data.repeat(2, axis=2).repeat(2, axis=3),
+                  lambda g: g.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5)))
 
 
 def batch_norm(x, gamma, beta, state: "BatchNormState", training: bool,
@@ -746,19 +682,18 @@ class Module:
         return out
 
     def load_state_dict(self, state: dict[str, np.ndarray]):
-        params = self.named_parameters()
-        buffers = self.named_buffers()
-        known = set(params) | set(buffers)
-        missing = known - set(state)
-        extra = set(state) - known
+        """Copy ``state`` into the parameters and buffers in place; KeyError
+        unless it has exactly their names, ValueError naming the first array
+        whose shape differs."""
+        own = self.state_dict()   # the parameters' and buffers' own arrays
+        missing = set(own) - set(state)
+        extra = set(state) - set(own)
         if missing or extra:
             raise KeyError(f"state mismatch: missing {sorted(missing)}, extra {sorted(extra)}")
-        for name, t in params.items():
-            if t.data.shape != state[name].shape:
+        for name, arr in own.items():
+            if arr.shape != state[name].shape:
                 raise ValueError(f"shape mismatch for {name}")
-            t.data[...] = state[name]
-        for name, b in buffers.items():
-            b[...] = state[name]
+            arr[...] = state[name]
 
 
 def he_normal(rng: np.random.Generator, shape: tuple, fan_in: int) -> np.ndarray:

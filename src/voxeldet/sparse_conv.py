@@ -214,14 +214,8 @@ def densify_bev(features: Tensor, coords: np.ndarray, shape, batch_size: int) ->
     b_z = coords[:, 0] * nz + coords[:, 3]
     yx = coords[:, 2] * nx + coords[:, 1]
     flat[b_z, :, yx] = features.data
-    out_data = out_data.reshape(dense_shape)
-
-    def backward():
-        g = out.grad.reshape(batch_size * nz, c, ny * nx)
-        features._accumulate(g[b_z, :, yx])
-
-    out = nn_core._node(out_data, (features,), backward)
-    return out
+    return nn_core._unary(features, out_data.reshape(dense_shape),
+                          lambda g: g.reshape(batch_size * nz, c, ny * nx)[b_z, :, yx])
 
 
 # -- VFE blocks -----------------------------------------------------------------

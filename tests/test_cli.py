@@ -230,6 +230,19 @@ class TestSubcommands:
                            "--checkpoint", str(cut_path), "--out", str(tmp_path / "d.txt"))
             assert code == 2, f"cut at byte {cut} of {len(raw)}"
 
+    @pytest.mark.parametrize("shape", [(1,), (3,)], ids=["broadcastable", "mismatched"])
+    def test_forward_wrong_buffer_shape_exits_2(self, tmp_path, capsys, shape):
+        cfg = _toy_cfg_file(tmp_path)
+        cloud = _golden_cloud(tmp_path)
+        key = "vfe.block0.subm0.norm.running_mean"
+        state = VehicleDetector(toy_config()).state_dict()
+        state[key] = np.zeros(shape)
+        ckpt = tmp_path / "ckpt.bin"
+        save_checkpoint(ckpt, state)
+        assert run_cli("--config", str(cfg), "forward", "--cloud", str(cloud),
+                       "--checkpoint", str(ckpt), "--out", str(tmp_path / "d.txt")) == 2
+        assert f"shape mismatch for {key}" in capsys.readouterr().err
+
     def test_usage_error_exit_code(self):
         assert run_cli("voxelize", "--cloud") == 1
 
