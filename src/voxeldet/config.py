@@ -136,10 +136,13 @@ class RunConfig:
                                 "toy_scenes", "toy_max_cars", "ransac_iterations")),
                            (0, ("weight_decay", "aug_max_samples", "toy_ground_points",
                                 "toy_car_points", "lambda_loc", "lambda_dir", "lambda_seg",
-                                "focal_gamma", "aug_translation_var", "aug_box_yaw_range"))):
+                                "focal_gamma", "aug_translation_var", "aug_box_yaw_range",
+                                "seed", "model_seed", "data_seed"))):
             for name in names:
                 if getattr(self, name) < low:
                     raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if self.seed >= 2**64:   # the voxel sampler's Philox key is seed << 64 | voxel key
+            raise ValueError(f"seed must be < 2**64, got {self.seed}")
         if not len(self.part_kernels) == len(self.part_dilations) == len(self.part_bounds):
             raise ValueError(
                 f"need one kernel and one dilation per part: {len(self.part_bounds)} parts, "

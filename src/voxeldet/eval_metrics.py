@@ -43,7 +43,7 @@ class FrameGroundTruth:
     heights: np.ndarray  # image bbox heights (px), parallel to boxes
     occlusions: np.ndarray
     truncations: np.ndarray
-    ignored_boxes: list = field(default_factory=list)  # other classes / DontCare
+    ignored_boxes: list = field(default_factory=list)  # other classes; DontCare rows are dropped
 
 
 @dataclass

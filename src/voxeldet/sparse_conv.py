@@ -21,7 +21,7 @@ import numpy as np
 
 from . import nn_core
 from .nn_core import BatchNorm, Module, Tensor, he_normal, relu
-from .voxel_grid import SparseVoxelGrid
+from .voxel_grid import SparseVoxelGrid, decode_site_keys, site_keys
 
 # Feature dtype of every forward pass, training and eval alike; parameters,
 # gradients, running statistics and checkpoints stay float64 and are cast at use.
@@ -61,21 +61,6 @@ class Rulebook:
         return sum(len(i) for i, _ in self.pairs)
 
 
-def _coord_keys(coords: np.ndarray, shape) -> np.ndarray:
-    """int64 keys of (batch, ix, iy, iz) rows, increasing in (batch, iz, iy, ix) order."""
-    nx, ny, nz = shape
-    return ((coords[:, 0] * nz + coords[:, 3]) * ny + coords[:, 2]) * nx + coords[:, 1]
-
-
-def _decode_keys(keys: np.ndarray, shape) -> np.ndarray:
-    """Inverse of :func:`_coord_keys`: (n, 4) rows (batch, ix, iy, iz)."""
-    nx, ny, nz = shape
-    rest, ix = np.divmod(keys, nx)
-    rest, iy = np.divmod(rest, ny)
-    batch, iz = np.divmod(rest, nz)
-    return np.column_stack([batch, ix, iy, iz])
-
-
 def build_rulebook(coords: np.ndarray, shape, kernel, stride=1,
                    mode: str = "submanifold") -> tuple[Rulebook, np.ndarray, tuple]:
     """Plan a sparse convolution over batched site coordinates.
@@ -93,7 +78,7 @@ def build_rulebook(coords: np.ndarray, shape, kernel, stride=1,
     """
     kernel = _as_triple(kernel)
     n_in = len(coords)
-    keys = _coord_keys(coords, shape)
+    keys = site_keys(coords[:, 1:], shape, coords[:, 0])
     if n_in and (np.diff(keys) <= 0).any():
         raise ValueError("site coordinates must be unique and sorted by (batch, iz, iy, ix)")
 
@@ -109,11 +94,12 @@ def build_rulebook(coords: np.ndarray, shape, kernel, stride=1,
         s_arr = np.array(_as_triple(stride))
         out_shape = tuple(max(1, (n - k) // s + 1) for n, k, s in zip(shape, kernel, s_arr))
         down = np.minimum(coords[:, 1:] // s_arr, np.array(out_shape) - 1)
-        out_keys = np.unique(_coord_keys(np.column_stack([coords[:, 0], down]), out_shape))
-        out_coords = _decode_keys(out_keys, out_shape)
+        out_batch, out_idx = decode_site_keys(
+            np.unique(site_keys(down, out_shape, coords[:, 0])), out_shape)
+        out_coords = np.column_stack([out_batch, out_idx])
         offsets = kernel_offsets(kernel, centered=False)
-        support = out_coords[:, 1:] * s_arr
-        base_keys = _coord_keys(np.column_stack([out_coords[:, 0], support]), shape)
+        support = out_idx * s_arr
+        base_keys = site_keys(support, shape, out_batch)
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
@@ -211,8 +197,7 @@ def densify_bev(features: Tensor, coords: np.ndarray, shape, batch_size: int) ->
     dense_shape = (batch_size, c * nz, ny, nx)
     out_data = np.zeros((batch_size, nz, c, ny, nx), features.data.dtype)
     flat = out_data.reshape(batch_size * nz, c, ny * nx)
-    b_z = coords[:, 0] * nz + coords[:, 3]
-    yx = coords[:, 2] * nx + coords[:, 1]
+    b_z, yx = np.divmod(site_keys(coords[:, 1:], shape, coords[:, 0]), ny * nx)
     flat[b_z, :, yx] = features.data
     return nn_core._unary(features, out_data.reshape(dense_shape),
                           lambda g: g.reshape(batch_size * nz, c, ny * nx)[b_z, :, yx])
@@ -233,6 +218,8 @@ class VfeBlockSpec:
             raise ValueError(f"channels must be positive: {self}")
         if self.stride_xy not in (1, 2):
             raise ValueError(f"stride_xy must be 1 or 2: {self}")
+        if self.n_submanifold < 0:
+            raise ValueError(f"n_submanifold must be >= 0: {self}")
 
 
 DEFAULT_BLOCKS = (

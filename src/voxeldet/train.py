@@ -17,10 +17,9 @@ from . import nn_core
 from .box_geom import direction_bit, encode, pairwise_iou3d
 from .config import RunConfig
 from .depth_head import ANCHORS_PER_CELL, PartOutput
-from .model import ModelOutput, VehicleDetector
+from .model import VehicleDetector
 from .nn_core import AdamW, Tensor
 from .seg_context import MaskKind, make_mask, seg_loss
-from .synthetic import Scene
 from .voxel_grid import voxelize
 
 

@@ -2,12 +2,14 @@
 
 Points are binned into equally spaced voxels; each non-empty voxel keeps at
 most ``max_points_per_voxel`` points chosen by a per-voxel counter RNG and
-carries the mean (x, y, z, intensity) of the survivors as its feature.
+carries the mean (x, y, z, intensity) of the survivors as its feature. The
+module owns the site order (batch, iz, iy, ix): grids, sparse-conv rulebooks
+and the BEV scatter all sort, search and index by :func:`site_keys`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,7 +48,7 @@ class VoxelizerConfig:
 
 @dataclass(frozen=True)
 class SparseVoxelGrid:
-    """Active voxel sites sorted lexicographically by (iz, iy, ix)."""
+    """Active voxel sites sorted by their :func:`site_keys`, i.e. by (iz, iy, ix)."""
 
     shape: tuple[int, int, int]
     indices: np.ndarray            # (n, 3) int64 columns ix, iy, iz
@@ -65,8 +67,7 @@ class SparseVoxelGrid:
         if len(idx):
             if idx.min() < 0 or (idx >= np.array(self.shape)).any():
                 raise ValueError("voxel indices outside grid shape")
-            flat = self.flat_indices()
-            if (np.diff(flat) <= 0).any():
+            if (np.diff(site_keys(idx, self.shape)) <= 0).any():
                 raise ValueError("sites must be unique and sorted by (iz, iy, ix)")
 
     @property
@@ -77,13 +78,23 @@ class SparseVoxelGrid:
     def channels(self) -> int:
         return self.features.shape[1]
 
-    def flat_indices(self) -> np.ndarray:
-        nx, ny, _ = self.shape
-        return (self.indices[:, 2] * ny + self.indices[:, 1]) * nx + self.indices[:, 0]
+
+def site_keys(indices: np.ndarray, shape, batch=0) -> np.ndarray:
+    """int64 keys ``((batch * nz + iz) * ny + iy) * nx + ix`` of (n, 3) rows (ix, iy, iz).
+
+    ``batch`` is a scalar or one value per row; keys increase in (batch, iz, iy, ix) order.
+    """
+    nx, ny, nz = shape
+    return ((batch * nz + indices[:, 2]) * ny + indices[:, 1]) * nx + indices[:, 0]
 
 
-def _site_order(indices: np.ndarray) -> np.ndarray:
-    return np.lexsort((indices[:, 0], indices[:, 1], indices[:, 2]))
+def decode_site_keys(keys: np.ndarray, shape) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of :func:`site_keys`: the batches and the (n, 3) rows (ix, iy, iz)."""
+    nx, ny, nz = shape
+    rest, ix = np.divmod(keys, nx)
+    rest, iy = np.divmod(rest, ny)
+    batch, iz = np.divmod(rest, nz)
+    return batch, np.stack([ix, iy, iz], axis=1)
 
 
 def make_grid(shape, indices, features) -> SparseVoxelGrid:
@@ -92,7 +103,7 @@ def make_grid(shape, indices, features) -> SparseVoxelGrid:
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2:
         features = features.reshape(len(indices), -1)
-    order = _site_order(indices)
+    order = np.argsort(site_keys(indices, shape), kind="stable")
     return SparseVoxelGrid(tuple(shape), indices[order], features[order])
 
 
@@ -110,12 +121,7 @@ def voxelize(cloud: PointCloud, cfg: VoxelizerConfig) -> SparseVoxelGrid:
     result is independent of point arrival order.
     """
     shape = cfg.grid_shape
-    nx, ny, nz = shape
     pts = cloud.points
-    if len(pts) == 0:
-        return SparseVoxelGrid(shape, np.empty((0, 3), np.int64),
-                               np.empty((0, FEATURE_CHANNELS)))
-
     lo = np.array(cfg.range_min)
     v = np.array(cfg.voxel_size)
     idx = np.floor((pts[:, :3] - lo) / v).astype(np.int64)
@@ -126,7 +132,7 @@ def voxelize(cloud: PointCloud, cfg: VoxelizerConfig) -> SparseVoxelGrid:
         return SparseVoxelGrid(shape, np.empty((0, 3), np.int64),
                                np.empty((0, FEATURE_CHANNELS)))
 
-    flat = (idx[:, 2] * ny + idx[:, 1]) * nx + idx[:, 0]
+    flat = site_keys(idx, shape)
     # canonical order: voxel, then point coordinates
     order = np.lexsort((pts[:, 3], pts[:, 2], pts[:, 1], pts[:, 0], flat))
     pts = pts[order]
@@ -142,17 +148,10 @@ def voxelize(cloud: PointCloud, cfg: VoxelizerConfig) -> SparseVoxelGrid:
         keep_mask[s : s + c] = False
         keep_mask[s + _sample_voxel(cfg.seed, fv, c, cap)] = True
 
-    kept = pts[keep_mask]
-    kept_flat = flat[keep_mask]
-    kstarts = np.flatnonzero(np.r_[True, np.diff(kept_flat) != 0])
-    kcounts = np.diff(np.r_[kstarts, len(kept_flat)])
-    sums = np.add.reduceat(kept, kstarts, axis=0)
+    kcounts = np.minimum(counts, cap)
+    sums = np.add.reduceat(pts[keep_mask], np.cumsum(kcounts) - kcounts, axis=0)
     features = sums / kcounts[:, None]
-
-    fz, rem = np.divmod(voxel_flat, nx * ny)
-    fy, fx = np.divmod(rem, nx)
-    indices = np.stack([fx, fy, fz], axis=1)
-    return SparseVoxelGrid(shape, indices, features)
+    return SparseVoxelGrid(shape, decode_site_keys(voxel_flat, shape)[1], features)
 
 
 def sparsity(grid: SparseVoxelGrid) -> float:

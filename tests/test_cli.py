@@ -19,6 +19,7 @@ from voxeldet.cli import main, read_simple_detections, write_simple_detections
 from voxeldet.model import VehicleDetector
 from voxeldet.nn_core import save_checkpoint
 from voxeldet.synthetic import make_toy_dataset
+from voxeldet.voxel_grid import voxelize
 
 from helpers import child_env
 
@@ -164,6 +165,26 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("line, message", [
+        ("seed = -1", "seed must be >= 0, got -1"),
+        ("seed = 18446744073709551616", "seed must be < 2**64, got 18446744073709551616"),
+        ("model_seed = -1", "model_seed must be >= 0, got -1"),
+        ("data_seed = -3", "data_seed must be >= 0, got -3"),
+        ("vfe_blocks = 4,16,-3,2;16,32,2,2;32,64,3,2;64,64,3,1", "n_submanifold must be >= 0"),
+    ], ids=["seed_neg", "seed_2_64", "model_seed_neg", "data_seed_neg", "n_submanifold_neg"])
+    def test_bad_seed_or_layer_count_exits_2(self, tmp_path, capsys, line, message):
+        path = tmp_path / "bad.cfg"
+        path.write_text(line + "\n")
+        assert run_cli("--config", str(path), "dump-config") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and message in err
+        assert "Traceback" not in err
+
+    def test_largest_seed_loads_and_samples(self):
+        cfg = parse_config("seed = 18446744073709551615\n")
+        crowded = PointCloud(np.tile([10.0, 0.0, -1.0, 0.5], (cfg.max_points_per_voxel + 1, 1)))
+        assert voxelize(crowded, cfg.voxelizer()).num_sites == 1
 
     def test_empty_group_element_rejected(self):
         with pytest.raises(ValueError, match="bad value for 'vfe_blocks'"):

@@ -7,9 +7,11 @@ from voxeldet.kitti_io import PointCloud
 from voxeldet.voxel_grid import (
     SparseVoxelGrid,
     VoxelizerConfig,
+    decode_site_keys,
     format_grid_dump,
     make_grid,
     parse_grid_dump,
+    site_keys,
     sparsity,
     voxelize,
 )
@@ -164,3 +166,43 @@ class TestGridValidation:
     def test_out_of_shape_rejected(self):
         with pytest.raises(ValueError, match="outside"):
             SparseVoxelGrid((2, 2, 2), np.array([[5, 0, 0]]), np.zeros((1, 4)))
+
+
+# (shape, sites, seed): odd extents, a 1x1x1 grid, and an empty site set
+CODEC_CASES = [((5, 3, 7), 50, 0), ((9, 11, 3), 80, 1), ((7, 1, 5), 30, 2),
+               ((1, 1, 1), 6, 3), ((3, 5, 9), 0, 4)]
+
+
+def _random_sites(shape, n, seed):
+    """n seeded (batch, (ix, iy, iz)) sites with batches 0-3; repeats allowed."""
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, 4, n), rng.integers(0, shape, (n, 3))
+
+
+class TestSiteKeys:
+    @pytest.mark.parametrize("shape, n, seed", CODEC_CASES)
+    def test_key_order_is_batch_z_y_x_order(self, shape, n, seed):
+        batch, idx = _random_sites(shape, n, seed)
+        keys = site_keys(idx, shape, batch)
+        assert keys.dtype == np.int64
+        oracle = np.lexsort((idx[:, 0], idx[:, 1], idx[:, 2], batch))
+        np.testing.assert_array_equal(np.argsort(keys, kind="stable"), oracle)
+
+    @pytest.mark.parametrize("shape, n, seed", CODEC_CASES)
+    def test_decode_returns_batches_and_rows(self, shape, n, seed):
+        batch, idx = _random_sites(shape, n, seed)
+        back_batch, back_idx = decode_site_keys(site_keys(idx, shape, batch), shape)
+        np.testing.assert_array_equal(back_batch, batch)
+        np.testing.assert_array_equal(back_idx, idx)
+        assert back_idx.shape == (n, 3)
+
+    @pytest.mark.parametrize("shape, n, seed", CODEC_CASES)
+    def test_make_grid_orders_sites_as_lexsort(self, shape, n, seed):
+        rng = np.random.default_rng(seed)
+        flat = rng.choice(int(np.prod(shape)), size=min(n, int(np.prod(shape))), replace=False)
+        idx = np.stack(np.unravel_index(flat, shape), axis=1)
+        feats = rng.normal(size=(len(idx), 4))
+        grid = make_grid(shape, idx, feats)
+        order = np.lexsort((idx[:, 0], idx[:, 1], idx[:, 2]))
+        np.testing.assert_array_equal(grid.indices, idx[order])
+        np.testing.assert_array_equal(grid.features, feats[order])
