@@ -141,8 +141,6 @@ class RunConfig:
             for name in names:
                 if getattr(self, name) < low:
                     raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
-        if self.seed >= 2**64:   # the voxel sampler's Philox key is seed << 64 | voxel key
-            raise ValueError(f"seed must be < 2**64, got {self.seed}")
         if not len(self.part_kernels) == len(self.part_dilations) == len(self.part_bounds):
             raise ValueError(
                 f"need one kernel and one dilation per part: {len(self.part_bounds)} parts, "

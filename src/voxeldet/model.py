@@ -67,11 +67,20 @@ class VehicleDetector(Module):
         return fuse_scores(output.parts, self.cfg.parts(), self.cfg.bev_width)
 
     def detect(self, output: ModelOutput) -> list[list[Detection]]:
-        """Threshold, decode against the anchors, and apply oriented NMS."""
+        """Threshold, decode against the anchors, and apply oriented NMS.
+
+        Size rule: a candidate is dropped when its decoded w, l or h would
+        exceed the voxel range's largest extent, i.e. when its size residual
+        exceeds ``log(extent / anchor size)``. The rule is tested before decode,
+        so no oversized box is built and none reaches NMS. Candidates with a
+        non-finite value or a non-positive size are dropped as well.
+        """
         fused = self.fuse(output)
         cfg = self.cfg
         b, _, h, w = fused.box.shape
         anchors = self.anchors.reshape(h, w, ANCHORS_PER_CELL, 7)
+        extent = max(hi - lo for lo, hi in zip(cfg.range_min, cfg.range_max))
+        log_size_limit = np.log(extent / anchors[..., 3:6])
         box = fused.box.reshape(b, ANCHORS_PER_CELL, 7, h, w)
         dirs = fused.dir_logits.reshape(b, ANCHORS_PER_CELL, 2, h, w)
         results = []
@@ -83,6 +92,8 @@ class VehicleDetector(Module):
                 cand = tuple(axis[order] for axis in cand)
                 scores = scores[order]
             a, iy, ix = cand
+            fits = (box[bi, a, 3:6, iy, ix] <= log_size_limit[iy, ix, a]).all(axis=1)
+            a, iy, ix, scores = a[fits], iy[fits], ix[fits], scores[fits]
             bits = dirs[bi, a, :, iy, ix].argmax(axis=1)
             boxes = decode(box[bi, a, :, iy, ix], anchors[iy, ix, a], bit=bits)
             ok = np.isfinite(boxes).all(axis=1) & (boxes[:, 3:6].min(axis=1) > 0)

@@ -18,7 +18,9 @@ its output and calls ``_unary(a, out_data, grad)``, whose backward adds
 ``_binary(a, b, out_data, grad_a, grad_b)``, which sums each gradient down
 to its input's shape and skips an input that takes none. Only ``concat``
 (many inputs), ``conv2d``, ``batch_norm`` and ``sparse_conv.sparse_conv_op``
-(whose input gradients share work) write their own backward closures.
+(whose input gradients share work) write their own backward closures. Each
+conv kind has one kernel: dX runs through ``conv2d``, and the sparse input
+gradient is ``sparse_conv.sparse_conv_forward`` on the swapped pairs.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 
 # Element budget of one conv2d im2col band of one image (c·k² · band columns):
 # 4 MB in float32, sized so that a band is still in L2 when its GEMM reads it.
-# The backward bands its dW GEMMs and its dX transposed conv by the same budget.
+# The backward bands its dW GEMMs by the same budget; dX is a conv2d call.
 _IM2COL_CHUNK = 1024 * 1024
 
 
@@ -437,8 +439,8 @@ def conv2d(x, weight, bias, spec: ConvSpec, *, relu: bool = False) -> Tensor:
 
     Backward: dW accumulates one GEMM ``g_band @ cols.T`` per band of each
     image, copying each band's columns once (BLAS reads the transpose in
-    place). dX is itself a conv (:func:`_conv_input_grad`), banded the same
-    way; db is the sum of the upstream gradient.
+    place). dX runs through ``conv2d`` (:func:`_conv_input_grad`); db is the
+    sum of the upstream gradient.
     """
     x, weight = _wrap(x), _wrap(weight)
     n, c, h, w = x.shape
@@ -502,9 +504,9 @@ def _conv_input_grad(g: np.ndarray, weight: np.ndarray, spec: ConvSpec, h: int, 
     """Gradient of ``conv2d`` with respect to its (h, w) input: a transposed conv.
 
     The upstream gradient ``g`` is zero-stuffed by the stride and padded by
-    (k−1)·d; a stride-1, dilation-d correlation of it with the flipped,
-    transposed kernel, read from row and column ``p`` on, is the unpadded
-    input gradient. Rows and columns that no window read get 0.
+    (k−1)·d; dX runs through ``conv2d``, correlating it from row and column ``p``
+    on with the flipped, transposed kernel at stride 1 and dilation d. Rows and
+    columns that no window read get 0.
     """
     n, oc, oh, ow = g.shape
     p, k, s, d = spec.padding, spec.kernel, spec.stride, spec.dilation
@@ -512,17 +514,9 @@ def _conv_input_grad(g: np.ndarray, weight: np.ndarray, spec: ConvSpec, h: int, 
     gs = np.zeros((n, oc, max(p + h, s * (oh - 1) + 1) + e, max(p + w, s * (ow - 1) + 1) + e),
                   g.dtype)
     gs[:, :, e : e + s * (oh - 1) + 1 : s, e : e + s * (ow - 1) + 1 : s] = g
-    win = _conv_windows(gs[:, :, p:, p:], ConvSpec(oc, c, k, dilation=d), h, w)
-    okk = oc * k * k
-    wt = weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, okk).astype(g.dtype)
-    rows = max(1, _IM2COL_CHUNK // (okk * w))
-    gx = np.empty((n, c, h, w), g.dtype)
-    for b in range(n):
-        for lo in range(0, h, rows):
-            hi = min(lo + rows, h)
-            np.matmul(wt, win[b, :, :, :, lo:hi].reshape(okk, (hi - lo) * w),
-                      out=gx[b, :, lo:hi].reshape(c, (hi - lo) * w))
-    return gx
+    return conv2d(gs[:, :, p : p + h + e, p : p + w + e],
+                  weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), None,
+                  ConvSpec(oc, c, k, dilation=d)).data
 
 
 def maxpool2(x) -> Tensor:

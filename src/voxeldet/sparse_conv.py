@@ -159,10 +159,11 @@ def sparse_conv_forward(features: np.ndarray, weights: np.ndarray, bias,
 def sparse_conv_op(features: Tensor, weights: Tensor, bias, rulebook: Rulebook) -> Tensor:
     """Autodiff node wrapping the raw sparse convolution.
 
-    The backward is the transpose gather-scatter of the forward. It computes
-    only the gradients a parent takes: no input gradient for features without
-    ``requires_grad`` (the first layer's voxel features), and no bias sum for a
-    bias-free layer.
+    The sparse input gradient is ``sparse_conv_forward`` on the swapped pairs,
+    with each offset's weights transposed. The backward computes only the
+    gradients a parent takes: no input gradient for features without
+    ``requires_grad`` (the first layer's voxel features), no weight gradient
+    for frozen weights, and no bias sum for a bias-free layer.
     """
     bias_data = None if bias is None else bias.data
     out_data = sparse_conv_forward(features.data, weights.data, bias_data, rulebook)
@@ -171,17 +172,16 @@ def sparse_conv_op(features: Tensor, weights: Tensor, bias, rulebook: Rulebook) 
     def backward():
         upstream, x = out.grad, features.data
         w = weights.data.astype(x.dtype, copy=False)
-        d_feat = np.zeros_like(x) if features.requires_grad else None
-        d_w = np.zeros_like(w)
-        for k, (in_idx, out_idx) in enumerate(rulebook.pairs):
-            if len(in_idx):
-                g = upstream[out_idx]
-                d_w[k] = x[in_idx].T @ g
-                if d_feat is not None:
-                    d_feat[in_idx] += g @ w[k].T   # input ordinals are unique per offset
-        if d_feat is not None:
-            features._accumulate(d_feat)
+        if features.requires_grad:
+            swapped = Rulebook(rulebook.offsets, tuple((o, i) for i, o in rulebook.pairs),
+                               n_in=rulebook.n_out, n_out=rulebook.n_in)
+            features._accumulate(sparse_conv_forward(upstream, w.transpose(0, 2, 1), None,
+                                                     swapped))
         if weights.requires_grad:
+            d_w = np.zeros_like(w)
+            for k, (in_idx, out_idx) in enumerate(rulebook.pairs):
+                if len(in_idx):
+                    d_w[k] = x[in_idx].T @ upstream[out_idx]
             weights._accumulate(d_w)
         if bias is not None and bias.requires_grad:
             bias._accumulate(upstream.sum(axis=0))

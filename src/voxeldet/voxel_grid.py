@@ -29,6 +29,10 @@ class VoxelizerConfig:
     def __post_init__(self):
         if self.max_points_per_voxel < 1:
             raise ValueError("max_points_per_voxel must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.seed >= 2**64:   # the over-cap sampler's Philox key is seed << 64 | voxel key
+            raise ValueError(f"seed must be < 2**64, got {self.seed}")
         for lo, hi, v in zip(self.range_min, self.range_max, self.voxel_size):
             if v <= 0 or hi <= lo:
                 raise ValueError(f"bad axis range [{lo}, {hi}) with voxel size {v}")

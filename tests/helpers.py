@@ -468,8 +468,12 @@ def fuse_scores_per_part(part_outputs, parts, map_width):
     return FusedOutput(scores, box, dir_logits, part_index)
 
 
-def decode_per_candidate(fused, anchors, score_threshold, pre_nms_top_k):
-    """Pre-NMS detections of ``VehicleDetector.detect``, one ``decode`` per candidate."""
+def decode_per_candidate(fused, anchors, score_threshold, pre_nms_top_k, max_size):
+    """Pre-NMS detections of ``VehicleDetector.detect``, one ``decode`` per candidate.
+
+    A candidate whose size residual r exceeds ``log(max_size / anchor_size)`` for
+    w, l or h is skipped before it is decoded.
+    """
     _, _, h, w = fused.box.shape
     anchors = anchors.reshape(h, w, ANCHORS_PER_CELL, 7)
     results = []
@@ -483,6 +487,9 @@ def decode_per_candidate(fused, anchors, score_threshold, pre_nms_top_k):
         for a, iy, ix in zip(*cand):
             residual = fused.box[b, 7 * a : 7 * a + 7, iy, ix]
             dir_pair = fused.dir_logits[b, 2 * a : 2 * a + 2, iy, ix]
+            if any(residual[3 + j] > np.log(max_size / anchors[iy, ix, a, 3 + j])
+                   for j in range(3)):
+                continue
             decoded = decode(residual, anchors[iy, ix, a], bit=int(dir_pair.argmax()))
             if not np.all(np.isfinite(decoded)) or decoded[3:6].min() <= 0:
                 continue

@@ -5,37 +5,54 @@ input; a broadcasting two-input op hands ``nn_core._binary`` its output and
 both gradients. Only the builders and the ops whose input gradients share
 work or whose inputs are many call ``_node`` with a backward closure of
 their own.
+
+Each conv kind has one kernel, which its input gradient runs too: in
+``nn_core`` only ``conv2d`` reads a window view or calls ``np.matmul``, and
+in ``sparse_conv`` only ``sparse_conv_forward`` scatters.
 """
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "voxeldet"
 OWN_CLOSURES = {"_unary", "_binary", "concat", "conv2d", "batch_norm", "sparse_conv_op"}
 
 
-def node_callers(package: Path) -> set[str]:
+def functions_containing(paths, match) -> set[str]:
     """Names of the top-level functions and methods (``Class.method``) in
-    ``package`` that call ``_node`` or ``<module>._node``, directly or in a
+    ``paths`` with an AST node for which ``match`` holds, directly or in a
     closure nested in them."""
-    callers = set()
-    for path in sorted(package.glob("*.py")):
+    found = set()
+    for path in paths:
         body = ast.parse(path.read_text(), str(path)).body
         defs = [(node.name, node) for node in body if isinstance(node, ast.FunctionDef)]
         defs += [(f"{cls.name}.{item.name}", item) for cls in body
                  if isinstance(cls, ast.ClassDef)
                  for item in cls.body if isinstance(item, ast.FunctionDef)]
-        for name, fn in defs:
-            for node in ast.walk(fn):
-                if isinstance(node, ast.Call) and (
-                        getattr(node.func, "id", None) == "_node"
-                        or getattr(node.func, "attr", None) == "_node"):
-                    callers.add(name)
-    return callers
+        found |= {name for name, fn in defs if any(match(node) for node in ast.walk(fn))}
+    return found
+
+
+def calls(name):
+    """Matches a call of ``name`` or of ``<anything>.name``."""
+    return lambda node: isinstance(node, ast.Call) and (
+        getattr(node.func, "id", None) == name or getattr(node.func, "attr", None) == name)
+
+
+def scatters(node) -> bool:
+    """``a[idx] += ...`` (any augmented assignment to a subscript) or a ufunc ``.at``."""
+    return (isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Subscript)
+            or calls("at")(node))
+
+
+def node_callers(package: Path) -> set[str]:
+    """Functions and methods in ``package`` that call ``_node`` or ``<module>._node``."""
+    return functions_containing(sorted(package.glob("*.py")), calls("_node"))
 
 
 def test_only_the_builders_and_shared_work_ops_call_node():
-    callers = node_callers(ROOT / "src" / "voxeldet")
+    callers = node_callers(SRC)
     assert callers, "no _node callers found"
     assert callers - OWN_CLOSURES == set()
 
@@ -51,3 +68,32 @@ def test_scanner_finds_direct_qualified_and_method_callers(tmp_path):
         "class Layer:\n    def forward(self, a):\n        return _node(a, (a,), None)\n"
     )
     assert node_callers(package) == {"_unary", "sin", "Layer.forward"}
+
+
+def test_only_conv2d_runs_the_dense_conv_kernel():
+    nn_core = [SRC / "nn_core.py"]
+    assert functions_containing(nn_core, calls("_conv_windows")) == {"conv2d"}
+    assert functions_containing(nn_core, calls("matmul")) == {"conv2d"}
+
+
+def test_only_sparse_conv_forward_scatters():
+    assert functions_containing([SRC / "sparse_conv.py"], scatters) == {"sparse_conv_forward"}
+
+
+def test_kernel_scanners_find_nested_and_qualified_uses(tmp_path):
+    path = tmp_path / "conv.py"
+    path.write_text(
+        "def dense(x, w):\n    return np.matmul(w, _conv_windows(x))\n\n\n"
+        "def grad(g, w):\n    def backward():\n        return nn_core._conv_windows(g)\n"
+        "    return backward\n\n\n"
+        "def gemm(a, b, out):\n    numpy.matmul(a, b, out=out)\n\n\n"
+        "def scatter(out, idx, v):\n    out[idx] += v\n\n\n"
+        "def add_at(out, idx, v):\n    np.add.at(out, idx, v)\n\n\n"
+        "class Op:\n    def backward(self, d, idx, v):\n"
+        "        def step():\n            d[idx, :] -= v\n        return step\n\n\n"
+        "def not_scatters(out, d_w, k, v, bias):\n"
+        "    out += bias\n    d_w[k] = v @ v.T\n    out[k] = v\n    return out\n"
+    )
+    assert functions_containing([path], calls("_conv_windows")) == {"dense", "grad"}
+    assert functions_containing([path], calls("matmul")) == {"dense", "gemm"}
+    assert functions_containing([path], scatters) == {"scatter", "add_at", "Op.backward"}

@@ -333,6 +333,78 @@ class TestSparseBackward:
         np.testing.assert_array_equal(w3.grad, weights.grad)
 
 
+class TestStridedBackward:
+    """Finite-difference gradients through strided rulebooks, whose input
+    gradient reads the pairs from outputs back to inputs."""
+
+    @staticmethod
+    def _check(coords, shape, kernel, stride, seed):
+        rng = np.random.default_rng(seed)
+        rb, _, _ = build_rulebook(coords, shape, kernel, stride, "strided")
+        feats = Tensor(rng.normal(size=(len(coords), 3)), requires_grad=True)
+        weights = Tensor(rng.normal(size=(len(rb.offsets), 3, 2)) * 0.4, requires_grad=True)
+        bias = Tensor(rng.normal(size=2), requires_grad=True)
+        cot = random_cotangent((rb.n_out, 2), seed=seed + 1)
+
+        def loss():
+            return projected_loss(sparse_conv_op(feats, weights, bias, rb), cot)
+
+        assert finite_diff_error(loss, [feats, weights, bias], max_entries=60) < 1e-5
+        return rb, weights
+
+    def test_strided_layer(self):
+        shape = (6, 5, 4)
+        self._check(_seeded_sites(21, shape, [40]), shape, (2, 2, 2), (2, 2, 2), seed=22)
+
+    def test_vfe_stretched_kernel_on_odd_z(self):
+        shape, stride = (4, 6, 5), (2, 2, 2)
+        kernel = _vfe_kernel(shape, stride)
+        assert kernel == (2, 2, 3)
+        rb, _ = self._check(_seeded_sites(23, shape, [45]), shape, kernel, stride, seed=24)
+        assert rb.n_out < rb.total_pairs
+
+    def test_batch2_with_an_offset_without_pairs(self):
+        # every site has even x, so no odd-x offset of the stride-2 kernel finds a pair
+        shape = (6, 4, 4)
+        coords = _seeded_sites(25, (3, 4, 4), [10, 12])
+        coords[:, 1] *= 2
+        rb, weights = self._check(_sort_batched(coords, shape), shape, (2, 2, 2), (2, 2, 2),
+                                  seed=26)
+        empty = [k for k, (i, _) in enumerate(rb.pairs) if len(i) == 0]
+        assert empty and len(empty) < len(rb.offsets)
+        assert not weights.grad[empty].any()
+
+    def test_frozen_weights_take_no_weight_gradient(self):
+        """The input gradient alone reads no feature transpose and equals a full backward's."""
+        shape = (4, 6, 5)
+        coords = _seeded_sites(27, shape, [30, 20])
+        rb, _, _ = build_rulebook(coords, shape, (2, 2, 3), (2, 2, 2), "strided")
+        rng = np.random.default_rng(28)
+        x, w = rng.normal(size=(len(coords), 3)), rng.normal(size=(len(rb.offsets), 3, 2))
+        upstream = rng.normal(size=(rb.n_out, 2))
+        feats, weights = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+        full = sparse_conv_op(feats, weights, None, rb)
+        full.grad = upstream
+        full._backward()
+
+        transposed = []
+
+        class Watched(np.ndarray):
+            @property
+            def T(self):
+                transposed.append(self.shape)
+                return np.asarray(self).T
+
+        watched = Tensor(x, requires_grad=True)
+        watched.data = x.view(Watched)
+        frozen = Tensor(w)
+        part = sparse_conv_op(watched, frozen, None, rb)
+        part.grad = upstream
+        part._backward()
+        assert transposed == [] and frozen.grad is None
+        np.testing.assert_array_equal(watched.grad, feats.grad)
+
+
 class TestVfe:
     def test_default_bev_shape(self):
         enc = VfeEncoder((1408, 1600, 40))

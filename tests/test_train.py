@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -313,6 +315,10 @@ class TestDetectOracle:
         for spec in cfg.parts():
             cls = rng.integers(-6, 3, size=(2, 2, h, spec.width)).astype(np.float32)
             box = (0.3 * rng.normal(size=(2, 14, h, spec.width))).astype(np.float32)
+            # unless planted, sizes stay within micro_config's 4.8 m extent:
+            # the 3.9 m anchor length leaves a residual of log(4.8 / 3.9) = 0.21
+            sizes = box.reshape(2, 2, 7, h, spec.width)[:, :, 3:6]
+            np.minimum(sizes, 0.2, out=sizes)
             dirs = rng.integers(-1, 2, size=(2, 4, h, spec.width)).astype(np.float32)
             for b, a, iy, ix, channel, value in planted:
                 if spec.lo <= ix < spec.hi:
@@ -324,15 +330,20 @@ class TestDetectOracle:
     def _check(self, cfg, output):
         model = VehicleDetector(cfg)
         fused = fuse_scores(output.parts, cfg.parts(), 12)
+        extent = max(np.subtract(cfg.range_max, cfg.range_min))
         oracle = decode_per_candidate(fused, model.anchors, cfg.score_threshold,
-                                      cfg.pre_nms_top_k)
+                                      cfg.pre_nms_top_k, extent)
         assert model.detect(output) == [oriented_nms(d, cfg.nms_iou) for d in oracle]
         return fused, oracle
 
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_oracle_with_nms(self, seed):
         cfg = micro_config(score_threshold=0.1)
-        self._check(cfg, self._outputs(cfg, seed))
+        # one length residual over the size rule's bound: l = 3.9 m · e^0.5 = 6.4 m
+        planted = [(seed % 2, 1, 5, 6, 4, 0.5)]
+        fused, oracle = self._check(cfg, self._outputs(cfg, seed, planted))
+        n_cand = (fused.scores >= cfg.score_threshold).reshape(2, -1).sum(axis=1)
+        assert [len(d) for d in oracle] == [n - (b == seed % 2) for b, n in enumerate(n_cand)]
 
     def test_drops_non_finite_and_non_positive_size(self):
         # nms_iou 1 keeps every candidate, so the whole decoded list is compared
@@ -343,6 +354,25 @@ class TestDetectOracle:
             n_cand = int((fused.scores[b] >= cfg.score_threshold).sum())
             assert len(oracle[b]) == n_cand - 1
             assert fused.scores[b, a, iy, ix] >= cfg.score_threshold
+
+    def test_drops_sizes_over_the_range_extent_without_warnings(self):
+        """Size residuals of about 500, as an untrained net gives on a full-scale
+        scan, would decode to about 1e217 m; such candidates are dropped before
+        decode, so neither decode nor NMS warns, and every box kept fits the
+        voxel range's largest extent."""
+        cfg = micro_config(score_threshold=0.3)
+        extent = max(np.subtract(cfg.range_max, cfg.range_min))
+        oversized = [(0, 0, 3, 4, 3, 500.0), (0, 1, 3, 5, 4, 480.0), (1, 1, 8, 10, 5, 520.0)]
+        fits = [(1, 0, 8, 9, 4, 0.2)]   # l = 3.9 m · e^0.2 = 4.76 m
+        output = self._outputs(cfg, 17, oversized + fits)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fused, oracle = self._check(cfg, output)
+        n_cand = (fused.scores >= cfg.score_threshold).reshape(2, -1).sum(axis=1)
+        assert [len(d) for d in oracle] == [n_cand[0] - 2, n_cand[1] - 1]
+        sizes = np.array([[d.box.w, d.box.l, d.box.h] for dets in oracle for d in dets])
+        assert sizes.max() <= extent
+        assert any(abs(d.box.l - 3.9 * np.exp(0.2)) < 1e-6 for d in oracle[1])
 
     def test_pre_nms_top_k_truncation(self):
         cfg = micro_config(score_threshold=0.02, nms_iou=1.0, pre_nms_top_k=7)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -38,6 +40,14 @@ class TestConfig:
     def test_max_points_validated(self):
         with pytest.raises(ValueError):
             VoxelizerConfig(max_points_per_voxel=0)
+
+    @pytest.mark.parametrize("seed, message", [
+        (-1, "seed must be >= 0, got -1"),
+        (2**64, "seed must be < 2**64, got 18446744073709551616"),
+    ], ids=["negative", "2_64"])
+    def test_seed_outside_the_philox_key_range_rejected(self, seed, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            VoxelizerConfig(seed=seed)
 
 
 class TestVoxelize:
