@@ -132,18 +132,25 @@ def write_simple_detections(path, detections):
 
 
 def read_simple_detections(path):
+    """One detection per non-empty line, ``x y z w l h yaw score``.
+
+    A malformed line raises ValueError prefixed with ``<path>:<line>:``.
+    """
     dets = []
     with open(path, "r") as f:
         for lineno, line in enumerate(f, start=1):
             if not line.strip():
                 continue
-            fields = line.split()
-            if len(fields) != 8:
-                raise ValueError(f"{path}:{lineno}: expected 8 fields, got {len(fields)}")
-            vals = [float(v) for v in fields]
-            if not all(math.isfinite(v) for v in vals):
-                raise ValueError(f"{path}:{lineno}: fields must be finite")
-            dets.append(box_geom.Detection(box_geom.Box3D(*vals[:7]), vals[7]))
+            try:
+                fields = line.split()
+                if len(fields) != 8:
+                    raise ValueError(f"expected 8 fields, got {len(fields)}")
+                vals = [float(v) for v in fields]
+                if not all(math.isfinite(v) for v in vals):
+                    raise ValueError("fields must be finite")
+                dets.append(box_geom.Detection(box_geom.Box3D(*vals[:7]), vals[7]))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return dets
 
 

@@ -11,6 +11,9 @@ moves a value, and its gradient back, between the two. For a fixed dtype
 and BLAS thread count the outputs are byte-identical from run to run.
 Feature maps follow the (batch, channel, height, width) layout; sparse voxel
 features travel through the same engine as (sites, channels) matrices.
+:meth:`Tensor.backward` releases the graph while it walks it, so each
+node's closure and saved buffers are freed as soon as its gradient has been
+passed on, and a training step's memory peak is about its forward graph.
 
 Ops build their graph nodes through two builders. A one-input op computes
 its output and calls ``_unary(a, out_data, grad)``, whose backward adds
@@ -104,18 +107,22 @@ class Tensor:
     def backward(self):
         """Reverse-mode accumulation from a scalar output.
 
-        The recorded graph is released afterwards (closures capture their
-        inputs, which would otherwise pin every intermediate buffer through
-        reference cycles); leaves keep their gradients.
+        The graph is released during the walk: each node popped off the
+        topological order runs its closure and then drops it, its parents
+        and (unless it is the root) its gradient. Every consumer has added
+        to a node's gradient before the node runs, so nothing dropped is
+        read again, and the buffers a closure saved (such as padded conv
+        inputs and BatchNorm x̂) are freed as the walk passes it. Leaves and
+        the root keep their gradients.
         """
         if self.size != 1:
             raise ValueError(f"backward requires a scalar, got shape {self.shape}")
         order = _toposort(self)
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
+        while order:
+            node = order.pop()
             if node._backward is not None:
                 node._backward()
-        for node in order:
             if node._parents:
                 node._backward = None
                 node._parents = ()

@@ -313,10 +313,10 @@ def train_toy(cfg: RunConfig, scenes, steps: int | None = None) -> TrainResult:
         weight_decay=cfg.weight_decay,
         betas=(cfg.adam_beta1, cfg.adam_beta2),
     )
+    weights = LossWeights.from_config(cfg)
     reports = []
     for step in range(steps):
-        report = train_step(model, batches[step % len(batches)], LossWeights.from_config(cfg),
-                            optimizer)
+        report = train_step(model, batches[step % len(batches)], weights, optimizer)
         if not np.isfinite(report.total):
             raise TrainingDiverged(step)
         reports.append(report)

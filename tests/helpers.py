@@ -1,7 +1,7 @@
-"""Shared test oracles: finite differences, the col2im conv2d backward, the
-explicit BatchNorm backward chain, dense 3D convolution, a per-offset
-rulebook, Monte-Carlo IoU, per-pair KITTI matching, and per-part, per-candidate
-and per-scene loops over the head maps."""
+"""Shared test oracles: finite differences, the walk-then-release backward,
+the col2im conv2d backward, the explicit BatchNorm backward chain, dense 3D
+convolution, a per-offset rulebook, Monte-Carlo IoU, per-pair KITTI matching,
+and per-part, per-candidate and per-scene loops over the head maps."""
 
 import os
 from pathlib import Path
@@ -63,6 +63,26 @@ def finite_diff_error(make_loss, params, h=1e-5, max_entries=None, seed=0):
         scale = max(1.0, np.abs(ga_flat[idx]).max(initial=0.0), np.abs(gf[idx]).max(initial=0.0))
         worst = max(worst, np.abs(ga_flat[idx] - gf[idx]).max(initial=0.0) / scale)
     return worst
+
+
+def backward_walk_then_release(root):
+    """``Tensor.backward`` as the engine ran it before it released the graph
+    during the walk: every closure runs first, in reverse topological order,
+    and only then is the graph released, so the whole graph and every
+    intermediate gradient stay alive until the walk ends."""
+    if root.size != 1:
+        raise ValueError(f"backward requires a scalar, got shape {root.shape}")
+    order = nn_core._toposort(root)
+    root.grad = np.ones_like(root.data)
+    for node in reversed(order):
+        if node._backward is not None:
+            node._backward()
+    for node in order:
+        if node._parents:
+            node._backward = None
+            node._parents = ()
+            if node is not root:
+                node.grad = None
 
 
 def random_cotangent(shape, seed):

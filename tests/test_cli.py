@@ -52,6 +52,13 @@ GOOD_LINE = "10.0 0.0 -1.0 1.6 3.9 1.56 0.0 0.9\n"
 # a non-finite x, then a non-finite z
 NON_FINITE_LINES = ["nan 0.0 -1.0 1.6 3.9 1.56 0.0 0.8\n",
                     "12.0 0.0 inf 1.6 3.9 1.56 0.0 0.8\n"]
+# a detection line that parses as 8 fields but is still bad, and the error it gives
+BAD_DETECTION_LINES = [
+    ("12.0 abc -1.0 1.6 3.9 1.56 0.0 0.8\n", "could not convert string to float: 'abc'"),
+    ("12.0 0.0 -1.0 1.6 0.0 1.56 0.0 0.8\n", "box sizes must be positive"),
+    ("12.0 0.0 -1.0 1.6 3.9 1.56 0.0 1.5\n", "score out of range: 1.5"),
+]
+BAD_DETECTION_IDS = ["non_numeric", "zero_length", "score_1.5"]
 
 
 class TestConfigFile:
@@ -308,6 +315,35 @@ class TestSubcommands:
         assert run_cli("--config", str(cfg), "nms", "--detections", str(src),
                        "--out", str(out)) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("line, message", BAD_DETECTION_LINES, ids=BAD_DETECTION_IDS)
+    def test_nms_bad_row_names_file_and_line(self, tmp_path, capsys, line, message):
+        cfg = _toy_cfg_file(tmp_path)
+        src = tmp_path / "in.txt"
+        src.write_text(GOOD_LINE + "\n" + line)
+        out = tmp_path / "out.txt"
+        assert run_cli("--config", str(cfg), "nms", "--detections", str(src),
+                       "--out", str(out)) == 2
+        assert not out.exists()
+        assert f"data error: {src}:3: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, message", BAD_DETECTION_LINES, ids=BAD_DETECTION_IDS)
+    def test_eval_bad_row_names_file_and_line(self, tmp_path, capsys, line, message):
+        cfg = _toy_cfg_file(tmp_path)
+        for d in ("dets", "labels", "calib"):
+            os.makedirs(tmp_path / d, exist_ok=True)
+        dets = tmp_path / "dets" / "000000.txt"
+        dets.write_text(GOOD_LINE + line)
+        write_calib(tmp_path / "calib" / "000000.txt", _calib())
+        (tmp_path / "labels" / "000000.txt").write_text("")
+        report = tmp_path / "report.txt"
+        assert run_cli("--config", str(cfg), "eval",
+                       "--detections-dir", str(tmp_path / "dets"),
+                       "--labels-dir", str(tmp_path / "labels"),
+                       "--calib-dir", str(tmp_path / "calib"),
+                       "--out", str(report)) == 2
+        assert not report.exists()
+        assert f"data error: {dets}:2: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("line", NON_FINITE_LINES, ids=["nan_x", "inf_z"])
     def test_eval_non_finite_field_exits_2(self, tmp_path, line):
