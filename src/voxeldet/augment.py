@@ -43,9 +43,6 @@ class GroundPlane:
         a, b, c = self.normal
         return -(a * np.asarray(x) + b * np.asarray(y) + self.offset) / c
 
-    def distances(self, xyz: np.ndarray) -> np.ndarray:
-        return np.abs(xyz @ np.asarray(self.normal) + self.offset)
-
 
 def _plane_from_points(p0, p1, p2):
     n = np.cross(p1 - p0, p2 - p0)

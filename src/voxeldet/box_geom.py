@@ -50,7 +50,6 @@ class Box3D:
 class Detection:
     box: Box3D
     score: float
-    direction_bit: int = 0
 
     def __post_init__(self):
         if not 0.0 <= self.score <= 1.0:

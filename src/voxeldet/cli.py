@@ -166,6 +166,25 @@ def write_pnm(path, image):
         f.write(image.astype(np.uint8).tobytes())
 
 
+def _edge_params_in_view(a, b, steps, lo, cell, extent):
+    """The values of ``np.linspace(0, 1, steps)``, bit for bit, whose points
+    ``a + t·(b − a)`` can land in the view ``[lo, lo + extent·cell)`` (with one
+    cell of margin), so an edge gets no more samples than the view can hold."""
+    step = 1.0 / (steps - 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t0 = (lo - cell - a) / (b - a)
+        t1 = (lo + (extent + 1) * cell - a) / (b - a)
+    t_lo, t_hi = max(0.0, np.fmin(t0, t1).max()), min(1.0, np.fmax(t0, t1).min())
+    if not t_lo <= t_hi:
+        return np.empty(0)
+    first = max(0, math.floor(t_lo / step) - 1)
+    last = min(steps - 1, math.ceil(t_hi / step) + 1)
+    ts = np.arange(first, last + 1) * step
+    if last == steps - 1:
+        ts[-1] = 1.0
+    return ts
+
+
 def render_bev_image(cfg, cloud, gt_boxes=(), det_boxes=()):
     """Occupancy-gray BEV with gt boxes in green and detections in red."""
     nx, ny, _ = cfg.grid_shape
@@ -186,7 +205,7 @@ def render_bev_image(cfg, cloud, gt_boxes=(), det_boxes=()):
         for i in range(4):
             a, b = corners[i], corners[(i + 1) % 4]
             steps = max(2, int(np.hypot(*(b - a)) / min(v) * 2))
-            ts = np.linspace(0.0, 1.0, steps)
+            ts = _edge_params_in_view(a, b, steps, lo, v, np.array([nx, ny]))
             seg = a[None] + ts[:, None] * (b - a)[None]
             cells = np.floor((seg - lo) / v).astype(np.int64)
             ok = (cells >= 0).all(axis=1) & (cells[:, 0] < nx) & (cells[:, 1] < ny)

@@ -147,7 +147,6 @@ class FusedOutput:
     scores: np.ndarray       # (B, 2, H, W) fused class scores after the sigmoid
     box: np.ndarray          # (B, 14, H, W) residuals from the winning part
     dir_logits: np.ndarray   # (B, 4, H, W)
-    part_index: np.ndarray   # (B, 2, H, W) which part won each cell/anchor
 
 
 def fuse_scores(part_outputs, parts, map_width: int) -> FusedOutput:
@@ -175,5 +174,4 @@ def fuse_scores(part_outputs, parts, map_width: int) -> FusedOutput:
         np.take_along_axis(scores, part_index[None], axis=0)[0],
         np.take_along_axis(box, win, axis=0)[0].reshape(b, BOX_CHANNELS, h, map_width),
         np.take_along_axis(dirs, win, axis=0)[0].reshape(b, DIR_CHANNELS, h, map_width),
-        part_index,
     )

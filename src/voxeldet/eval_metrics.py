@@ -52,16 +52,15 @@ class FrameDetections:
     scores: np.ndarray
 
 
-def stratify(gt: FrameGroundTruth, rules=None) -> dict[str, np.ndarray]:
+def stratify(gt: FrameGroundTruth) -> dict[str, np.ndarray]:
     """Per difficulty, a boolean include-mask over the frame's ground truths.
 
     Ground truths failing a stratum's rule are ignored for that stratum:
     they are not counted as targets and detections matching them are not
     penalized.
     """
-    rules = rules or DIFFICULTY_RULES
     out = {}
-    for name, rule in rules.items():
+    for name, rule in DIFFICULTY_RULES.items():
         out[name] = (
             (gt.heights >= rule.min_bbox_height)
             & (gt.occlusions <= rule.max_occlusion)
@@ -105,22 +104,6 @@ def _greedy_match(detections: FrameDetections, ious, target, target_theta, thres
         kinds.append("ignored" if near_ignored[di] else "fp")
         deltas.append(0.0)
     return kinds, deltas, order
-
-
-def match_frame(detections: FrameDetections, gt_boxes, ignored_boxes, pairwise_fn,
-                threshold: float = CAR_IOU_THRESHOLD):
-    """Greedy score-descending matching; each ground truth matches at most once.
-
-    ``pairwise_fn`` is ``pairwise_iou3d`` or ``pairwise_bev_iou``. Returns
-    (kinds, orientation_deltas, order): per detection (in descending score
-    order) a kind in {"tp", "fp", "ignored"} and, for TPs, the yaw error
-    against the matched ground truth.
-    """
-    gt_boxes = list(gt_boxes)
-    columns = gt_boxes + list(ignored_boxes)
-    ious = pairwise_fn(_box_array(detections.boxes), _box_array(columns))
-    target = np.arange(len(columns)) < len(gt_boxes)
-    return _greedy_match(detections, ious, target, [b.theta for b in gt_boxes], threshold)
 
 
 @dataclass
@@ -230,20 +213,18 @@ class EvalResult:
         return out
 
 
-def evaluate_frames(frames, mode: str = "R11", threshold: float = CAR_IOU_THRESHOLD,
-                    rules=None) -> EvalResult:
+def evaluate_frames(frames, mode: str = "R11", threshold: float = CAR_IOU_THRESHOLD) -> EvalResult:
     """Full protocol: stratify, match in 3D and BEV, sample AP and AOS.
 
     Each frame's 3D and BEV IoU matrices are computed once and shared by
     every stratum. AOS shares the BEV-matched ranking, so aos <= ap_bev
     stratum by stratum.
     """
-    rules = rules or DIFFICULTY_RULES
-    strata = [stratify(gt, rules) for _, gt in frames]
+    strata = [stratify(gt) for _, gt in frames]
     ious_3d = [_frame_ious(dets, gt, pairwise_iou3d) for dets, gt in frames]
     ious_bev = [_frame_ious(dets, gt, pairwise_bev_iou) for dets, gt in frames]
     ap_3d, ap_bev, aos_out = {}, {}, {}
-    for name in rules:
+    for name in DIFFICULTY_RULES:
         masks = [s[name] for s in strata]
         m3d = _pool_matches(frames, ious_3d, masks, threshold)
         mbev = _pool_matches(frames, ious_bev, masks, threshold)

@@ -23,6 +23,8 @@ log = logging.getLogger(__name__)
 
 POINT_RECORD_BYTES = 16
 _ORTHO_TOL = 1e-4
+# value count of each calibration row read, in CalibMatrices field order
+_CALIB_SIZES = {"R0_rect": 9, "Tr_velo_to_cam": 12, "P2": 12}
 
 
 @dataclass(frozen=True)
@@ -61,10 +63,6 @@ class CalibMatrices:
         object.__setattr__(self, "rect", rect)
         object.__setattr__(self, "velo_to_cam", v2c)
         object.__setattr__(self, "proj", proj)
-
-    @staticmethod
-    def identity() -> "CalibMatrices":
-        return CalibMatrices(np.eye(3), np.eye(3, 4), np.eye(3, 4))
 
     def lidar_to_rect(self, xyz: np.ndarray) -> np.ndarray:
         xyz = np.atleast_2d(xyz)
@@ -193,21 +191,34 @@ def write_labels(path, records):
 
 
 def read_calib(path) -> CalibMatrices:
-    data = {}
+    """Read the ``P2``, ``R0_rect`` and ``Tr_velo_to_cam`` rows; other keys are skipped.
+
+    A missing key, a field that is not a number, a wrong value count or a
+    non-finite value raises ValueError prefixed with ``<path>: <key>:``; a
+    rotation that is not orthonormal raises one prefixed with ``<path>:``.
+    """
+    rows = {}
     with open(path, "r") as f:
         for line in f:
-            if ":" not in line:
-                continue
-            key, value = line.split(":", 1)
-            data[key.strip()] = np.array([float(v) for v in value.split()])
+            key, _, value = line.partition(":")
+            rows[key.strip()] = value.split()
+    matrices = []
+    for key, size in _CALIB_SIZES.items():
+        if key not in rows:
+            raise ValueError(f"{path}: missing calibration key {key!r}")
+        try:
+            values = np.array([float(v) for v in rows[key]])
+        except ValueError as exc:
+            raise ValueError(f"{path}: {key}: {exc}") from None
+        if values.size != size:
+            raise ValueError(f"{path}: {key}: expected {size} values, got {values.size}")
+        if not np.isfinite(values).all():
+            raise ValueError(f"{path}: {key}: values must be finite")
+        matrices.append(values)
     try:
-        return CalibMatrices(
-            rect=data["R0_rect"].reshape(3, 3),
-            velo_to_cam=data["Tr_velo_to_cam"].reshape(3, 4),
-            proj=data["P2"].reshape(3, 4),
-        )
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing calibration key {exc}") from exc
+        return CalibMatrices(*matrices)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_calib(path, calib: CalibMatrices):

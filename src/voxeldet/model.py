@@ -97,7 +97,7 @@ class VehicleDetector(Module):
             bits = dirs[bi, a, :, iy, ix].argmax(axis=1)
             boxes = decode(box[bi, a, :, iy, ix], anchors[iy, ix, a], bit=bits)
             ok = np.isfinite(boxes).all(axis=1) & (boxes[:, 3:6].min(axis=1) > 0)
-            dets = [Detection(Box3D.from_array(row), float(s), int(bit))
-                    for row, s, bit in zip(boxes[ok], scores[ok], bits[ok])]
+            dets = [Detection(Box3D.from_array(row), float(s))
+                    for row, s in zip(boxes[ok], scores[ok])]
             results.append(oriented_nms(dets, cfg.nms_iou))
         return results

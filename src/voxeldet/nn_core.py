@@ -150,12 +150,6 @@ class Tensor:
     def __rsub__(self, other):
         return add(other, -self)
 
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
     def __pow__(self, p):
         return power(self, p)
 
@@ -280,12 +274,6 @@ def mul(a, b) -> Tensor:
     return _binary(a, b, a.data * b.data, lambda g: g * b.data, lambda g: g * a.data)
 
 
-def div(a, b) -> Tensor:
-    a, b = _wrap_pair(a, b)
-    return _binary(a, b, a.data / b.data, lambda g: g / b.data,
-                   lambda g: -g * a.data / (b.data * b.data))
-
-
 def power(a, p: float) -> Tensor:
     a = _wrap(a)
     return _unary(a, a.data ** p, lambda g: g * p * a.data ** (p - 1))
@@ -375,24 +363,19 @@ def narrow(a, axis: int, start: int, length: int) -> Tensor:
     return _unary(a, a.data[index].copy(), grad)
 
 
-def concat(tensors, axis: int = 1) -> Tensor:
+def concat(tensors) -> Tensor:
+    """Join tensors along the channel axis (axis 1)."""
     tensors = [_wrap(t) for t in tensors]
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
+    out_data = np.concatenate([t.data for t in tensors], axis=1)
+    offsets = np.cumsum([0] + [t.shape[1] for t in tensors])
 
     def backward():
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
             if t.requires_grad:
-                index = [slice(None)] * out.grad.ndim
-                index[axis] = slice(lo, hi)
-                t._accumulate(out.grad[tuple(index)])
+                t._accumulate(out.grad[:, lo:hi])
 
     out = _node(out_data, tuple(tensors), backward)
     return out
-
-
-def concat_channels(tensors) -> Tensor:
-    return concat(tensors, axis=1)
 
 
 # -- 2D feature-map operations -----------------------------------------------------

@@ -187,7 +187,7 @@ class DetectionBranch(Module):
         x = nn_core.conv_bn(x, self.mid, self.mid_norm)
         x = nn_core.upsample_nearest2(x)
         x = nn_core.conv_bn(x, self.up, self.up_norm)
-        return nn_core.concat_channels([bev, x])
+        return nn_core.concat([bev, x])
 
 
 def fuse(features: Tensor, probability: Tensor) -> Tensor:

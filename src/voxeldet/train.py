@@ -39,10 +39,9 @@ class LossWeights:
 
 @dataclass
 class TargetAssignment:
-    """Per anchor: label (+1 / 0 / -1 ignored), matched gt, residuals, yaw bin."""
+    """Per anchor: label (+1 / 0 / -1 ignored), residuals, yaw bin."""
 
     labels: np.ndarray          # (n,) int8
-    matched_gt: np.ndarray      # (n,) int64, -1 when unmatched
     residuals: np.ndarray       # (n, 7)
     direction_bits: np.ndarray  # (n,) int64
 
@@ -76,7 +75,7 @@ def assign_targets(anchors: np.ndarray, gts, positive_iou: float = 0.6,
         if pos.any():
             residuals[pos] = encode(gt_arr[matched[pos]], anchors[pos])
             bits[pos] = direction_bit(gt_arr[matched[pos], 6])
-    return TargetAssignment(labels, matched, residuals, bits)
+    return TargetAssignment(labels, residuals, bits)
 
 
 # -- loss terms -------------------------------------------------------------------

@@ -158,12 +158,6 @@ def voxelize(cloud: PointCloud, cfg: VoxelizerConfig) -> SparseVoxelGrid:
     return SparseVoxelGrid(shape, decode_site_keys(voxel_flat, shape)[1], features)
 
 
-def sparsity(grid: SparseVoxelGrid) -> float:
-    """Fraction of grid cells that are empty."""
-    nx, ny, nz = grid.shape
-    return 1.0 - grid.num_sites / float(nx * ny * nz)
-
-
 def format_grid_dump(grid: SparseVoxelGrid) -> str:
     """Text dump: header "nx ny nz channels", one "ix iy iz f0 f1 ..." per site."""
     lines = [f"{grid.shape[0]} {grid.shape[1]} {grid.shape[2]} {grid.channels}"]
@@ -171,16 +165,3 @@ def format_grid_dump(grid: SparseVoxelGrid) -> str:
         lines.append(f"{ix} {iy} {iz} " + " ".join(f"{f:.17g}" for f in feat))
     return "\n".join(lines) + "\n"
 
-
-def parse_grid_dump(text: str) -> SparseVoxelGrid:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    nx, ny, nz, channels = (int(v) for v in lines[0].split())
-    indices, features = [], []
-    for ln in lines[1:]:
-        fields = ln.split()
-        indices.append([int(v) for v in fields[:3]])
-        features.append([float(v) for v in fields[3 : 3 + channels]])
-    if not indices:
-        return SparseVoxelGrid((nx, ny, nz), np.empty((0, 3), np.int64),
-                               np.empty((0, channels)))
-    return SparseVoxelGrid((nx, ny, nz), np.array(indices), np.array(features))

@@ -485,7 +485,7 @@ def fuse_scores_per_part(part_outputs, parts, map_width):
             dir_slice[np.broadcast_to(win[:, None], dir_slice.shape)] = dir_vals[
                 np.broadcast_to(win[:, None], dir_vals.shape)
             ]
-    return FusedOutput(scores, box, dir_logits, part_index)
+    return FusedOutput(scores, box, dir_logits)
 
 
 def decode_per_candidate(fused, anchors, score_threshold, pre_nms_top_k, max_size):
@@ -513,8 +513,8 @@ def decode_per_candidate(fused, anchors, score_threshold, pre_nms_top_k, max_siz
             decoded = decode(residual, anchors[iy, ix, a], bit=int(dir_pair.argmax()))
             if not np.all(np.isfinite(decoded)) or decoded[3:6].min() <= 0:
                 continue
-            dets.append(Detection(Box3D.from_array(decoded), float(fused.scores[b, a, iy, ix]),
-                                  int(dir_pair.argmax())))
+            dets.append(Detection(Box3D.from_array(decoded),
+                                  float(fused.scores[b, a, iy, ix])))
         results.append(dets)
     return results
 

@@ -64,15 +64,15 @@ class TestFitGroundPlane:
         pts = np.array([[0, 0, 0.0], [1, 0, 1.0], [0, 1, 2.0]])
         cloud = PointCloud(np.column_stack([pts, np.zeros(3)]))
         plane = fit_ground_plane(cloud, iterations=5, seed=0)
-        for p in pts:
-            assert plane.distances(p[None]) == pytest.approx(0.0, abs=1e-12)
+        np.testing.assert_allclose(pts @ np.asarray(plane.normal) + plane.offset, 0.0,
+                                   atol=1e-12)
 
     def test_coplanar_all_inliers(self):
         rng = np.random.default_rng(6)
         pts = np.column_stack([rng.uniform(0, 10, 50), rng.uniform(0, 10, 50), np.full(50, 2.5)])
         cloud = PointCloud(np.column_stack([pts, np.zeros(50)]))
         plane = fit_ground_plane(cloud, iterations=10, seed=2)
-        assert (plane.distances(pts) < 1e-9).all()
+        assert (np.abs(pts @ np.asarray(plane.normal) + plane.offset) < 1e-9).all()
 
     def test_too_few_points(self):
         with pytest.raises(ValueError, match="at least 3"):

@@ -238,9 +238,11 @@ class TestNms:
         assert [d.score for d in kept] == [0.9, 0.7]
 
     def test_tie_keeps_earlier(self):
-        b = _box()
-        kept = oriented_nms([Detection(b, 0.5, 0), Detection(b, 0.5, 1)], 0.05)
-        assert len(kept) == 1 and kept[0].direction_bit == 0
+        b, shifted = _box(), _box(x=0.01)
+        kept = oriented_nms([Detection(b, 0.5), Detection(shifted, 0.5)], 0.05)
+        assert len(kept) == 1 and kept[0].box == b
+        kept = oriented_nms([Detection(shifted, 0.5), Detection(b, 0.5)], 0.05)
+        assert len(kept) == 1 and kept[0].box == shifted
 
     def test_kept_are_antichain(self):
         rng = np.random.default_rng(1)

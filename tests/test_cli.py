@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from voxeldet.config import RunConfig, dump_config, parse_config, toy_config
 from voxeldet.kitti_io import (
     CalibMatrices,
     PointCloud,
+    detection_to_label,
     write_calib,
     write_detections,
     write_labels,
@@ -58,6 +60,23 @@ BAD_DETECTION_LINES = [
     ("12.0 0.0 -1.0 1.6 0.0 1.56 0.0 0.8\n", "box sizes must be positive"),
     ("12.0 0.0 -1.0 1.6 3.9 1.56 0.0 1.5\n", "score out of range: 1.5"),
 ]
+# a calibration row, how it is broken, and the error it gives after "<path>: "
+BAD_CALIB_ROWS = [
+    ("Tr_velo_to_cam", lambda v: v[:-1] + ["nan"], "Tr_velo_to_cam: values must be finite"),
+    ("R0_rect", lambda v: v[:-1], "R0_rect: expected 9 values, got 8"),
+    ("P2", lambda v: v[:-1] + ["abc"], "P2: could not convert string to float: 'abc'"),
+]
+
+
+def _bad_calib(path, key, breaks):
+    """``_calib()`` written to ``path`` with the values of its ``key`` row broken."""
+    write_calib(path, _calib())
+    lines = []
+    for line in path.read_text().splitlines():
+        name, values = line.split(":")
+        lines.append(f"{name}: {' '.join(breaks(values.split()))}" if name == key else line)
+    path.write_text("\n".join(lines) + "\n")
+    return path
 BAD_DETECTION_IDS = ["non_numeric", "zero_length", "score_1.5"]
 
 
@@ -459,6 +478,57 @@ class TestSubcommands:
         pixels = np.frombuffer(raw.split(b"\n", 3)[3], dtype=np.uint8).reshape(192, 192, 3)
         # red outline present
         assert ((pixels[:, :, 0] == 255) & (pixels[:, :, 1] == 0)).any()
+
+    def test_render_bev_samples_only_inside_the_image(self, tmp_path):
+        """A 100 km detection costs about what a 10 m one does, and draws the
+        same two long edges across the toy image: 2 rows of 192 pixels."""
+        cfg = _toy_cfg_file(tmp_path)
+        cloud = _golden_cloud(tmp_path)
+        images, peaks = [], []
+        for length in (10.0, 1e5):
+            dets_path, out = tmp_path / f"dets_{length}.txt", tmp_path / f"scene_{length}.ppm"
+            write_simple_detections(
+                dets_path, [Detection(Box3D(4.8, 0.0, -1.0, 1.6, length, 1.56, 0.0), 0.9)])
+            tracemalloc.start()
+            try:
+                assert run_cli("--config", str(cfg), "render-bev", "--cloud", str(cloud),
+                               "--detections", str(dets_path), "--out", str(out)) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            images.append(out.read_bytes())
+        assert images[0] == images[1]
+        pixels = np.frombuffer(images[1].split(b"\n", 3)[3], dtype=np.uint8).reshape(192, 192, 3)
+        assert ((pixels[:, :, 0] == 255) & (pixels[:, :, 1] == 0)).sum() == 384
+        assert peaks[1] < 16 * 2**20, peaks
+
+    @pytest.mark.parametrize("command", ["eval", "masks", "render-bev", "forward"])
+    @pytest.mark.parametrize("key, breaks, message", BAD_CALIB_ROWS,
+                             ids=[key for key, _, _ in BAD_CALIB_ROWS])
+    def test_bad_calibration_exits_2_naming_file_and_key(self, tmp_path, capsys, command, key,
+                                                         breaks, message):
+        for d in ("dets", "labels", "calib"):
+            os.makedirs(tmp_path / d)
+        det = Detection(Box3D(4.8, 0.0, -1.0, 1.6, 3.9, 1.56, 0.0), 0.9)
+        write_simple_detections(tmp_path / "dets" / "000000.txt", [det])
+        labels = tmp_path / "labels" / "000000.txt"
+        write_labels(labels, [detection_to_label(det, _calib())])
+        calib = _bad_calib(tmp_path / "calib" / "000000.txt", key, breaks)
+        cloud, out = _golden_cloud(tmp_path), tmp_path / "out"
+        args = {
+            "eval": ["--detections-dir", tmp_path / "dets", "--labels-dir", tmp_path / "labels",
+                     "--calib-dir", tmp_path / "calib"],
+            "masks": ["--cloud", cloud, "--labels", labels, "--calib", calib],
+            "render-bev": ["--cloud", cloud, "--labels", labels, "--calib", calib],
+            "forward": ["--cloud", cloud, "--checkpoint", tmp_path / "model.bin",
+                        "--kitti-out", tmp_path / "kitti.txt", "--calib", calib],
+        }[command]
+        if command == "forward":
+            save_checkpoint(tmp_path / "model.bin", VehicleDetector(toy_config()).state_dict())
+        assert run_cli("--config", str(_toy_cfg_file(tmp_path)), command,
+                       *map(str, args), "--out", str(out)) == 2
+        assert not out.exists()
+        assert f"data error: {calib}: {message}" in capsys.readouterr().err
 
     def test_dump_config_roundtrip_via_cli(self, tmp_path, capsys):
         out = tmp_path / "cfg.txt"

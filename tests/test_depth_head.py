@@ -131,15 +131,14 @@ class TestFuseScores:
         fused = fuse_scores(outs, self.PARTS, 16)
         # overlap cells 6..7 covered by both: part 1 wins with 0.7
         assert fused.scores[0, 0, 0, 7] == pytest.approx(0.7)
-        assert fused.part_index[0, 0, 0, 7] == 1
         assert fused.box[0, 3, 0, 7] == 2.0
         assert fused.dir_logits[0, 1, 0, 7] == 1.0
 
     def test_tie_prefers_lower_index(self):
         outs = _const_output(self.PARTS, 1, [0.5, 0.5], [1.0, 2.0])
         fused = fuse_scores(outs, self.PARTS, 16)
-        assert fused.part_index[0, 0, 0, 7] == 0
         assert fused.box[0, 0, 0, 7] == 1.0
+        assert fused.dir_logits[0, 0, 0, 7] == 0.0
 
     def test_max_property_randomized(self):
         rng = np.random.default_rng(5)
@@ -198,13 +197,17 @@ class TestFuseScoresOracle:
                                    Tensor(rng.normal(size=(2, 4, 3, spec.width)).astype(dtype))))
         fused = fuse_scores(outs, self.PARTS, 20)
         oracle = fuse_scores_per_part(outs, self.PARTS, 20)
-        for name in ("scores", "box", "dir_logits", "part_index"):
+        for name in ("scores", "box", "dir_logits"):
             got, want = getattr(fused, name), getattr(oracle, name)
             assert got.dtype == want.dtype, name
             np.testing.assert_array_equal(got, want, err_msg=name)
-        # the lattice does produce ties that a higher part index loses
-        overlap = fused.part_index[..., 5:9]
-        assert (overlap == 0).any() and (overlap == 1).any()
+        # the lattice does produce ties that a higher part index loses: in the
+        # band 5..8 that parts 0 to 2 cover, part 0 ties part 1 at the maximum
+        band = np.stack([outs[0].cls_logits.data[..., 5:9], outs[1].cls_logits.data[..., :4],
+                         outs[2].cls_logits.data[..., :4]])
+        top = band.max(axis=0)
+        assert ((band[0] == top) & (band[1] == top)).any()
+        assert (band.argmax(axis=0) == 1).any()
 
 
 class TestHead:

@@ -18,7 +18,6 @@ from voxeldet.eval_metrics import (
     evaluate_frames,
     format_machine_report,
     format_report,
-    match_frame,
     stratify,
 )
 
@@ -45,29 +44,33 @@ def _dets(boxes, scores):
 
 
 class TestMatchFrame:
+    """One frame matched through ``accumulate_matches`` at the Car threshold."""
+
     def test_exact_hit(self):
         gt = [_box(10.0)]
-        kinds, deltas, _ = match_frame(_dets(gt, [0.9]), gt, [], pairwise_iou3d)
-        assert kinds == ["tp"]
-        assert deltas[0] == 0.0
+        matches = accumulate_matches([(_dets(gt, [0.9]), _gt(gt))], pairwise_iou3d)
+        assert matches.is_tp.tolist() == [True]
+        assert matches.similarities.tolist() == [1.0]
 
     def test_double_detection_single_match(self):
         gt = [_box(10.0)]
-        kinds, _, _ = match_frame(_dets([gt[0], gt[0]], [0.9, 0.8]), gt, [], pairwise_iou3d)
-        assert kinds == ["tp", "fp"]
+        matches = accumulate_matches([(_dets([gt[0], gt[0]], [0.9, 0.8]), _gt(gt))],
+                                     pairwise_iou3d)
+        assert matches.is_tp.tolist() == [True, False]
+        assert matches.is_fp.tolist() == [False, True]
 
     def test_threshold_boundary(self):
         gt = [_box(10.0)]
         # x-shift chosen so 3D IoU lands just under 0.7
         shifted = _box(10.0 + 0.7)
         assert 0.65 < iou3d(shifted, gt[0]) < 0.70
-        kinds, _, _ = match_frame(_dets([shifted], [0.9]), gt, [], pairwise_iou3d)
-        assert kinds == ["fp"]
+        matches = accumulate_matches([(_dets([shifted], [0.9]), _gt(gt))], pairwise_iou3d)
+        assert matches.is_fp.tolist() == [True]
 
     def test_ignored_region_not_fp(self):
-        ignored = [_box(20.0)]
-        kinds, _, _ = match_frame(_dets([_box(20.0)], [0.9]), [], ignored, pairwise_iou3d)
-        assert kinds == ["ignored"]
+        frame = (_dets([_box(20.0)], [0.9]), _gt([], ignored=[_box(20.0)]))
+        matches = accumulate_matches([frame], pairwise_iou3d)
+        assert len(matches.scores) == 0 and matches.n_gt == 0
 
 
 class TestAveragePrecision:
@@ -265,33 +268,46 @@ class TestMatrixMatching:
         first, second = replace(a, z=0.0), replace(a, z=-1.0)
         assert iou3d(first, a) == iou3d(first, b) == pytest.approx(0.6)
         assert iou3d(second, a) >= 0.5 > iou3d(second, b)
-        # the tied detection takes b, which leaves a for the second one
-        kinds, _, _ = match_frame(_dets([first, second], [0.9, 0.8]), [a, b], [],
-                                  pairwise_iou3d, threshold=0.5)
-        assert kinds == ["tp", "tp"]
+        # the tied detection takes b, which leaves a for the second one: both
+        # match, where taking a would leave the second one a false positive
+        frame = (_dets([first, second], [0.9, 0.8]), _gt([a, b]))
+        assert evaluate_frames([frame], threshold=0.5).ap_3d["easy"] == pytest.approx(100.0)
 
     def test_iou_equal_to_threshold_counts(self):
         gt, det = _box(10.0), _box(10.7)
         at = iou3d(det, gt)
-        kinds, _, _ = match_frame(_dets([det], [0.9]), [gt], [], pairwise_iou3d, at)
-        assert kinds == ["tp"]
-        kinds, _, _ = match_frame(_dets([det], [0.9]), [], [gt], pairwise_iou3d, at)
-        assert kinds == ["ignored"]
+        result = evaluate_frames([(_dets([det], [0.9]), _gt([gt]))], threshold=at)
+        assert result.ap_3d["easy"] == pytest.approx(100.0)
+        # as an ignore region it absorbs the detection, which would otherwise
+        # be a false positive ranked above the exact hit on the far car
+        far = _box(40.0)
+        frame = (_dets([det, far], [0.9, 0.8]), _gt([far], ignored=[gt]))
+        result = evaluate_frames([frame], threshold=at)
+        assert result.ap_3d["easy"] == pytest.approx(100.0)
 
     def test_match_frame_equals_per_pair_oracle(self):
+        """One frame through ``accumulate_matches`` ranks the outcomes of the
+        per-pair greedy oracle."""
         rng = np.random.default_rng(11)
         for _ in range(40):
             dets, gt = _random_frame(rng)
             keep = rng.random(len(gt.boxes)) < 0.7
             targets = [b for b, k in zip(gt.boxes, keep) if k]
             ignored = [b for b, k in zip(gt.boxes, keep) if not k] + gt.ignored_boxes
-            for threshold in (0.5, 0.7):
-                for pairwise_fn, iou_fn in ((pairwise_iou3d, iou3d), (pairwise_bev_iou, bev_iou)):
-                    kinds, deltas, order = match_frame(dets, targets, ignored, pairwise_fn,
-                                                       threshold)
-                    want = match_frame_per_pair(dets, targets, ignored, iou_fn, threshold)
-                    assert (kinds, deltas) == want[:2]
-                    np.testing.assert_array_equal(order, want[2])
+            frame = (dets, _gt(targets, ignored=ignored))
+            for pairwise_fn, iou_fn in ((pairwise_iou3d, iou3d), (pairwise_bev_iou, bev_iou)):
+                got = accumulate_matches([frame], pairwise_fn)
+                kinds, deltas, order = match_frame_per_pair(
+                    dets, targets, ignored, iou_fn, eval_metrics.CAR_IOU_THRESHOLD)
+                ranked = [(kind, delta, di) for kind, delta, di in zip(kinds, deltas, order)
+                          if kind != "ignored"]
+                assert got.n_gt == len(targets)
+                assert got.scores.tolist() == [dets.scores[di] for _, _, di in ranked]
+                assert got.is_tp.tolist() == [kind == "tp" for kind, _, _ in ranked]
+                assert got.is_fp.tolist() == [kind == "fp" for kind, _, _ in ranked]
+                assert got.similarities.tolist() == [
+                    (1.0 + np.cos(delta)) / 2.0 if kind == "tp" else 0.0
+                    for kind, delta, _ in ranked]
 
     def test_evaluate_frames_equals_per_pair_oracle(self):
         rng = np.random.default_rng(12)
@@ -327,8 +343,9 @@ class TestMatrixMatching:
         rng = np.random.default_rng(13)
         frames = [_random_frame(rng) for _ in range(5)]
         rule = eval_metrics.DifficultyRule(0.0, 9, 1.0)
-        for rules in ({"all": rule}, None, dict(DIFFICULTY_RULES, a=rule, b=rule)):
+        for rules in ({"all": rule}, DIFFICULTY_RULES, dict(DIFFICULTY_RULES, a=rule, b=rule)):
+            monkeypatch.setattr(eval_metrics, "DIFFICULTY_RULES", rules)
             calls.clear()
-            evaluate_frames(frames, rules=rules)
+            assert list(evaluate_frames(frames).ap_3d) == list(rules)
             assert calls == {"3d": 5, "bev": 5, "stratify": 5}
 

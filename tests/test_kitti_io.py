@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -128,7 +130,7 @@ class TestLabels:
 
 class TestFrameConversion:
     def test_identity_calib_yaw(self):
-        calib = CalibMatrices.identity()
+        calib = CalibMatrices(np.eye(3), np.eye(3, 4), np.eye(3, 4))
         rec = LabelRecord("Car", 0, 0, 0, (0, 0, 10, 10), (1.5, 1.6, 3.9), (0, 0, 0),
                           rotation_y=-np.pi / 2)
         box = camera_box_to_lidar(rec, calib)
@@ -206,6 +208,38 @@ class TestCalibIO:
         np.testing.assert_allclose(back.rect, calib.rect)
         np.testing.assert_allclose(back.velo_to_cam, calib.velo_to_cam)
         np.testing.assert_allclose(back.proj, calib.proj)
+
+    @pytest.mark.parametrize("key, row, message", [
+        ("P2", "1 0 0 0 0 1 0 0 0 0 1 abc", "could not convert string to float: 'abc'"),
+        ("R0_rect", "1 0 0 0 1 0 0 0", "expected 9 values, got 8"),
+        ("Tr_velo_to_cam", "1 0 0 0 0 1 0 0 0 0 1 nan", "values must be finite"),
+        ("Tr_velo_to_cam", "1 0 0 0 0 1 0 0 0 0 1 inf", "values must be finite"),
+    ])
+    def test_bad_row_names_file_and_key(self, tmp_path, key, row, message):
+        rows = {"P2": "1 0 0 0 0 1 0 0 0 0 1 0", "R0_rect": "1 0 0 0 1 0 0 0 1",
+                "Tr_velo_to_cam": "1 0 0 0 0 1 0 0 0 0 1 0", key: row}
+        path = tmp_path / "calib.txt"
+        path.write_text("".join(f"{name}: {values}\n" for name, values in rows.items()))
+        with pytest.raises(ValueError) as info:
+            read_calib(path)
+        assert str(info.value) == f"{path}: {key}: {message}"
+
+    def test_missing_key_and_unused_rows(self, tmp_path):
+        path = tmp_path / "calib.txt"
+        path.write_text("P0: not numbers\nP2: 1 0 0 0 0 1 0 0 0 0 1 0\n"
+                        "R0_rect: 1 0 0 0 1 0 0 0 1\n")
+        with pytest.raises(ValueError, match=r"\.txt: missing calibration key 'Tr_velo_to_cam'"):
+            read_calib(path)
+        with path.open("a") as f:
+            f.write("Tr_velo_to_cam: 1 0 0 0 0 1 0 0 0 0 1 0\n")
+        np.testing.assert_array_equal(read_calib(path).proj, np.eye(3, 4))
+
+    def test_non_orthonormal_row_names_file(self, tmp_path):
+        path = tmp_path / "calib.txt"
+        write_calib(path, CalibMatrices(np.eye(3), np.eye(3, 4), np.eye(3, 4)))
+        path.write_text(path.read_text().replace("R0_rect: 1.0", "R0_rect: 2.0"))
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: rect is not orthonormal"):
+            read_calib(path)
 
     def test_non_orthonormal_rejected(self):
         with pytest.raises(ValueError, match="orthonormal"):

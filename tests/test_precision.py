@@ -23,9 +23,7 @@ from voxeldet.nn_core import (
     batch_norm,
     clamp,
     concat,
-    concat_channels,
     conv2d,
-    div,
     load_checkpoint,
     log,
     logsumexp,
@@ -127,13 +125,12 @@ class TestEngineDtype:
          lambda x: x.reshape(2, 3, 2, 2, 2, 2).max(axis=(3, 5))),
         ("upsample_nearest2", upsample_nearest2,
          lambda x: x.repeat(2, axis=2).repeat(2, axis=3)),
-        ("concat", lambda t: concat([t, t * 2.0], axis=1),
+        ("concat", lambda t: concat([t, t * 2.0]),
          lambda x: np.concatenate([x, x * 2.0], axis=1)),
         ("narrow", lambda t: narrow(t, 3, 1, 2), lambda x: x[:, :, :, 1:3]),
         ("add_scalar", lambda t: 1.0 + t, lambda x: 1.0 + x),
         ("mul_scalar", lambda t: t * 0.3, lambda x: x * 0.3),
         ("rsub_scalar", lambda t: 2 - t, lambda x: 2.0 - x),
-        ("div_scalar", lambda t: t / 3.0, lambda x: x / 3.0),
     ])
     def test_elementwise_and_shape_ops(self, name, op, ref):
         x = np.random.default_rng(80).normal(size=(2, 3, 4, 4))
@@ -146,7 +143,6 @@ class TestEngineDtype:
     @pytest.mark.parametrize("name, op", [
         ("add", lambda t, u: add(t, u)),
         ("mul", lambda t, u: mul(t, u)),
-        ("div", lambda t, u: div(t, u)),
         ("sub_neg", lambda t, u: -(t - u)),
         ("power", lambda t, u: power(t, 1.5)),
         ("log", lambda t, u: log(t)),
@@ -159,11 +155,10 @@ class TestEngineDtype:
         ("reduce_sum_full", lambda t, u: reduce_sum(t)),
         ("reduce_mean_axis", lambda t, u: reduce_mean(t, axis=1)),
         ("reduce_mean_full", lambda t, u: reduce_mean(t)),
-        ("scalar_chain", lambda t, u: mul(reduce_sum(t), 0.5) / 3.0 + 1.0),
+        ("scalar_chain", lambda t, u: mul(reduce_sum(t), 0.5) * 3.0 + 1.0),
         ("reshape", lambda t, u: reshape(t, (6, 16))),
         ("narrow", lambda t, u: narrow(t, 2, 1, 2)),
-        ("concat", lambda t, u: concat([t, u], axis=0)),
-        ("concat_channels", lambda t, u: concat_channels([t, u])),
+        ("concat", lambda t, u: concat([t, u])),
         ("conv2d", lambda t, u: conv2d(t, Tensor(np.full((2, 3, 3, 3), 0.1), requires_grad=True),
                                        Tensor(np.zeros(2), requires_grad=True),
                                        ConvSpec(3, 2, kernel=3, stride=2, padding=1))),

@@ -1,15 +1,19 @@
 """Every top-level public function and class, every public method and
 property of a public class, and every dataclass field in ``voxeldet`` has a
-reader.
+program reader.
 
-A name counts as read when it appears as a whole word in a ``.py`` file under
-``src/``, ``tests/`` or ``benchmark/`` on any line other than its own
-definition, either bare (``voxelize(...)``, ``from .x import voxelize``,
-``"voxelize"``) or qualified by its own module (``voxel_grid.voxelize``).
+The program readers are the ``.py`` files under ``src/`` and ``benchmark/``
+and ``tests/test_acceptance.py``, the specified API. A read in any other test
+does not count: a name that only its own unit tests call is not used.
+
+A name counts as read when it appears as a whole word in a reader on any
+line other than its own definition, either bare (``voxelize(...)``,
+``from .x import voxelize``, ``"voxelize"``) or qualified by its own module
+(``voxel_grid.voxelize``).
 An attribute of anything else (``np.matmul``) is a different name.
 
-A dataclass field counts as read when ``.field`` appears anywhere in those
-files, on whatever object; building the dataclass does not read its fields.
+A dataclass field counts as read when ``.field`` appears anywhere in the
+readers, on whatever object; building the dataclass does not read its fields.
 A method or property counts as read when ``.name`` appears on any line other
 than its own ``def``, again on whatever object. Dunders, ``_private`` methods
 and the methods of private classes (``cli._Parser.error`` overrides argparse)
@@ -37,10 +41,15 @@ def public_definitions(package: Path):
     return out
 
 
+def program_readers(root: Path) -> list[Path]:
+    """The files and directories whose reads keep a name of ``root/src`` alive."""
+    return [root / "src", root / "benchmark", root / "tests" / "test_acceptance.py"]
+
+
 def _sources(search_roots):
     return {p: p.read_text().splitlines()
-            for root in search_roots for p in sorted(root.rglob("*.py"))
-            if p != Path(__file__).resolve()}
+            for root in search_roots
+            for p in ([root] if root.is_file() else sorted(root.rglob("*.py")))}
 
 
 def dataclass_fields(package: Path):
@@ -99,21 +108,21 @@ def unread_methods(package: Path, search_roots) -> list[str]:
 
 def test_every_public_name_is_read():
     package = ROOT / "src" / "voxeldet"
-    roots = [ROOT / "src", ROOT / "tests", ROOT / "benchmark"]
+    roots = program_readers(ROOT)
     assert public_definitions(package), "no definitions found"
     assert unread_names(package, roots) == []
 
 
 def test_every_public_method_and_property_is_read():
     package = ROOT / "src" / "voxeldet"
-    roots = [ROOT / "src", ROOT / "tests", ROOT / "benchmark"]
+    roots = program_readers(ROOT)
     assert public_methods(package), "no methods found"
     assert unread_methods(package, roots) == []
 
 
 def test_every_dataclass_field_is_read():
     package = ROOT / "src" / "voxeldet"
-    roots = [ROOT / "src", ROOT / "tests", ROOT / "benchmark"]
+    roots = program_readers(ROOT)
     assert dataclass_fields(package), "no dataclass fields found"
     assert unread_fields(package, roots) == []
 
@@ -158,3 +167,27 @@ def test_scanner_flags_unread_methods_and_properties(tmp_path):
     )
     (tmp_path / "reader.py").write_text("layer = Layer()\nprint(layer.width)\n")
     assert unread_methods(package, [tmp_path]) == ["layers.Layer.reset", "layers.Layer.depth"]
+
+
+def test_scanner_counts_only_program_readers(tmp_path):
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (tmp_path / "benchmark").mkdir()
+    (tmp_path / "tests").mkdir()
+    (package / "ops.py").write_text(
+        "def run():\n    return accepted()\n\n\n"
+        "def accepted():\n    pass\n\n\n"
+        "def only_tested():\n    pass\n"
+    )
+    (tmp_path / "benchmark" / "run.py").write_text("from pkg.ops import run\n")
+    (tmp_path / "tests" / "test_ops.py").write_text("from pkg.ops import only_tested\n")
+    assert unread_names(package, program_readers(tmp_path)) == ["ops.only_tested"]
+
+
+def test_scanner_counts_the_acceptance_file(tmp_path):
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (tmp_path / "tests").mkdir()
+    (package / "ops.py").write_text("def specified():\n    pass\n")
+    (tmp_path / "tests" / "test_acceptance.py").write_text("from pkg.ops import specified\n")
+    assert unread_names(package, program_readers(tmp_path)) == []

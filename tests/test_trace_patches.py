@@ -15,6 +15,8 @@ CLI_SPANS = """
 import os
 import sys
 
+import numpy as np
+
 import harness
 from voxeldet import cli
 from voxeldet.box_geom import Box3D, Detection
@@ -25,7 +27,7 @@ harness.install_patches(tracer)
 root = sys.argv[1]
 for d in ("dets", "labels", "calib", "kept"):
     os.makedirs(os.path.join(root, d))
-calib = CalibMatrices.identity()
+calib = CalibMatrices(np.eye(3), np.eye(3, 4), np.eye(3, 4))
 det = Detection(Box3D(10.0, 0.0, -1.0, 1.6, 3.9, 1.56, 0.3), 0.9)
 cli.write_simple_detections(os.path.join(root, "dets", "000000.txt"), [det])
 write_labels(os.path.join(root, "labels", "000000.txt"), [detection_to_label(det, calib)])

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from voxeldet.box_geom import Box3D, build_anchor_grid, iou3d, oriented_nms
+from voxeldet.box_geom import Box3D, build_anchor_grid, encode, iou3d, oriented_nms
 from voxeldet.config import toy_config
 from voxeldet.depth_head import PartOutput, fuse_scores
 from voxeldet.model import ModelOutput, VehicleDetector
@@ -53,7 +53,7 @@ class TestAssignTargets:
     def test_no_gts_all_negative(self):
         asn = assign_targets(self._anchors(), [])
         assert (asn.labels == 0).all()
-        assert (asn.matched_gt == -1).all()
+        assert (asn.residuals == 0.0).all() and (asn.direction_bits == 0).all()
 
     def test_anchor_identical_to_gt(self):
         anchors = self._anchors()
@@ -70,8 +70,11 @@ class TestAssignTargets:
         ious = np.array([iou3d(Box3D.from_array(a), gt) for a in anchors])
         assert 0.45 < ious.max() < 0.6
         asn = assign_targets(anchors, [gt])
-        assert asn.labels[ious.argmax()] == 1
-        assert asn.matched_gt[ious.argmax()] == 0
+        best = ious.argmax()
+        assert asn.labels[best] == 1
+        # the forced anchor encodes the only ground truth
+        np.testing.assert_allclose(asn.residuals[best], encode(gt.as_array(), anchors[best]),
+                                   rtol=0.0, atol=1e-12)
 
     def test_labels_monotone_in_iou(self):
         anchors = self._anchors()
@@ -250,8 +253,7 @@ class TestPartTargets:
         rng = np.random.default_rng(lo * 10 + hi)
         assignments = [
             TargetAssignment(rng.integers(-1, 2, size=n).astype(np.int8),
-                             rng.integers(-1, 3, size=n), rng.normal(size=(n, 7)),
-                             rng.integers(0, 2, size=n))
+                             rng.normal(size=(n, 7)), rng.integers(0, 2, size=n))
             for _ in range(3)
         ]
         self._assert_same(build_part_targets(assignments, h, w, lo, hi),

@@ -12,9 +12,7 @@ from voxeldet.voxel_grid import (
     decode_site_keys,
     format_grid_dump,
     make_grid,
-    parse_grid_dump,
     site_keys,
-    sparsity,
     voxelize,
 )
 
@@ -130,29 +128,6 @@ class TestVoxelize:
             assert np.all(feat[:3] <= cell_lo + v + 1e-12)
 
 
-class TestSparsity:
-    def test_empty_grid(self):
-        grid = voxelize(PointCloud(np.empty((0, 4))), DEFAULT)
-        assert sparsity(grid) == 1.0
-
-    def test_paper_scale_sparsity(self):
-        n = 16_000
-        rng = np.random.default_rng(3)
-        # n distinct sites on the default grid
-        flat = rng.choice(1408 * 1600 * 40, size=n, replace=False)
-        iz, rem = np.divmod(flat, 1408 * 1600)
-        iy, ix = np.divmod(rem, 1408)
-        grid = make_grid((1408, 1600, 40), np.stack([ix, iy, iz], 1), np.ones((n, 4)))
-        assert sparsity(grid) == pytest.approx(1.0 - 16000 / 90_112_000)
-        assert sparsity(grid) == pytest.approx(0.99982, abs=1e-5)
-
-    def test_fully_dense_toy(self):
-        shape = (2, 2, 2)
-        idx = np.array([[x, y, z] for z in range(2) for y in range(2) for x in range(2)])
-        grid = SparseVoxelGrid(shape, idx, np.zeros((8, 4)))
-        assert sparsity(grid) == 0.0
-
-
 class TestGridDump:
     def test_roundtrip(self):
         rng = np.random.default_rng(4)
@@ -161,10 +136,12 @@ class TestGridDump:
             rng.uniform(-3, 1, 50), rng.uniform(0, 1, 50),
         ])
         grid = voxelize(PointCloud(pts), TOY)
-        back = parse_grid_dump(format_grid_dump(grid))
-        assert back.shape == grid.shape
-        np.testing.assert_array_equal(back.indices, grid.indices)
-        np.testing.assert_array_equal(back.features, grid.features)
+        header, *rows = format_grid_dump(grid).splitlines()
+        assert header.split() == [str(n) for n in (*grid.shape, grid.channels)]
+        indices = np.array([[int(v) for v in row.split()[:3]] for row in rows])
+        features = np.array([[float(v) for v in row.split()[3:]] for row in rows])
+        np.testing.assert_array_equal(indices, grid.indices)
+        np.testing.assert_array_equal(features, grid.features)
 
 
 class TestGridValidation:
