@@ -120,6 +120,11 @@ def _write_text(path, text: str):
 
 # -- detections file (LiDAR frame, one line per detection) --------------------------
 
+# Largest magnitude of a detection field. The box geometry of nms, eval and
+# render-bev multiplies up to three box fields (a BEV area times a height), and
+# (1e100)³ is still finite in float64.
+_MAX_DETECTION_FIELD = 1e100
+
 
 def write_simple_detections(path, detections):
     with open(path, "w") as f:
@@ -134,7 +139,9 @@ def write_simple_detections(path, detections):
 def read_simple_detections(path):
     """One detection per non-empty line, ``x y z w l h yaw score``.
 
-    A malformed line raises ValueError prefixed with ``<path>:<line>:``.
+    Every field must be finite and at most 1e100 in magnitude, the sizes
+    positive and the score in [0, 1]. A line that breaks a rule or is
+    malformed raises ValueError prefixed with ``<path>:<line>:``.
     """
     dets = []
     with open(path, "r") as f:
@@ -148,6 +155,9 @@ def read_simple_detections(path):
                 vals = [float(v) for v in fields]
                 if not all(math.isfinite(v) for v in vals):
                     raise ValueError("fields must be finite")
+                if max(abs(v) for v in vals) > _MAX_DETECTION_FIELD:
+                    raise ValueError(f"fields must be at most {_MAX_DETECTION_FIELD:g} "
+                                     "in magnitude")
                 dets.append(box_geom.Detection(box_geom.Box3D(*vals[:7]), vals[7]))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc

@@ -21,9 +21,11 @@ its output and calls ``_unary(a, out_data, grad)``, whose backward adds
 ``_binary(a, b, out_data, grad_a, grad_b)``, which sums each gradient down
 to its input's shape and skips an input that takes none. Only ``concat``
 (many inputs), ``conv2d``, ``batch_norm`` and ``sparse_conv.sparse_conv_op``
-(whose input gradients share work) write their own backward closures. Each
-conv kind has one kernel: dX runs through ``conv2d``, and the sparse input
-gradient is ``sparse_conv.sparse_conv_forward`` on the swapped pairs.
+(whose input gradients share work) write their own backward closures, and
+``_norm_unit``, which records a training Conv–BN(–ReLU) unit, dense or
+sparse, as one node that keeps only x̂ and the unit's output. Each conv kind
+has one kernel: dX runs through ``conv2d``, and the sparse input gradient is
+``sparse_conv.sparse_conv_forward`` on the swapped pairs.
 """
 
 from __future__ import annotations
@@ -35,8 +37,11 @@ from dataclasses import dataclass
 import numpy as np
 
 # Element budget of one conv2d im2col band of one image (c·k² · band columns):
-# 4 MB in float32, sized so that a band is still in L2 when its GEMM reads it.
-# The backward bands its dW GEMMs by the same budget; dX is a conv2d call.
+# 4 MB in float32. On a 2-core Xeon with 2 MiB of L2 per core, budgets from
+# 128K to 2M elements gave bit-identical full-scale frames, each in 1.2–1.4 s,
+# within run-to-run noise of the others.
+# The backward bands its dW GEMMs by the same budget, so it fixes the order
+# in which dW sums its bands; dX is a conv2d call.
 _IM2COL_CHUNK = 1024 * 1024
 
 
@@ -111,9 +116,9 @@ class Tensor:
         topological order runs its closure and then drops it, its parents
         and (unless it is the root) its gradient. Every consumer has added
         to a node's gradient before the node runs, so nothing dropped is
-        read again, and the buffers a closure saved (such as padded conv
-        inputs and BatchNorm x̂) are freed as the walk passes it. Leaves and
-        the root keep their gradients.
+        read again, and the buffers a closure saved (such as BatchNorm x̂)
+        are freed as the walk passes it. Leaves and the root keep their
+        gradients.
         """
         if self.size != 1:
             raise ValueError(f"backward requires a scalar, got shape {self.shape}")
@@ -349,7 +354,8 @@ def astype(a, dtype) -> Tensor:
 
 
 def narrow(a, axis: int, start: int, length: int) -> Tensor:
-    """Slice ``length`` entries along ``axis`` starting at ``start``."""
+    """Slice ``length`` entries along ``axis`` starting at ``start``: a view of
+    ``a``'s data, not a copy."""
     a = _wrap(a)
     index = [slice(None)] * a.ndim
     index[axis] = slice(start, start + length)
@@ -360,7 +366,7 @@ def narrow(a, axis: int, start: int, length: int) -> Tensor:
         ga[index] = g
         return ga
 
-    return _unary(a, a.data[index].copy(), grad)
+    return _unary(a, a.data[index], grad)
 
 
 def concat(tensors) -> Tensor:
@@ -402,17 +408,27 @@ class ConvSpec:
         return (n + 2 * self.padding - eff) // self.stride + 1
 
 
-def _conv_windows(xp: np.ndarray, spec: ConvSpec, oh: int, ow: int) -> np.ndarray:
-    """Read-only (n, c, k, k, oh, ow) window view of the padded input ``xp``.
+def _conv_windows(x: np.ndarray, b: int, lo: int, hi: int, spec: ConvSpec,
+                  ow: int) -> np.ndarray:
+    """Read-only (c, k, k, hi − lo, ow) window view of output rows [lo, hi) of image ``b``.
 
-    Element [..., i, j, y, x] is xp[..., i·d + y·s, j·d + x·s] for stride s
-    and dilation d; no index arrays are built for any geometry.
+    Element [:, i, j, y, x] is the zero-padded input at row i·d + (lo + y)·s and
+    column j·d + x·s, for stride s and dilation d; no index arrays are built for
+    any geometry. With padding the view reads a zero-padded copy of only the
+    input rows that the band reads; without it, ``x`` itself.
     """
-    n, c = xp.shape[:2]
-    sn, sc, sh, sw = xp.strides
-    k, s, d = spec.kernel, spec.stride, spec.dilation
+    c, h, w = x.shape[1:]
+    p, k, s, d = spec.padding, spec.kernel, spec.stride, spec.dilation
+    r0, r1 = lo * s, (hi - 1) * s + (k - 1) * d + 1   # the padded rows the band reads
+    if p:
+        slab = np.zeros((c, r1 - r0, w + 2 * p), x.dtype)
+        top, bottom = max(r0 - p, 0), min(r1 - p, h)
+        slab[:, top + p - r0 : bottom + p - r0, p : p + w] = x[b, :, top:bottom]
+    else:
+        slab = x[b, :, r0:r1]
+    sc, sh, sw = slab.strides
     return np.lib.stride_tricks.as_strided(
-        xp, (n, c, k, k, oh, ow), (sn, sc, d * sh, d * sw, s * sh, s * sw), writeable=False
+        slab, (c, k, k, hi - lo, ow), (sc, d * sh, d * sw, s * sh, s * sw), writeable=False
     )
 
 
@@ -421,16 +437,18 @@ def conv2d(x, weight, bias, spec: ConvSpec, *, relu: bool = False) -> Tensor:
 
     ``weight`` has shape (out_channels, in_channels, k, k); ``bias`` is a
     (out_channels,) tensor or None. The im2col columns are copied from a
-    strided window view of the padded input, one band of output rows of one
-    image at a time, and each band feeds one GEMM. ``_IM2COL_CHUNK`` is the
-    per-image element budget of a band, sized to L2 so that the GEMM reads
-    the columns back from cache; bias and ReLU are applied in place to each
-    output band while it is still in cache.
+    strided window view (:func:`_conv_windows`), one band of output rows of
+    one image at a time, and each band feeds one GEMM. With padding, each
+    band's view reads a zero-padded copy of only its own input rows, so no
+    padded copy of the whole input is made or kept. ``_IM2COL_CHUNK`` is the
+    per-image element budget of a band; bias and ReLU are applied in place to
+    each output band while it is still in cache.
 
     Backward: dW accumulates one GEMM ``g_band @ cols.T`` per band of each
-    image, copying each band's columns once (BLAS reads the transpose in
-    place). dX runs through ``conv2d`` (:func:`_conv_input_grad`); db is the
-    sum of the upstream gradient.
+    image, copying each band's columns once from the input (BLAS reads the
+    transpose in place). dX runs through ``conv2d`` (:func:`_conv_input_grad`);
+    db is the sum of the upstream gradient. Without ``relu`` the backward
+    never reads the output.
     """
     x, weight = _wrap(x), _wrap(weight)
     n, c, h, w = x.shape
@@ -442,27 +460,24 @@ def conv2d(x, weight, bias, spec: ConvSpec, *, relu: bool = False) -> Tensor:
     if oh < 1 or ow < 1:
         raise ValueError(f"conv2d output would be empty for input {x.shape} with {spec}")
 
-    p, k, s, d = spec.padding, spec.kernel, spec.stride, spec.dilation
-    oc, ckk = spec.out_channels, c * k * k
+    oc, ckk = spec.out_channels, c * spec.kernel ** 2
     dtype = x.data.dtype
-    if p:
-        xp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype)
-        xp[:, :, p : p + h, p : p + w] = x.data
-    else:
-        xp = x.data
-    win = _conv_windows(xp, spec, oh, ow)
-    w2 = weight.data.reshape(oc, ckk).astype(dtype, copy=False)
+    w2 = np.ascontiguousarray(weight.data, dtype).reshape(oc, ckk)
     if bias is not None:
         bias = _wrap(bias)
         b2 = bias.data.reshape(oc, 1).astype(dtype, copy=False)
     rows = max(1, _IM2COL_CHUNK // (ckk * ow))
     bands = [(lo, min(lo + rows, oh)) for lo in range(0, oh, rows)]
 
+    def cols(b, lo, hi):
+        """The (c·k², (hi − lo)·ow) im2col columns of output rows [lo, hi) of image ``b``."""
+        return _conv_windows(x.data, b, lo, hi, spec, ow).reshape(ckk, (hi - lo) * ow)
+
     out_data = np.empty((n, oc, oh, ow), dtype)
     for b in range(n):
         for lo, hi in bands:
             band = out_data[b, :, lo:hi].reshape(oc, (hi - lo) * ow)
-            np.matmul(w2, win[b, :, :, :, lo:hi].reshape(ckk, (hi - lo) * ow), out=band)
+            np.matmul(w2, cols(b, lo, hi), out=band)
             if bias is not None:
                 band += b2
             if relu:
@@ -476,15 +491,14 @@ def conv2d(x, weight, bias, spec: ConvSpec, *, relu: bool = False) -> Tensor:
             g = g * (out_data.reshape(n, oc, oh * ow) > 0)
         if bias is not None and bias.requires_grad:
             bias._accumulate(g.sum(axis=(0, 2)))
+        if x.requires_grad:
+            x._accumulate(_conv_input_grad(g.reshape(n, oc, oh, ow), weight.data, spec, h, w))
         if weight.requires_grad:
             gw = np.zeros((oc, ckk), g.dtype)
             for b in range(n):
                 for lo, hi in bands:
-                    cols = win[b, :, :, :, lo:hi].reshape(ckk, (hi - lo) * ow)
-                    gw += g[b, :, lo * ow : hi * ow] @ cols.T
+                    gw += g[b, :, lo * ow : hi * ow] @ cols(b, lo, hi).T
             weight._accumulate(gw.reshape(weight.shape))
-        if x.requires_grad:
-            x._accumulate(_conv_input_grad(g.reshape(n, oc, oh, ow), weight.data, spec, h, w))
 
     out = _node(out_data, parents, backward)
     return out
@@ -556,48 +570,95 @@ def batch_norm(x, gamma, beta, state: "BatchNormState", training: bool,
     where the statistics are constants, gives dx = (γ/σ)·g.
     """
     x, gamma, beta = _wrap(x), _wrap(gamma), _wrap(beta)
-    c = x.shape[1]
-    axes = tuple(ax for ax in range(x.ndim) if ax != 1)
-    pshape = tuple(c if ax == 1 else 1 for ax in range(x.ndim))
-    dtype = x.data.dtype
-    gamma_b = gamma.data.reshape(pshape).astype(dtype, copy=False)
-    beta_b = beta.data.reshape(pshape).astype(dtype, copy=False)
+    xhat = np.empty_like(x.data)
+    out_data, ivar, gamma_b = _normalize(x.data, xhat, gamma, beta, state, training,
+                                         momentum, eps)
 
+    def backward():
+        gx = _batch_norm_grad(out.grad, xhat, ivar, gamma, beta, gamma_b, training,
+                              x.requires_grad)
+        if gx is not None:
+            x._accumulate(gx)
+
+    out = _node(out_data, (x, gamma, beta), backward)
+    return out
+
+
+def _normalize(data: np.ndarray, xhat: np.ndarray, gamma: Tensor, beta: Tensor,
+               state: "BatchNormState", training: bool, momentum: float, eps: float):
+    """The forward of :func:`batch_norm`: writes x̂ of ``data`` into ``xhat``
+    (which may be ``data`` itself) and returns the output γ·x̂ + β, 1/√(var + eps)
+    and γ, the last two shaped to broadcast and γ cast to ``data``'s dtype.
+    Training mode takes the statistics from the batch and folds them into
+    ``state``."""
+    axes = tuple(ax for ax in range(data.ndim) if ax != 1)
+    pshape = tuple(data.shape[1] if ax == 1 else 1 for ax in range(data.ndim))
     if training:
-        mean = x.data.mean(axis=axes)
-        var = x.data.var(axis=axes)
+        mean = data.mean(axis=axes)
+        var = data.var(axis=axes)
         state.running_mean[:] = momentum * state.running_mean + (1 - momentum) * mean
         state.running_var[:] = momentum * state.running_var + (1 - momentum) * var
     else:
-        mean = state.running_mean.astype(dtype, copy=False)
-        var = state.running_var.astype(dtype, copy=False)
+        mean = state.running_mean.astype(data.dtype, copy=False)
+        var = state.running_var.astype(data.dtype, copy=False)
+    ivar = (1.0 / np.sqrt(var + eps)).reshape(pshape)
+    np.subtract(data, mean.reshape(pshape), out=xhat)
+    xhat *= ivar
+    gamma_b, beta_b = (t.data.reshape(pshape).astype(data.dtype, copy=False)
+                       for t in (gamma, beta))
+    return gamma_b * xhat + beta_b, ivar, gamma_b
 
-    ivar = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean.reshape(pshape)) * ivar.reshape(pshape)
-    out_data = gamma_b * xhat + beta_b
+
+def _batch_norm_grad(g, xhat, ivar, gamma, beta, gamma_b, training: bool, need_dx: bool):
+    """Add dγ and dβ of :func:`batch_norm` to γ and β; return dx if ``need_dx``.
+
+    Training mode builds dx in ``xhat``'s buffer, which nothing reads after it."""
+    axes = tuple(ax for ax in range(g.ndim) if ax != 1)
+    g_sum = g.sum(axis=axes)
+    gxhat_sum = (g * xhat).sum(axis=axes)
+    if gamma.requires_grad:
+        gamma._accumulate(gxhat_sum)
+    if beta.requires_grad:
+        beta._accumulate(g_sum)
+    if not need_dx:
+        return None
+    scale = gamma_b * ivar
+    if not training:
+        return g * scale
+    m = g.size // g.shape[1]
+    gx = np.multiply(xhat, (gxhat_sum / -m).reshape(ivar.shape), out=xhat)
+    gx += g
+    gx -= (g_sum / m).reshape(ivar.shape)
+    gx *= scale
+    return gx
+
+
+def _norm_unit(y: Tensor, norm: "BatchNorm", with_relu: bool) -> Tensor:
+    """``relu(norm(y))``, or ``norm(y)`` when not ``with_relu``, in training
+    mode, as one graph node in place of the node of the conv output ``y``.
+
+    ``y`` must be a fresh output of ``conv2d`` without ``relu`` or of
+    ``sparse_conv.sparse_conv_op``, whose backward never reads it: x̂ is
+    written over its buffer, and the ReLU runs in place on the node's output,
+    so the node keeps only x̂ and its output. Backward masks the gradient by
+    ``out > 0``, runs :func:`batch_norm`'s gradient into ``y.grad`` and then
+    ``y``'s own backward. The results equal, bit for bit, those of the
+    separate ``conv``, ``batch_norm`` and ``relu`` nodes.
+    """
+    gamma, beta, xhat = norm.gamma, norm.beta, y.data
+    out_data, ivar, gamma_b = _normalize(xhat, xhat, gamma, beta, norm.state, True,
+                                         norm.momentum, norm.eps)
+    if with_relu:
+        np.maximum(out_data, 0.0, out=out_data)
 
     def backward():
-        g = out.grad
-        g_sum = g.sum(axis=axes)
-        gxhat_sum = (g * xhat).sum(axis=axes)
-        if gamma.requires_grad:
-            gamma._accumulate(gxhat_sum)
-        if beta.requires_grad:
-            beta._accumulate(g_sum)
-        if not x.requires_grad:
-            return
-        scale = gamma_b * ivar.reshape(pshape)
-        if training:
-            m = x.data.size // c
-            gx = xhat * (gxhat_sum / -m).reshape(pshape)
-            gx += g
-            gx -= (g_sum / m).reshape(pshape)
-            gx *= scale
-        else:
-            gx = g * scale
-        x._accumulate(gx)
+        y.grad = _batch_norm_grad(out.grad * (out.data > 0) if with_relu else out.grad,
+                                  xhat, ivar, gamma, beta, gamma_b, True, y._backward is not None)
+        if y.grad is not None:
+            y._backward()
+        y.grad, y._backward, y._parents = None, None, ()   # as Tensor.backward releases a node
 
-    out = _node(out_data, (x, gamma, beta), backward)
+    out = _node(out_data, y._parents + (gamma, beta), backward)
     return out
 
 
@@ -736,13 +797,13 @@ class BatchNorm(Module):
 def conv_bn(x, conv: Conv2d, norm: BatchNorm, with_relu: bool = True) -> Tensor:
     """``relu(norm(conv(x)))``, or ``norm(conv(x))`` when not ``with_relu``.
 
-    ``conv`` has no bias. Training runs the three ops as written. In eval
+    ``conv`` has no bias. Training records one graph node for the unit
+    (:func:`_norm_unit`), which keeps only x̂ and the unit's output. In eval
     mode the norm is folded into the conv (:meth:`BatchNorm.fold`), so one
     conv2d pass applies the shift and the ReLU to each output band in place.
     """
     if norm.training:
-        y = norm(conv(x))
-        return relu(y) if with_relu else y
+        return _norm_unit(conv(x), norm, with_relu)
     scale, shift = norm.fold()
     return conv2d(x, conv.weight.data * scale.reshape(-1, 1, 1, 1), shift, conv.spec,
                   relu=with_relu)

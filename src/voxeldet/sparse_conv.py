@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn_core
-from .nn_core import BatchNorm, Module, Tensor, he_normal, relu
+from .nn_core import BatchNorm, Module, Tensor, he_normal
 from .voxel_grid import SparseVoxelGrid, decode_site_keys, site_keys
 
 # Feature dtype of every forward pass, training and eval alike; parameters,
@@ -378,10 +378,11 @@ class VfeEncoder(Module):
         return densify_bev(x, plan.final_coords, plan.final_shape, plan.batch_size)
 
     def _conv_bn_relu(self, name: str, x: Tensor, rulebook: Rulebook) -> Tensor:
-        """``relu(norm(conv(x)))`` of bias-free layer ``name``; eval mode folds the norm in."""
+        """``relu(norm(conv(x)))`` of bias-free layer ``name``: one graph node in
+        training (:func:`nn_core._norm_unit`); eval mode folds the norm in."""
         conv, norm = self._children[name], self._children[name + ".norm"]
         if norm.training:
-            return relu(norm(conv(x, rulebook)))
+            return nn_core._norm_unit(conv(x, rulebook), norm, True)
         scale, shift = norm.fold()
         out = sparse_conv_forward(x.data, conv.weight.data * scale, shift, rulebook)
         return Tensor(np.maximum(out, 0, out=out))

@@ -1,7 +1,8 @@
 """Shared test oracles: finite differences, the walk-then-release backward,
-the col2im conv2d backward, the explicit BatchNorm backward chain, dense 3D
-convolution, a per-offset rulebook, Monte-Carlo IoU, per-pair KITTI matching,
-and per-part, per-candidate and per-scene loops over the head maps."""
+the col2im conv2d backward, the explicit BatchNorm backward chain, a training
+Conv–BN–ReLU unit as separate nodes, dense 3D convolution, a per-offset
+rulebook, Monte-Carlo IoU, per-pair KITTI matching, and per-part,
+per-candidate and per-scene loops over the head maps."""
 
 import os
 from pathlib import Path
@@ -173,6 +174,14 @@ def batch_norm_backward_chain(x, gamma, g, eps, running=None):
     else:
         dx = gxhat * iv
     return dx, (g * xc * iv).sum(axis=axes), g.sum(axis=axes)
+
+
+def norm_unit_chain(y, norm, with_relu=True):
+    """``relu(norm(y))`` (``norm(y)`` if not ``with_relu``) of the conv output ``y``
+    as separate ``batch_norm`` and ``relu`` nodes: the oracle of
+    ``nn_core._norm_unit``, which records the whole unit as one node."""
+    out = norm(y)
+    return nn_core.relu(out) if with_relu else out
 
 
 def adamw_step_textbook(opt):

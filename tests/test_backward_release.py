@@ -132,11 +132,9 @@ def test_train_step_gradients_equal_walk_then_release(monkeypatch):
         assert np.array_equal(got[name].data, want[name].data), name
 
 
-def test_train_step_backward_peak_is_forward_graph(monkeypatch):
-    """Allocations traced during one toy step (after a warm-up step) peak within
-    backward at most 1.25× their level when backward starts; holding the whole
-    graph until the walk ends, as ``backward_walk_then_release`` does, takes
-    about 2×."""
+def traced_step_levels(monkeypatch) -> dict:
+    """Allocations traced during one toy step, after a warm-up step: ``start``
+    when backward starts and ``peak`` within backward, in bytes."""
     model, batch, weights, optimizer = _toy_step_setup()
     train.train_step(model, batch, weights, optimizer)
     levels = {}
@@ -148,10 +146,20 @@ def test_train_step_backward_peak_is_forward_graph(monkeypatch):
         walk(self)
         levels["peak"] = tracemalloc.get_traced_memory()[1]
 
-    monkeypatch.setattr(Tensor, "backward", traced_backward)
-    tracemalloc.start()
-    try:
-        train.train_step(model, batch, weights, optimizer)
-    finally:
-        tracemalloc.stop()
+    with monkeypatch.context() as m:
+        m.setattr(Tensor, "backward", traced_backward)
+        tracemalloc.start()
+        try:
+            train.train_step(model, batch, weights, optimizer)
+        finally:
+            tracemalloc.stop()
+    return levels
+
+
+def test_train_step_backward_peak_is_forward_graph(monkeypatch):
+    """Allocations traced during one toy step (after a warm-up step) peak within
+    backward at most 1.25× their level when backward starts; holding the whole
+    graph until the walk ends, as ``backward_walk_then_release`` does, takes
+    about 2×."""
+    levels = traced_step_levels(monkeypatch)
     assert levels["peak"] <= 1.25 * levels["start"], levels

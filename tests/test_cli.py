@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -59,7 +60,11 @@ BAD_DETECTION_LINES = [
     ("12.0 abc -1.0 1.6 3.9 1.56 0.0 0.8\n", "could not convert string to float: 'abc'"),
     ("12.0 0.0 -1.0 1.6 0.0 1.56 0.0 0.8\n", "box sizes must be positive"),
     ("12.0 0.0 -1.0 1.6 3.9 1.56 0.0 1.5\n", "score out of range: 1.5"),
+    ("12.0 0.0 -1.0 1.6 1.7e308 1.56 0.3 0.8\n", "fields must be at most 1e+100 in magnitude"),
 ]
+# the largest box that read_simple_detections accepts: 1e100 in magnitude in every box field
+LARGEST_LINE = "1e100 -1e100 1e100 1e100 1e100 1e100 1e100 0.8\n"
+LABEL_LINE = "Car 0.00 0 1.57 0.0 0.0 100.0 100.0 1.56 1.6 3.9 0.0 1.78 10.0 -1.57\n"
 # a calibration row, how it is broken, and the error it gives after "<path>: "
 BAD_CALIB_ROWS = [
     ("Tr_velo_to_cam", lambda v: v[:-1] + ["nan"], "Tr_velo_to_cam: values must be finite"),
@@ -77,7 +82,31 @@ def _bad_calib(path, key, breaks):
         lines.append(f"{name}: {' '.join(breaks(values.split()))}" if name == key else line)
     path.write_text("\n".join(lines) + "\n")
     return path
-BAD_DETECTION_IDS = ["non_numeric", "zero_length", "score_1.5"]
+BAD_DETECTION_IDS = ["non_numeric", "zero_length", "score_1.5", "length_1.7e308"]
+
+
+def _run_on_detections(tmp_path, command, text):
+    """Run ``command`` (render-bev, nms or eval) with one detections file
+    holding ``text`` (eval against one labelled car); returns the exit code,
+    the detections file and the output path."""
+    if command == "eval":
+        for d in ("dets", "labels", "calib"):
+            os.makedirs(tmp_path / d)
+        dets = tmp_path / "dets" / "000000.txt"
+        write_calib(tmp_path / "calib" / "000000.txt", _calib())
+        (tmp_path / "labels" / "000000.txt").write_text(LABEL_LINE)
+        args = ["--detections-dir", tmp_path / "dets", "--labels-dir", tmp_path / "labels",
+                "--calib-dir", tmp_path / "calib"]
+    else:
+        dets = tmp_path / "dets.txt"
+        args = ["--detections", dets]
+        if command == "render-bev":
+            args += ["--cloud", _golden_cloud(tmp_path)]
+    dets.write_text(text)
+    out = tmp_path / "out"
+    code = run_cli("--config", str(_toy_cfg_file(tmp_path)), command, *map(str, args),
+                   "--out", str(out))
+    return code, dets, out
 
 
 class TestConfigFile:
@@ -247,6 +276,14 @@ class TestSimpleDetections:
         with pytest.raises(ValueError, match=r"dets\.txt:2: fields must be finite"):
             read_simple_detections(path)
 
+    def test_field_bound(self, tmp_path):
+        path = tmp_path / "dets.txt"
+        path.write_text(LARGEST_LINE)
+        assert read_simple_detections(path)[0].box.as_array()[0] == 1e100
+        path.write_text(GOOD_LINE + "1.0000001e100 0.0 -1.0 1.6 3.9 1.56 0.0 0.8\n")
+        with pytest.raises(ValueError, match=r"dets\.txt:2: fields must be at most 1e\+100"):
+            read_simple_detections(path)
+
 
 class TestSubcommands:
     def test_voxelize_golden(self, tmp_path, capsys):
@@ -363,6 +400,23 @@ class TestSubcommands:
                        "--out", str(report)) == 2
         assert not report.exists()
         assert f"data error: {dets}:2: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, message", BAD_DETECTION_LINES, ids=BAD_DETECTION_IDS)
+    def test_render_bev_bad_row_names_file_and_line(self, tmp_path, capsys, line, message):
+        code, dets, out = _run_on_detections(tmp_path, "render-bev", GOOD_LINE + line)
+        assert code == 2
+        assert not out.exists()
+        assert f"data error: {dets}:2: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["render-bev", "nms", "eval"])
+    def test_largest_accepted_detection_runs_without_numeric_warnings(self, tmp_path, command):
+        """Two equal boxes at the field bound overlap, so nms and eval take
+        their IoU; no step of the box geometry overflows."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, out = _run_on_detections(tmp_path, command, GOOD_LINE + LARGEST_LINE * 2)
+        assert code == 0
+        assert out.exists()
 
     @pytest.mark.parametrize("line", NON_FINITE_LINES, ids=["nan_x", "inf_z"])
     def test_eval_non_finite_field_exits_2(self, tmp_path, line):

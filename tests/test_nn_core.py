@@ -336,6 +336,25 @@ class TestPoolingAndShape:
         sl = narrow(x, 3, 1, 2)
         np.testing.assert_allclose(sl.data, x.data[:, :, :, 1:3])
 
+    def test_narrow_is_a_view_with_a_scattered_gradient(self):
+        x = _param(np.arange(24.0).reshape(1, 2, 3, 4))
+        sl = narrow(x, 3, 1, 2)
+        assert np.shares_memory(sl.data, x.data)
+        (sl * 3.0).sum().backward()
+        want = np.zeros_like(x.data)
+        want[..., 1:3] = 3.0
+        np.testing.assert_array_equal(x.grad, want)
+
+    @pytest.mark.parametrize("padding", [0, 2])
+    def test_conv2d_of_a_narrowed_view_equals_conv2d_of_its_copy(self, padding):
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(2, 3, 7, 11)).astype(np.float32)
+        w = Tensor(rng.normal(size=(4, 3, 3, 3)))
+        spec = ConvSpec(3, 4, kernel=3, padding=padding, dilation=2)
+        view = conv2d(narrow(Tensor(x), 3, 2, 6), w, None, spec)
+        copy = conv2d(Tensor(x[..., 2:8].copy()), w, None, spec)
+        assert np.array_equal(view.data, copy.data)
+
 
 class TestBackward:
     def test_relu_sum_gradient(self):

@@ -2,9 +2,10 @@
 
 A one-input op hands ``nn_core._unary`` its output and the gradient of its
 input; a broadcasting two-input op hands ``nn_core._binary`` its output and
-both gradients. Only the builders and the ops whose input gradients share
-work or whose inputs are many call ``_node`` with a backward closure of
-their own.
+both gradients. Only the builders, the ops whose input gradients share
+work or whose inputs are many, and ``_norm_unit`` (one node for a training
+Conv–BN(–ReLU) unit, which runs the conv's backward inside its own) call
+``_node`` with a backward closure of their own.
 
 Each conv kind has one kernel, which its input gradient runs too: in
 ``nn_core`` only ``conv2d`` reads a window view or calls ``np.matmul``, and
@@ -16,7 +17,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "voxeldet"
-OWN_CLOSURES = {"_unary", "_binary", "concat", "conv2d", "batch_norm", "sparse_conv_op"}
+OWN_CLOSURES = {"_unary", "_binary", "concat", "conv2d", "batch_norm", "sparse_conv_op",
+                "_norm_unit"}
 
 
 def functions_containing(paths, match) -> set[str]:
