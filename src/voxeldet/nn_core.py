@@ -221,10 +221,17 @@ class no_grad:
         return False
 
 
+def records_graph(*tensors: Tensor) -> bool:
+    """Whether an op on ``tensors`` records a graph node: gradients are enabled
+    and one of them requires a gradient. Where it does not, no backward reads
+    the op's output, so the caller may write into a fresh output in place."""
+    return _GRAD_ENABLED and any(t.requires_grad for t in tensors)
+
+
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
     """Assemble an op output; ``backward`` may be None for constant results."""
     out = Tensor(data)
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+    if records_graph(*parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward
@@ -507,42 +514,57 @@ def conv2d(x, weight, bias, spec: ConvSpec, *, relu: bool = False) -> Tensor:
 def _conv_input_grad(g: np.ndarray, weight: np.ndarray, spec: ConvSpec, h: int, w: int):
     """Gradient of ``conv2d`` with respect to its (h, w) input: a transposed conv.
 
-    The upstream gradient ``g`` is zero-stuffed by the stride and padded by
-    (k−1)·d; dX runs through ``conv2d``, correlating it from row and column ``p``
-    on with the flipped, transposed kernel at stride 1 and dilation d. Rows and
-    columns that no window read get 0.
+    dX correlates the upstream gradient ``g`` with the flipped, transposed
+    kernel at stride 1 and dilation d, through ``conv2d``. At stride 1 that is
+    a conv with padding (k−1)·d − p, so each band pads only its own rows. At a
+    larger stride (or a padding above (k−1)·d) ``g`` is first zero-stuffed by
+    the stride and padded by (k−1)·d, and dX is read from row and column ``p``
+    on. Rows and columns that no window read get 0.
     """
     n, oc, oh, ow = g.shape
     p, k, s, d = spec.padding, spec.kernel, spec.stride, spec.dilation
     c, e = spec.in_channels, (k - 1) * d
+    flipped = weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+    if s == 1 and p <= e:
+        return conv2d(g, flipped, None, ConvSpec(oc, c, k, padding=e - p, dilation=d)).data
     gs = np.zeros((n, oc, max(p + h, s * (oh - 1) + 1) + e, max(p + w, s * (ow - 1) + 1) + e),
                   g.dtype)
     gs[:, :, e : e + s * (oh - 1) + 1 : s, e : e + s * (ow - 1) + 1 : s] = g
-    return conv2d(gs[:, :, p : p + h + e, p : p + w + e],
-                  weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), None,
+    return conv2d(gs[:, :, p : p + h + e, p : p + w + e], flipped, None,
                   ConvSpec(oc, c, k, dilation=d)).data
 
 
 def maxpool2(x) -> Tensor:
-    """2x2 max pooling with stride 2; trailing odd rows/columns are dropped."""
+    """2x2 max pooling with stride 2; trailing odd rows/columns are dropped.
+
+    The output is the elementwise maximum of the four stride-2 views of the
+    even-cropped input, in every mode: the forward copies no windows and
+    keeps no index array. Backward finds each window's winner by ``argmax`` over its
+    positions (0,0), (0,1), (1,0), (1,1): the first maximum wins a tie, and
+    the first NaN wins over numbers. ``np.maximum`` returns its second
+    operand on a tie, so the forward pairs the views to give the same
+    winner's value, signed zeros included.
+    """
     x = _wrap(x)
     n, c, h, w = x.shape
     oh, ow = h // 2, w // 2
     if oh < 1 or ow < 1:
         raise ValueError(f"maxpool2 needs spatial dims >= 2, got {x.shape}")
-    view = x.data[:, :, : 2 * oh, : 2 * ow].reshape(n, c, oh, 2, ow, 2)
-    windows = view.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, oh, ow, 4)
-    arg = windows.argmax(axis=-1)
+    v00, v01, v10, v11 = (x.data[:, :, i : 2 * oh : 2, j : 2 * ow : 2]
+                          for i in (0, 1) for j in (0, 1))
+    out_data = np.maximum(v01, v00)
+    np.maximum(np.maximum(v11, v10), out_data, out=out_data)
 
     def grad(g_out):
-        g = np.zeros((n, c, oh, ow, 4), g_out.dtype)
-        np.put_along_axis(g, arg[..., None], g_out[..., None], axis=-1)
-        g = g.reshape(n, c, oh, ow, 2, 2).transpose(0, 1, 2, 4, 3, 5)
+        view = x.data[:, :, : 2 * oh, : 2 * ow].reshape(n, c, oh, 2, ow, 2)
+        arg = view.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, oh, ow, 4).argmax(axis=-1)
         gx = np.zeros_like(x.data)
-        gx[:, :, : 2 * oh, : 2 * ow] = g.reshape(n, c, 2 * oh, 2 * ow)
+        for pos in range(4):
+            i, j = divmod(pos, 2)
+            gx[:, :, i : 2 * oh : 2, j : 2 * ow : 2] = np.where(arg == pos, g_out, 0)
         return gx
 
-    return _unary(x, np.take_along_axis(windows, arg[..., None], axis=-1)[..., 0], grad)
+    return _unary(x, out_data, grad)
 
 
 def upsample_nearest2(x) -> Tensor:
@@ -794,19 +816,56 @@ class BatchNorm(Module):
         return scale, self.beta.data - self.state.running_mean * scale
 
 
-def conv_bn(x, conv: Conv2d, norm: BatchNorm, with_relu: bool = True) -> Tensor:
-    """``relu(norm(conv(x)))``, or ``norm(conv(x))`` when not ``with_relu``.
+# Sub-pixel phases of a 3×3 conv of a nearest-upsampled map: row (or column)
+# parity a of the output reads half-map rows (i−1, i) for a = 0 and (i, i+1)
+# for a = 1, and _PHASE_TAPS[a] sums the kernel rows each of the two reads
+# takes: (W₀, W₁ + W₂) and (W₀ + W₁, W₂).
+_PHASE_TAPS = np.array([[[1, 0, 0], [0, 1, 1]], [[1, 1, 0], [0, 0, 1]]], np.float64)
+
+
+def conv_bn(x, conv: Conv2d, norm: BatchNorm, with_relu: bool = True, *,
+            upsample: bool = False) -> Tensor:
+    """``relu(norm(conv(x)))``, or ``norm(conv(x))`` when not ``with_relu``;
+    with ``upsample``, the conv reads ``upsample_nearest2(x)``.
 
     ``conv`` has no bias. Training records one graph node for the unit
     (:func:`_norm_unit`), which keeps only x̂ and the unit's output. In eval
     mode the norm is folded into the conv (:meth:`BatchNorm.fold`), so one
     conv2d pass applies the shift and the ReLU to each output band in place.
+
+    With ``upsample`` and a 3×3, padding-1, stride-1 conv, an eval forward
+    that records no graph (:func:`records_graph`) never builds the upsampled
+    (2h, 2w) map. Each output phase (a, b) is a 2×2 conv of ``x`` with
+    padding 1, written into ``out[:, :, a::2, b::2]`` from its rows
+    [a, a + h) and columns [b, b + w). Phase rows and columns take the
+    kernel taps ``_PHASE_TAPS``: parity 0 reads half-map rows (i−1, i) with
+    kernel rows (W₀, W₁ + W₂), parity 1 reads (i, i + 1) with (W₀ + W₁, W₂).
+    The four phases run as one conv with 4·C output channels, which held
+    the full-scale frame's peak memory level where four separate convs did
+    not. This takes 16 multiply-adds per output cell and channel pair where
+    the upsampled conv takes 36, and it equals that conv up to the rounding
+    of the summed taps. Otherwise the upsampled map is built and convolved.
     """
+    x = _wrap(x)
     if norm.training:
-        return _norm_unit(conv(x), norm, with_relu)
+        return _norm_unit(conv(upsample_nearest2(x) if upsample else x), norm, with_relu)
     scale, shift = norm.fold()
-    return conv2d(x, conv.weight.data * scale.reshape(-1, 1, 1, 1), shift, conv.spec,
-                  relu=with_relu)
+    weight = conv.weight.data * scale.reshape(-1, 1, 1, 1)
+    spec = conv.spec
+    if not upsample:
+        return conv2d(x, weight, shift, spec, relu=with_relu)
+    if records_graph(x) or (spec.kernel, spec.stride, spec.padding, spec.dilation) != (3, 1, 1, 1):
+        return conv2d(upsample_nearest2(x), weight, shift, spec, relu=with_relu)
+    (n, c, h, w), oc = x.shape, spec.out_channels
+    out = np.empty((n, oc, 2 * h, 2 * w), x.data.dtype)
+    taps = np.einsum("aik,ockl,bjl->abocij", _PHASE_TAPS, weight, _PHASE_TAPS, optimize=True)
+    y = conv2d(x, taps.reshape(4 * oc, c, 2, 2), np.tile(shift, 4),
+               ConvSpec(c, 4 * oc, 2, padding=1), relu=with_relu).data
+    y = y.reshape(n, 2, 2, oc, h + 1, w + 1)
+    for a in (0, 1):
+        for b in (0, 1):
+            out[:, :, a::2, b::2] = y[:, a, b, :, a : a + h, b : b + w]
+    return Tensor(out)
 
 
 _ADAM_EPS = 1e-8

@@ -98,7 +98,13 @@ def make_mask(grid: SparseVoxelGrid, gt_boxes, kind: MaskKind, cfg: VoxelizerCon
 
 
 class ResidualBlock(Module):
-    """Two 3x3 convolutions with batch norm and an additive skip."""
+    """Two 3x3 convolutions with batch norm and an additive skip.
+
+    Where the forward records no graph (``nn_core.records_graph``), the skip
+    is added and the ReLU run in place on the second conv's fresh output, so
+    the block makes no map beyond its two conv outputs; the input is never
+    written. The bits equal those of ``relu(x + y)``.
+    """
 
     def __init__(self, channels: int, rng):
         super().__init__()
@@ -110,7 +116,21 @@ class ResidualBlock(Module):
     def __call__(self, x: Tensor) -> Tensor:
         y = nn_core.conv_bn(x, self.conv1, self.norm1)
         y = nn_core.conv_bn(y, self.conv2, self.norm2, with_relu=False)
-        return nn_core.relu(x + y)
+        if nn_core.records_graph(x, y):
+            return nn_core.relu(x + y)
+        np.add(y.data, x.data, out=y.data)
+        np.maximum(y.data, 0.0, out=y.data)
+        return y
+
+
+def _merge(fine: Tensor, coarse: Tensor) -> Tensor:
+    """``fine + upsample_nearest2(coarse)``. Where no graph is recorded ``fine``
+    is added into the fresh upsampled map."""
+    up = nn_core.upsample_nearest2(coarse)
+    if nn_core.records_graph(fine, up):
+        return fine + up
+    np.add(up.data, fine.data, out=up.data)
+    return up
 
 
 # the mask head starts at the foreground base rate, so early steps discriminate
@@ -123,7 +143,9 @@ class SegmentationBranch(Module):
 
     Residual blocks sit at full, 1/2 and 1/4 scale (two maxpools down, two
     nearest-neighbor upsamples back); two 3x3 fusion convolutions merge the
-    scales before the 1x1 head.
+    scales before the 1x1 head. Each merge adds a finer map to an upsampled
+    coarse one; where no graph is recorded it adds in place into the fresh
+    upsampled map.
     """
 
     def __init__(self, channels: int = 128, seed: int = 0):
@@ -152,15 +174,19 @@ class SegmentationBranch(Module):
         full = self.res_full(bev)
         half = self.res_half_b(self.res_half_a(nn_core.maxpool2(full)))
         quarter = self.res_quarter_b(self.res_quarter_a(nn_core.maxpool2(half)))
-        merged_half = half + nn_core.upsample_nearest2(quarter)
-        merged_half = nn_core.conv_bn(merged_half, self.fuse_half, self.fuse_half_norm)
-        merged_full = full + nn_core.upsample_nearest2(merged_half)
-        merged_full = nn_core.conv_bn(merged_full, self.fuse_full, self.fuse_full_norm)
+        merged_half = nn_core.conv_bn(_merge(half, quarter), self.fuse_half, self.fuse_half_norm)
+        merged_full = nn_core.conv_bn(_merge(full, merged_half), self.fuse_full,
+                                      self.fuse_full_norm)
         return nn_core.sigmoid(self.head(merged_full))
 
 
 class DetectionBranch(Module):
-    """Shallow U-Net: stride-2 descent, upsample back, concat with the input."""
+    """Shallow U-Net: stride-2 descent, upsample back, concat with the input.
+
+    The upsample and the last conv run as one ``conv_bn(..., upsample=True)``,
+    which an eval forward without a graph computes as sub-pixel convs of the
+    half-resolution map.
+    """
 
     def __init__(self, channels: int = 128, seed: int = 0):
         super().__init__()
@@ -177,7 +203,8 @@ class DetectionBranch(Module):
     def out_channels(self) -> int:
         return 2 * self.channels
 
-    def __call__(self, bev: Tensor) -> Tensor:
+    def unet(self, bev: Tensor) -> Tensor:
+        """The U-Net's C-channel output, before the concat with ``bev``."""
         _, c, h, w = bev.shape
         if c != self.channels:
             raise ValueError(f"expected {self.channels} channels, got {c}")
@@ -185,9 +212,10 @@ class DetectionBranch(Module):
             raise ValueError(f"spatial dims must be even, got {(h, w)}")
         x = nn_core.conv_bn(bev, self.down, self.down_norm)
         x = nn_core.conv_bn(x, self.mid, self.mid_norm)
-        x = nn_core.upsample_nearest2(x)
-        x = nn_core.conv_bn(x, self.up, self.up_norm)
-        return nn_core.concat([bev, x])
+        return nn_core.conv_bn(x, self.up, self.up_norm, upsample=True)
+
+    def __call__(self, bev: Tensor) -> Tensor:
+        return nn_core.concat([bev, self.unet(bev)])
 
 
 def fuse(features: Tensor, probability: Tensor) -> Tensor:
@@ -216,6 +244,12 @@ class SemanticContextEncoder(Module):
     only L_S, applied to the returned M, trains it. Without the detach the
     detection gradient on the segmentation branch outweighs the L_S
     gradient several times over and M stops being a foreground mask.
+
+    Where the forward records no graph (``nn_core.records_graph``), R is
+    written straight into one (B, 2·O, H, W) array, (1 + M)·bev into the
+    first O channels and (1 + M)·U into the rest, for the detection U-Net's
+    output U; no concatenated map is built and ``bev`` is never written. The
+    bits equal those of ``fuse(concat([bev, U]), M)``.
     """
 
     def __init__(self, channels: int = 128, seed: int = 0):
@@ -230,5 +264,12 @@ class SemanticContextEncoder(Module):
     def __call__(self, bev: Tensor) -> tuple[Tensor, Tensor]:
         """Returns (fused feature map R, probability map M)."""
         m = self.segmentation(bev)
-        f = self.detection(bev)
-        return fuse(f, m.detach()), m
+        u = self.detection.unet(bev)
+        if nn_core.records_graph(bev, u):
+            return fuse(nn_core.concat([bev, u]), m.detach()), m
+        c = bev.shape[1]
+        weight = 1.0 + m.data
+        r = np.empty((bev.shape[0], 2 * c) + bev.shape[2:], bev.data.dtype)
+        np.multiply(weight, bev.data, out=r[:, :c])
+        np.multiply(weight, u.data, out=r[:, c:])
+        return Tensor(r), m

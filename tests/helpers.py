@@ -151,6 +151,40 @@ def conv2d_backward_col2im(x, w, g, stride, padding, dilation):
     return gxp[:, :, p : p + h, p : p + wd], dw.reshape(w.shape), g2.sum(axis=(0, 2))
 
 
+def conv_input_grad_zero_stuffed(g, weight, spec, h, w):
+    """dX of ``conv2d`` through a zero-stuffed, padded copy of the whole upstream
+    gradient: ``g`` is stuffed by the stride and padded by (k−1)·d, then
+    correlated at stride 1 with the flipped, transposed kernel from row and
+    column p on. The oracle of ``nn_core._conv_input_grad``."""
+    n, oc, oh, ow = g.shape
+    p, k, s, d = spec.padding, spec.kernel, spec.stride, spec.dilation
+    c, e = spec.in_channels, (k - 1) * d
+    gs = np.zeros((n, oc, max(p + h, s * (oh - 1) + 1) + e, max(p + w, s * (ow - 1) + 1) + e),
+                  g.dtype)
+    gs[:, :, e : e + s * (oh - 1) + 1 : s, e : e + s * (ow - 1) + 1 : s] = g
+    return nn_core.conv2d(gs[:, :, p : p + h + e, p : p + w + e],
+                          weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), None,
+                          nn_core.ConvSpec(oc, c, k, dilation=d)).data
+
+
+def maxpool2_windows(x, g_out):
+    """(output, dX) of 2×2 stride-2 max pooling over copied windows: ``argmax``
+    over each window's positions (0,0), (0,1), (1,0), (1,1) picks the winner,
+    the output takes its value and dX gets ``g_out`` there, 0 elsewhere. The
+    oracle of ``nn_core.maxpool2``."""
+    n, c, h, w = x.shape
+    oh, ow = h // 2, w // 2
+    view = x[:, :, : 2 * oh, : 2 * ow].reshape(n, c, oh, 2, ow, 2)
+    windows = view.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, oh, ow, 4)
+    arg = windows.argmax(axis=-1)
+    g = np.zeros((n, c, oh, ow, 4), g_out.dtype)
+    np.put_along_axis(g, arg[..., None], g_out[..., None], axis=-1)
+    g = g.reshape(n, c, oh, ow, 2, 2).transpose(0, 1, 2, 4, 3, 5)
+    gx = np.zeros_like(x)
+    gx[:, :, : 2 * oh, : 2 * ow] = g.reshape(n, c, 2 * oh, 2 * ow)
+    return np.take_along_axis(windows, arg[..., None], axis=-1)[..., 0], gx
+
+
 def batch_norm_backward_chain(x, gamma, g, eps, running=None):
     """(dx, dγ, dβ) of BatchNorm over all axes but 1, through the chain rule.
 

@@ -1,10 +1,13 @@
 """BatchNorm folded into the preceding conv at inference.
 
 In eval mode every Conv–BN(–ReLU) unit runs as one conv with weight w·scale
-and bias shift (``BatchNorm.fold``). These tests hold the folded path to
-the unfolded ``relu(norm(conv(x)))`` in float64, hold training mode bit for
-bit to the three separate ops, and check that an eval forward writes no
-parameter or buffer.
+and bias shift (``BatchNorm.fold``), and without a graph the detection
+branch's upsample and 3×3 conv run as four sub-pixel 2×2 convs. These tests
+hold the folded path to the unfolded ``relu(norm(conv(x)))`` (with the
+upsample as its own op) in float64, with and without a recorded graph, hold
+training mode bit for bit to the separate ops, check that an eval forward
+writes no parameter, buffer or input, and count the conv work of a
+full-scale eval forward.
 """
 
 import contextlib
@@ -13,17 +16,24 @@ import numpy as np
 import pytest
 
 from voxeldet import nn_core, sparse_conv
+from voxeldet.config import RunConfig
 from voxeldet.depth_head import PartSpec, PartTower
-from voxeldet.nn_core import BatchNorm, ConvSpec, Tensor, conv2d, no_grad, relu
-from voxeldet.seg_context import DetectionBranch, ResidualBlock
+from voxeldet.model import VehicleDetector
+from voxeldet.nn_core import BatchNorm, ConvSpec, Tensor, conv2d, no_grad, relu, upsample_nearest2
+from voxeldet.seg_context import (
+    DetectionBranch,
+    ResidualBlock,
+    SegmentationBranch,
+    SemanticContextEncoder,
+)
 from voxeldet.sparse_conv import VfeEncoder
 from voxeldet.voxel_grid import make_grid
 
 from helpers import projected_loss, random_cotangent
 
 
-def _explicit_conv_bn(x, conv, norm, with_relu=True):
-    y = norm(conv(x))
+def _explicit_conv_bn(x, conv, norm, with_relu=True, *, upsample=False):
+    y = norm(conv(upsample_nearest2(x) if upsample else x))
     return relu(y) if with_relu else y
 
 
@@ -56,6 +66,8 @@ def _randomise_norms(module, seed):
 def _outputs(result):
     if isinstance(result, Tensor):
         return [result]
+    if isinstance(result, tuple):   # the encoder's (R, M)
+        return list(result)
     return [result.cls_logits, result.box, result.dir_logits]
 
 
@@ -77,6 +89,14 @@ def _detection_branch():
     return DetectionBranch(6, seed=2), (2, 6, 8, 8)
 
 
+def _segmentation_branch():
+    return SegmentationBranch(6, seed=6), (2, 6, 8, 12)
+
+
+def _encoder():
+    return SemanticContextEncoder(6, seed=7), (2, 6, 8, 12)
+
+
 def _part_tower_dilated():
     spec = PartSpec(0, 12, kernel=3, dilation=2)
     return PartTower(spec, np.random.default_rng(3), in_channels=6, mid_channels=5), (2, 6, 5, 12)
@@ -94,6 +114,8 @@ def _vfe_encoder():
 CASES = {
     "residual_block": _residual_block,
     "detection_branch": _detection_branch,
+    "segmentation_branch": _segmentation_branch,
+    "semantic_context_encoder": _encoder,
     "part_tower_k3_d2": _part_tower_dilated,
     "part_tower_k1": _part_tower_1x1,
     "vfe_encoder": _vfe_encoder,
@@ -114,19 +136,80 @@ def _no_norm_pass(*args, **kwargs):
     raise AssertionError("an eval forward ran a separate BatchNorm pass")
 
 
+TENSOR_CASES = [case for case in CASES if case != "vfe_encoder"]
+# upsampled maps an eval forward without a graph builds: only the pyramid's two
+# merges, never the input of the detection branch's up-conv
+UPSAMPLES = {"segmentation_branch": 2, "semantic_context_encoder": 2}
+
+
 @pytest.mark.parametrize("case", CASES)
 def test_eval_fold_matches_unfolded_in_float64(monkeypatch, case):
     monkeypatch.setattr(sparse_conv, "_FEATURE_DTYPE", np.float64)
     module, x, forward = _build(case)
     module.eval()
+    upsampled = []
     with no_grad(), monkeypatch.context() as m:
         m.setattr(BatchNorm, "__call__", _no_norm_pass)
+        m.setattr(nn_core, "upsample_nearest2",
+                  lambda t: upsampled.append(t) or upsample_nearest2(t))
         folded = [t.data for t in forward(module, x)]
-    with no_grad(), _unfolded(monkeypatch):
+    assert len(upsampled) == UPSAMPLES.get(case, 0)
+    with _unfolded(monkeypatch):   # a recorded graph: every merge runs as its own ops
         unfolded = [t.data for t in forward(module, x)]
     for got, ref in zip(folded, unfolded):
         assert got.dtype == ref.dtype == np.float64 and got.shape == ref.shape
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("case", TENSOR_CASES)
+def test_eval_with_graph_matches_unfolded_input_gradient(monkeypatch, case):
+    """An eval forward that records a graph keeps the upsampled conv, and its
+    output and input gradient match the unfolded path. The folded convs take
+    their weights as constants, so only the input receives a gradient."""
+    runs = []
+    for explicit in (False, True):
+        module, x, forward = _build(case)
+        module.eval()
+        with _unfolded(monkeypatch) if explicit else contextlib.nullcontext():
+            outs = forward(module, x)
+            sum(projected_loss(o, random_cotangent(o.shape, seed=40 + i))
+                for i, o in enumerate(outs)).backward()
+        runs.append(([o.data for o in outs], x.grad))
+    (outs, grad), (outs_ref, grad_ref) = runs
+    for got, ref in zip(outs + [grad], outs_ref + [grad_ref]):
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("case", ["residual_block", "segmentation_branch",
+                                  "semantic_context_encoder"])
+def test_in_place_merges_are_bit_identical_to_graph_ops(case):
+    """Without a graph the skips, pyramid merges and R are written in place;
+    in float32 their bits equal those of the ops a recorded graph runs. Only
+    R's detection half, which the sub-pixel up-conv computes, may differ."""
+    module, x, forward = _build(case)
+    module.eval()
+    x32 = Tensor(x.data.astype(np.float32), requires_grad=True)
+    with no_grad():
+        in_place = [t.data for t in forward(module, x32)]
+    with_graph = [t.data for t in forward(module, x32)]
+    if case == "semantic_context_encoder":   # (R, M): keep R's (1 + M)·bev half
+        c = x.shape[1]
+        in_place[0], with_graph[0] = in_place[0][:, :c], with_graph[0][:, :c]
+    for got, ref in zip(in_place, with_graph):
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got, ref)
+
+
+@pytest.mark.parametrize("case", TENSOR_CASES)
+def test_eval_forward_without_graph_leaves_input_bytes_unchanged(case):
+    module, x, forward = _build(case)
+    module.eval()
+    bev = Tensor(x.data.astype(np.float32))
+    before = bev.data.tobytes()
+    with no_grad():
+        forward(module, bev)
+    assert bev.data.tobytes() == before
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -182,3 +265,28 @@ def test_conv2d_relu_keyword_matches_relu_op(monkeypatch):
         runs.append([out.data, x.grad, w.grad, b.grad])
     for got, ref in zip(*runs):
         np.testing.assert_array_equal(got, ref)
+
+
+def test_eval_forward_conv_flops_of_default_config(monkeypatch):
+    """2 × the conv2d multiply-adds of one no-grad eval forward of the default
+    (full-scale) config. They depend only on map shapes, so a few sites
+    suffice: 83.74 GFLOP, of which the detection branch's sub-pixel up-conv
+    takes 4.71 where a 3×3 conv of the upsampled map would take 10.38."""
+    cfg = RunConfig()
+    model = VehicleDetector(cfg).eval()
+    nx, ny, nz = cfg.grid_shape
+    idx = np.array([[0, 0, 0], [nx // 2, ny // 2, nz // 2], [nx - 1, ny - 1, nz - 1]])
+    grid = make_grid(cfg.grid_shape, idx, np.ones((3, 4)))
+    flops = []
+    real_conv2d = nn_core.conv2d
+
+    def counting_conv2d(x, weight, bias, spec, **kwargs):
+        out = real_conv2d(x, weight, bias, spec, **kwargs)
+        n, c = x.shape[:2]
+        flops.append(2 * n * spec.out_channels * c * spec.kernel ** 2 * out.shape[2] * out.shape[3])
+        return out
+
+    monkeypatch.setattr(nn_core, "conv2d", counting_conv2d)
+    with no_grad():
+        model.forward([grid])
+    assert round(sum(flops) / 1e9, 2) == 83.74

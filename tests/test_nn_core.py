@@ -19,6 +19,7 @@ from voxeldet.nn_core import (
     logsumexp,
     maxpool2,
     narrow,
+    no_grad,
     relu,
     save_checkpoint,
     sigmoid,
@@ -30,7 +31,9 @@ from helpers import (
     batch_norm_backward_chain,
     conv2d_backward_col2im,
     conv2d_naive,
+    conv_input_grad_zero_stuffed,
     finite_diff_error,
+    maxpool2_windows,
     projected_loss,
     random_cotangent,
 )
@@ -222,6 +225,42 @@ class TestConv2dBackwardOracle:
         _assert_close_rel(got[0], ref[0])
         _assert_close_rel(got[2], ref[2])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bands", ["single", "multi"])
+    @pytest.mark.parametrize("stride,padding,dilation", [
+        (1, 1, 1), (1, 0, 1), (1, 2, 2), (1, 1, 2), (1, 3, 1), (2, 1, 1), (2, 2, 2), (2, 0, 1),
+    ])
+    def test_input_grad_bit_identical_to_zero_stuffed(self, monkeypatch, dtype, bands, stride,
+                                                      padding, dilation):
+        spec = ConvSpec(3, 4, kernel=3, stride=stride, padding=padding, dilation=dilation)
+        h, w = 13, 11
+        oh, ow = spec.out_size(h), spec.out_size(w)
+        if bands == "multi":   # two rows of dX per band
+            monkeypatch.setattr(nn_core, "_IM2COL_CHUNK", 2 * 4 * 9 * w)
+        rng = np.random.default_rng(60 + 7 * stride + 3 * padding + dilation)
+        g = rng.normal(size=(2, 4, oh, ow)).astype(dtype)
+        weight = rng.normal(size=(4, 3, 3, 3))
+        got = nn_core._conv_input_grad(g, weight, spec, h, w)
+        ref = conv_input_grad_zero_stuffed(g, weight, spec, h, w)
+        assert got.dtype == ref.dtype == dtype
+        np.testing.assert_array_equal(got, ref)
+
+    def test_stride1_input_grad_makes_no_padded_copy_of_the_gradient(self, monkeypatch):
+        import tracemalloc
+
+        spec = ConvSpec(8, 8, kernel=3, padding=1)
+        g = np.random.default_rng(9).normal(size=(1, 8, 64, 64))
+        weight = np.random.default_rng(10).normal(size=(8, 8, 3, 3))
+        monkeypatch.setattr(nn_core, "_IM2COL_CHUNK", 2 * 8 * 9 * 64)
+        padded_copy = g.nbytes * (66 * 66) / (64 * 64)
+        tracemalloc.start()
+        try:
+            out = nn_core._conv_input_grad(g, weight, spec, 64, 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes + padded_copy / 2
+
 
 class TestBatchNorm:
     def test_constant_channel_zero_centered(self):
@@ -317,10 +356,48 @@ class TestActivations:
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
 
+def _maxpool_case(kind, dtype):
+    """An input with many ties: values drawn from a few numbers and both zeros."""
+    rng = np.random.default_rng(90)
+    shape = {"even": (2, 3, 6, 8), "odd": (2, 3, 7, 9)}.get(kind, (2, 3, 6, 8))
+    if kind == "all_equal":
+        return np.full(shape, 0.5, dtype)
+    if kind == "nan":
+        x = rng.normal(size=shape).astype(dtype)
+        x.reshape(-1)[rng.choice(x.size, 20, replace=False)] = np.nan
+        return x
+    return rng.choice(np.array([-1.0, -0.0, 0.0, 0.25, 2.0]), size=shape).astype(dtype)
+
+
 class TestPoolingAndShape:
     def test_maxpool_values(self):
         x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2))
         np.testing.assert_allclose(maxpool2(x).data, [[[[4.0]]]])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", ["even", "odd", "all_equal", "nan"])
+    def test_maxpool_bit_identical_to_window_argmax(self, dtype, kind):
+        data = _maxpool_case(kind, dtype)
+        x = _param(data)
+        out = maxpool2(x)
+        cot = np.random.default_rng(91).normal(size=out.shape).astype(dtype)
+        projected_loss(out, Tensor(cot)).backward()
+        ref_out, ref_grad = maxpool2_windows(data, cot)
+        assert out.data.dtype == x.grad.dtype == dtype
+        # byte equality: signed zeros and NaN positions must match too
+        assert out.data.tobytes() == ref_out.tobytes()
+        assert x.grad.tobytes() == ref_grad.tobytes()
+        if kind == "all_equal":   # the first position, (0, 0), wins every window
+            assert (x.grad[:, :, 0::2, 0::2] == cot).all()
+            assert not x.grad[:, :, 1::2].any() and not x.grad[:, :, :, 1::2].any()
+        if kind == "odd":   # the trailing odd row and column get no gradient
+            assert not x.grad[:, :, -1].any() and not x.grad[:, :, :, -1].any()
+
+    def test_maxpool_without_grad_records_no_node(self):
+        x = _param(_maxpool_case("even", np.float32))
+        with no_grad():
+            out = maxpool2(x)
+        assert not out.requires_grad and out._backward is None and out._parents == ()
 
     def test_upsample_replicates(self):
         x = Tensor(np.array([[7.0]]).reshape(1, 1, 1, 1))
