@@ -262,8 +262,7 @@ def _cmd_forward(args, cfg) -> int:
     calib = kitti_io.read_calib(args.calib) if args.kitti_out else None
     detector = _load_model(cfg, args.checkpoint)
     grid = voxel_grid.voxelize(kitti_io.read_point_cloud(args.cloud), cfg.voxelizer())
-    with nn_core.no_grad():
-        output = detector.forward([grid])
+    output = detector.forward([grid])
     detections = detector.detect(output)[0]
     write_simple_detections(args.out, detections)
     if args.kitti_out:
@@ -362,8 +361,7 @@ def _cmd_bench(args, cfg) -> int:
 
     def timed(name, run):
         t0 = time.perf_counter()
-        with nn_core.no_grad():
-            result = run()
+        result = run()
         timings.append((name, time.perf_counter() - t0))
         return result
 

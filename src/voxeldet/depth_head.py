@@ -111,7 +111,7 @@ class PartTower(Module):
             head.weight.data[:] = rng.normal(0.0, 0.01, size=head.weight.shape)
         self.cls_head.bias.data[:] = -np.log((1.0 - CLASS_PRIOR) / CLASS_PRIOR)
 
-    def __call__(self, part_slice: Tensor) -> PartOutput:
+    def forward(self, part_slice: Tensor) -> PartOutput:
         x = nn_core.conv_bn(part_slice, self.conv1, self.norm1)
         x = nn_core.conv_bn(x, self.conv2, self.norm2)
         return PartOutput(self.cls_head(x), self.box_head(x), self.dir_head(x))
@@ -128,7 +128,7 @@ class DepthAwareHead(Module):
         for i, spec in enumerate(self.parts):
             self.add_module(f"part{i}", PartTower(spec, rng, in_channels, mid_channels))
 
-    def __call__(self, feature_map: Tensor) -> list[PartOutput]:
+    def forward(self, feature_map: Tensor) -> list[PartOutput]:
         if feature_map.shape[3] != self.map_width:
             raise ValueError(
                 f"map width {feature_map.shape[3]} != configured {self.map_width}"

@@ -37,9 +37,6 @@ class PointCloud:
         pts = np.asarray(self.points, dtype=np.float64).reshape(-1, 4)
         object.__setattr__(self, "points", pts)
 
-    def __len__(self):
-        return len(self.points)
-
     @property
     def xyz(self) -> np.ndarray:
         return self.points[:, :3]

@@ -15,6 +15,10 @@ features travel through the same engine as (sites, channels) matrices.
 node's closure and saved buffers are freed as soon as its gradient has been
 passed on, and a training step's memory peak is about its forward graph.
 
+Layers define ``forward``, and :meth:`Module.__call__` runs it, in eval mode
+under :class:`no_grad`: eval is inference, which folds each BatchNorm into
+its conv, records no graph and writes into the fresh maps it made.
+
 Ops build their graph nodes through two builders. A one-input op computes
 its output and calls ``_unary(a, out_data, grad)``, whose backward adds
 ``grad(out.grad)`` to ``a``; a broadcasting two-input op calls
@@ -118,10 +122,13 @@ class Tensor:
         to a node's gradient before the node runs, so nothing dropped is
         read again, and the buffers a closure saved (such as BatchNorm x̂)
         are freed as the walk passes it. Leaves and the root keep their
-        gradients.
+        gradients. A root that records no graph (an eval loss) raises.
         """
         if self.size != 1:
             raise ValueError(f"backward requires a scalar, got shape {self.shape}")
+        if not self.requires_grad:
+            raise ValueError("backward from a tensor that records no graph: no input "
+                             "requires a gradient, or the forward ran in eval mode")
         order = _toposort(self)
         self.grad = np.ones_like(self.data)
         while order:
@@ -207,7 +214,7 @@ _GRAD_ENABLED = True
 
 
 class no_grad:
-    """Context manager: ops record no graph inside (inference paths)."""
+    """Context manager: ops record no graph inside (every eval-mode forward)."""
 
     def __enter__(self):
         global _GRAD_ENABLED
@@ -221,17 +228,10 @@ class no_grad:
         return False
 
 
-def records_graph(*tensors: Tensor) -> bool:
-    """Whether an op on ``tensors`` records a graph node: gradients are enabled
-    and one of them requires a gradient. Where it does not, no backward reads
-    the op's output, so the caller may write into a fresh output in place."""
-    return _GRAD_ENABLED and any(t.requires_grad for t in tensors)
-
-
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
     """Assemble an op output; ``backward`` may be None for constant results."""
     out = Tensor(data)
-    if records_graph(*parents):
+    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward
@@ -696,7 +696,9 @@ class BatchNormState:
 
 
 class Module:
-    """Minimal layer base: named parameters, buffers, train/eval mode."""
+    """Minimal layer base: named parameters, buffers, train/eval mode. Calling
+    a module runs its ``forward``; eval mode, which records no graph, also
+    decides the BatchNorm fold and where a layer writes in place."""
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
@@ -730,6 +732,12 @@ class Module:
 
     def eval(self):
         return self.train(False)
+
+    def __call__(self, *args):
+        if self.training:
+            return self.forward(*args)
+        with no_grad():
+            return self.forward(*args)
 
     def named_parameters(self, prefix: str = "") -> dict[str, Tensor]:
         out = {prefix + name: t for name, t in self._params.items()}
@@ -779,7 +787,7 @@ class Conv2d(Module):
             self.register_parameter("bias", np.zeros(spec.out_channels)) if spec.bias else None
         )
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor) -> Tensor:
         return conv2d(x, self.weight, self.bias, self.spec)
 
 
@@ -800,7 +808,7 @@ class BatchNorm(Module):
         self.register_buffer("running_mean", self.state.running_mean)
         self.register_buffer("running_var", self.state.running_var)
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor) -> Tensor:
         return batch_norm(x, self.gamma, self.beta, self.state, self.training,
                           self.momentum, self.eps)
 
@@ -826,40 +834,39 @@ _PHASE_TAPS = np.array([[[1, 0, 0], [0, 1, 1]], [[1, 1, 0], [0, 0, 1]]], np.floa
 def conv_bn(x, conv: Conv2d, norm: BatchNorm, with_relu: bool = True, *,
             upsample: bool = False) -> Tensor:
     """``relu(norm(conv(x)))``, or ``norm(conv(x))`` when not ``with_relu``;
-    with ``upsample``, the conv reads ``upsample_nearest2(x)``.
+    with ``upsample``, the conv reads ``upsample_nearest2(x)`` and must be
+    3×3 with padding 1 and stride 1 (``ValueError`` otherwise).
 
     ``conv`` has no bias. Training records one graph node for the unit
     (:func:`_norm_unit`), which keeps only x̂ and the unit's output. In eval
     mode the norm is folded into the conv (:meth:`BatchNorm.fold`), so one
-    conv2d pass applies the shift and the ReLU to each output band in place.
+    conv2d pass of ``x.data`` applies the shift and the ReLU to each output
+    band in place; the folded unit records no graph, whatever ``x`` requires.
 
-    With ``upsample`` and a 3×3, padding-1, stride-1 conv, an eval forward
-    that records no graph (:func:`records_graph`) never builds the upsampled
-    (2h, 2w) map. Each output phase (a, b) is a 2×2 conv of ``x`` with
-    padding 1, written into ``out[:, :, a::2, b::2]`` from its rows
-    [a, a + h) and columns [b, b + w). Phase rows and columns take the
-    kernel taps ``_PHASE_TAPS``: parity 0 reads half-map rows (i−1, i) with
-    kernel rows (W₀, W₁ + W₂), parity 1 reads (i, i + 1) with (W₀ + W₁, W₂).
-    The four phases run as one conv with 4·C output channels, which held
-    the full-scale frame's peak memory level where four separate convs did
-    not. This takes 16 multiply-adds per output cell and channel pair where
-    the upsampled conv takes 36, and it equals that conv up to the rounding
-    of the summed taps. Otherwise the upsampled map is built and convolved.
+    With ``upsample``, eval mode never builds the upsampled (2h, 2w) map.
+    Each output phase (a, b) is a 2×2 conv of ``x`` with padding 1, written
+    into ``out[:, :, a::2, b::2]`` from its rows [a, a + h) and columns
+    [b, b + w). Phase rows and columns take the kernel taps ``_PHASE_TAPS``:
+    parity 0 reads half-map rows (i−1, i) with kernel rows (W₀, W₁ + W₂),
+    parity 1 reads (i, i + 1) with (W₀ + W₁, W₂). The four phases run as one
+    conv with 4·C output channels, which held the full-scale frame's peak
+    memory level where four separate convs did not. This takes 16
+    multiply-adds per output cell and channel pair where the upsampled conv
+    takes 36, and it equals that conv up to the rounding of the summed taps.
     """
-    x = _wrap(x)
+    x, spec = _wrap(x), conv.spec
+    if upsample and (spec.kernel, spec.stride, spec.padding, spec.dilation) != (3, 1, 1, 1):
+        raise ValueError(f"conv_bn with upsample needs a 3x3, stride-1, padding-1 conv, got {spec}")
     if norm.training:
         return _norm_unit(conv(upsample_nearest2(x) if upsample else x), norm, with_relu)
     scale, shift = norm.fold()
     weight = conv.weight.data * scale.reshape(-1, 1, 1, 1)
-    spec = conv.spec
     if not upsample:
-        return conv2d(x, weight, shift, spec, relu=with_relu)
-    if records_graph(x) or (spec.kernel, spec.stride, spec.padding, spec.dilation) != (3, 1, 1, 1):
-        return conv2d(upsample_nearest2(x), weight, shift, spec, relu=with_relu)
+        return conv2d(x.data, weight, shift, spec, relu=with_relu)
     (n, c, h, w), oc = x.shape, spec.out_channels
     out = np.empty((n, oc, 2 * h, 2 * w), x.data.dtype)
     taps = np.einsum("aik,ockl,bjl->abocij", _PHASE_TAPS, weight, _PHASE_TAPS, optimize=True)
-    y = conv2d(x, taps.reshape(4 * oc, c, 2, 2), np.tile(shift, 4),
+    y = conv2d(x.data, taps.reshape(4 * oc, c, 2, 2), np.tile(shift, 4),
                ConvSpec(c, 4 * oc, 2, padding=1), relu=with_relu).data
     y = y.reshape(n, 2, 2, oc, h + 1, w + 1)
     for a in (0, 1):

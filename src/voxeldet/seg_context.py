@@ -37,10 +37,6 @@ class SemanticMask:
     def __post_init__(self):
         object.__setattr__(self, "labels", np.asarray(self.labels, dtype=bool))
 
-    @property
-    def shape(self):
-        return self.labels.shape
-
 
 def _foreground_voxel_columns(indices_xy: np.ndarray, cfg: VoxelizerConfig,
                               gt_boxes) -> np.ndarray:
@@ -100,10 +96,10 @@ def make_mask(grid: SparseVoxelGrid, gt_boxes, kind: MaskKind, cfg: VoxelizerCon
 class ResidualBlock(Module):
     """Two 3x3 convolutions with batch norm and an additive skip.
 
-    Where the forward records no graph (``nn_core.records_graph``), the skip
-    is added and the ReLU run in place on the second conv's fresh output, so
-    the block makes no map beyond its two conv outputs; the input is never
-    written. The bits equal those of ``relu(x + y)``.
+    In eval mode the skip is added and the ReLU run in place on the second
+    conv's fresh output, so the block makes no map beyond its two conv
+    outputs; the input is never written. The bits equal those of
+    ``relu(x + y)``, which training records.
     """
 
     def __init__(self, channels: int, rng):
@@ -113,21 +109,21 @@ class ResidualBlock(Module):
         self.conv2 = Conv2d(ConvSpec(channels, channels, 3, padding=1, bias=False), rng)
         self.norm2 = BatchNorm(channels)
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor) -> Tensor:
         y = nn_core.conv_bn(x, self.conv1, self.norm1)
         y = nn_core.conv_bn(y, self.conv2, self.norm2, with_relu=False)
-        if nn_core.records_graph(x, y):
+        if self.training:
             return nn_core.relu(x + y)
         np.add(y.data, x.data, out=y.data)
         np.maximum(y.data, 0.0, out=y.data)
         return y
 
 
-def _merge(fine: Tensor, coarse: Tensor) -> Tensor:
-    """``fine + upsample_nearest2(coarse)``. Where no graph is recorded ``fine``
-    is added into the fresh upsampled map."""
+def _merge(fine: Tensor, coarse: Tensor, training: bool) -> Tensor:
+    """``fine + upsample_nearest2(coarse)``. Outside ``training`` (eval mode,
+    which records no graph) ``fine`` is added into the fresh upsampled map."""
     up = nn_core.upsample_nearest2(coarse)
-    if nn_core.records_graph(fine, up):
+    if training:
         return fine + up
     np.add(up.data, fine.data, out=up.data)
     return up
@@ -144,8 +140,7 @@ class SegmentationBranch(Module):
     Residual blocks sit at full, 1/2 and 1/4 scale (two maxpools down, two
     nearest-neighbor upsamples back); two 3x3 fusion convolutions merge the
     scales before the 1x1 head. Each merge adds a finer map to an upsampled
-    coarse one; where no graph is recorded it adds in place into the fresh
-    upsampled map.
+    coarse one; in eval mode it adds in place into the fresh upsampled map.
     """
 
     def __init__(self, channels: int = 128, seed: int = 0):
@@ -165,7 +160,7 @@ class SegmentationBranch(Module):
         self.head.weight.data[:] = rng.normal(0.0, 0.01, size=self.head.weight.shape)
         self.head.bias.data[:] = -np.log((1.0 - MASK_PRIOR) / MASK_PRIOR)
 
-    def __call__(self, bev: Tensor) -> Tensor:
+    def forward(self, bev: Tensor) -> Tensor:
         _, c, h, w = bev.shape
         if c != self.channels:
             raise ValueError(f"expected {self.channels} channels, got {c}")
@@ -174,8 +169,9 @@ class SegmentationBranch(Module):
         full = self.res_full(bev)
         half = self.res_half_b(self.res_half_a(nn_core.maxpool2(full)))
         quarter = self.res_quarter_b(self.res_quarter_a(nn_core.maxpool2(half)))
-        merged_half = nn_core.conv_bn(_merge(half, quarter), self.fuse_half, self.fuse_half_norm)
-        merged_full = nn_core.conv_bn(_merge(full, merged_half), self.fuse_full,
+        merged_half = nn_core.conv_bn(_merge(half, quarter, self.training), self.fuse_half,
+                                      self.fuse_half_norm)
+        merged_full = nn_core.conv_bn(_merge(full, merged_half, self.training), self.fuse_full,
                                       self.fuse_full_norm)
         return nn_core.sigmoid(self.head(merged_full))
 
@@ -184,8 +180,7 @@ class DetectionBranch(Module):
     """Shallow U-Net: stride-2 descent, upsample back, concat with the input.
 
     The upsample and the last conv run as one ``conv_bn(..., upsample=True)``,
-    which an eval forward without a graph computes as sub-pixel convs of the
-    half-resolution map.
+    which eval mode computes as sub-pixel convs of the half-resolution map.
     """
 
     def __init__(self, channels: int = 128, seed: int = 0):
@@ -214,7 +209,7 @@ class DetectionBranch(Module):
         x = nn_core.conv_bn(x, self.mid, self.mid_norm)
         return nn_core.conv_bn(x, self.up, self.up_norm, upsample=True)
 
-    def __call__(self, bev: Tensor) -> Tensor:
+    def forward(self, bev: Tensor) -> Tensor:
         return nn_core.concat([bev, self.unet(bev)])
 
 
@@ -245,11 +240,11 @@ class SemanticContextEncoder(Module):
     detection gradient on the segmentation branch outweighs the L_S
     gradient several times over and M stops being a foreground mask.
 
-    Where the forward records no graph (``nn_core.records_graph``), R is
-    written straight into one (B, 2·O, H, W) array, (1 + M)·bev into the
-    first O channels and (1 + M)·U into the rest, for the detection U-Net's
-    output U; no concatenated map is built and ``bev`` is never written. The
-    bits equal those of ``fuse(concat([bev, U]), M)``.
+    In eval mode, which records no graph, R is written straight into one
+    (B, 2·O, H, W) array, (1 + M)·bev into the first O channels and
+    (1 + M)·U into the rest, for the detection U-Net's output U; no
+    concatenated map is built and ``bev`` is never written. The bits equal
+    those of ``fuse(concat([bev, U]), M)``, which training records.
     """
 
     def __init__(self, channels: int = 128, seed: int = 0):
@@ -261,11 +256,11 @@ class SemanticContextEncoder(Module):
     def out_channels(self) -> int:
         return self.detection.out_channels
 
-    def __call__(self, bev: Tensor) -> tuple[Tensor, Tensor]:
+    def forward(self, bev: Tensor) -> tuple[Tensor, Tensor]:
         """Returns (fused feature map R, probability map M)."""
         m = self.segmentation(bev)
         u = self.detection.unet(bev)
-        if nn_core.records_graph(bev, u):
+        if self.training:
             return fuse(nn_core.concat([bev, u]), m.detach()), m
         c = bev.shape[1]
         weight = 1.0 + m.data

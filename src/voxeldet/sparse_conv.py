@@ -270,7 +270,7 @@ class SparseConv3d(Module):
             "weight", he_normal(rng, (n_off, in_channels, out_channels), fan_in)
         )
 
-    def __call__(self, features: Tensor, rulebook: Rulebook) -> Tensor:
+    def forward(self, features: Tensor, rulebook: Rulebook) -> Tensor:
         return sparse_conv_op(features, self.weight, None, rulebook)
 
 
@@ -386,9 +386,6 @@ class VfeEncoder(Module):
         scale, shift = norm.fold()
         out = sparse_conv_forward(x.data, conv.weight.data * scale, shift, rulebook)
         return Tensor(np.maximum(out, 0, out=out))
-
-    def __call__(self, grids) -> Tensor:
-        return self.forward(self.build_plan(grids))
 
 
 def densify_grid(grid: SparseVoxelGrid) -> np.ndarray:

@@ -327,8 +327,7 @@ def seg_mask_iou(model: VehicleDetector, batches) -> float:
     model.eval()
     inter = union = 0
     for batch in batches:
-        with nn_core.no_grad():
-            output = model.forward_from_plan(batch.plan)
+        output = model.forward_from_plan(batch.plan)
         pred = output.probability.data >= 0.5
         gt = batch.seg_labels >= 0.5
         inter += int((pred & gt).sum())

@@ -1,6 +1,7 @@
 """Shared test oracles: finite differences, the walk-then-release backward,
 the col2im conv2d backward, the explicit BatchNorm backward chain, a training
-Conv–BN–ReLU unit as separate nodes, dense 3D convolution, a per-offset
+Conv–BN–ReLU unit as separate nodes, the SCE's in-place eval skips, merges
+and R as explicit ops, dense 3D convolution, a per-offset
 rulebook, Monte-Carlo IoU, per-pair KITTI matching, and per-part,
 per-candidate and per-scene loops over the head maps."""
 
@@ -13,6 +14,7 @@ import voxeldet
 from voxeldet import eval_metrics, nn_core
 from voxeldet.box_geom import Box3D, Detection, bev_iou, decode, iou3d, wrap_angle
 from voxeldet.depth_head import ANCHORS_PER_CELL, BOX_CHANNELS, DIR_CHANNELS, FusedOutput
+from voxeldet.seg_context import fuse
 from voxeldet.train import PartTargets
 from voxeldet.sparse_conv import Rulebook, kernel_offsets
 
@@ -216,6 +218,26 @@ def norm_unit_chain(y, norm, with_relu=True):
     ``nn_core._norm_unit``, which records the whole unit as one node."""
     out = norm(y)
     return nn_core.relu(out) if with_relu else out
+
+
+def residual_block_ops(block, x):
+    """``ResidualBlock.forward`` with the skip and ReLU as the ops
+    ``relu(x + y)``: the oracle of the block's in-place eval writes."""
+    y = nn_core.conv_bn(x, block.conv1, block.norm1)
+    y = nn_core.conv_bn(y, block.conv2, block.norm2, with_relu=False)
+    return nn_core.relu(x + y)
+
+
+def merge_ops(fine, coarse, training):
+    """``seg_context._merge`` as the ops ``fine + upsample_nearest2(coarse)``."""
+    return fine + nn_core.upsample_nearest2(coarse)
+
+
+def encoder_ops(encoder, bev):
+    """``SemanticContextEncoder.forward`` with R as the ops
+    ``fuse(concat([bev, U]), M)``: the oracle of the eval write of R."""
+    m = encoder.segmentation(bev)
+    return fuse(nn_core.concat([bev, encoder.detection.unet(bev)]), m.detach()), m
 
 
 def adamw_step_textbook(opt):

@@ -1,13 +1,15 @@
 """BatchNorm folded into the preceding conv at inference.
 
-In eval mode every Conv–BN(–ReLU) unit runs as one conv with weight w·scale
-and bias shift (``BatchNorm.fold``), and without a graph the detection
-branch's upsample and 3×3 conv run as four sub-pixel 2×2 convs. These tests
-hold the folded path to the unfolded ``relu(norm(conv(x)))`` (with the
-upsample as its own op) in float64, with and without a recorded graph, hold
-training mode bit for bit to the separate ops, check that an eval forward
-writes no parameter, buffer or input, and count the conv work of a
-full-scale eval forward.
+Eval mode is inference. Every Conv–BN(–ReLU) unit runs as one conv with
+weight w·scale and bias shift (``BatchNorm.fold``), the detection branch's
+upsample and 3×3 conv run as four sub-pixel 2×2 convs, the SCE writes its
+skips, merges and R in place, and nothing records a graph. These tests hold
+the folded path to the unfolded ``relu(norm(conv(x)))`` (with the upsample
+as its own op) in float64 and the in-place writes bit for bit to their op
+chains, check that an eval forward records no graph and that backward from
+it raises, hold training mode bit for bit to the separate ops, check that
+an eval forward writes no parameter, buffer or input, and count the conv
+work of a full-scale eval forward.
 """
 
 import contextlib
@@ -15,11 +17,11 @@ import contextlib
 import numpy as np
 import pytest
 
-from voxeldet import nn_core, sparse_conv
-from voxeldet.config import RunConfig
+from voxeldet import nn_core, seg_context, sparse_conv
+from voxeldet.config import RunConfig, toy_config
 from voxeldet.depth_head import PartSpec, PartTower
 from voxeldet.model import VehicleDetector
-from voxeldet.nn_core import BatchNorm, ConvSpec, Tensor, conv2d, no_grad, relu, upsample_nearest2
+from voxeldet.nn_core import BatchNorm, ConvSpec, Tensor, conv2d, relu, upsample_nearest2
 from voxeldet.seg_context import (
     DetectionBranch,
     ResidualBlock,
@@ -27,9 +29,16 @@ from voxeldet.seg_context import (
     SemanticContextEncoder,
 )
 from voxeldet.sparse_conv import VfeEncoder
-from voxeldet.voxel_grid import make_grid
+from voxeldet.synthetic import make_toy_dataset
+from voxeldet.voxel_grid import make_grid, voxelize
 
-from helpers import projected_loss, random_cotangent
+from helpers import (
+    encoder_ops,
+    merge_ops,
+    projected_loss,
+    random_cotangent,
+    residual_block_ops,
+)
 
 
 def _explicit_conv_bn(x, conv, norm, with_relu=True, *, upsample=False):
@@ -137,8 +146,8 @@ def _no_norm_pass(*args, **kwargs):
 
 
 TENSOR_CASES = [case for case in CASES if case != "vfe_encoder"]
-# upsampled maps an eval forward without a graph builds: only the pyramid's two
-# merges, never the input of the detection branch's up-conv
+# upsampled maps an eval forward builds: only the pyramid's two merges, never
+# the input of the detection branch's up-conv
 UPSAMPLES = {"segmentation_branch": 2, "semantic_context_encoder": 2}
 
 
@@ -148,55 +157,73 @@ def test_eval_fold_matches_unfolded_in_float64(monkeypatch, case):
     module, x, forward = _build(case)
     module.eval()
     upsampled = []
-    with no_grad(), monkeypatch.context() as m:
-        m.setattr(BatchNorm, "__call__", _no_norm_pass)
+    with monkeypatch.context() as m:
+        m.setattr(BatchNorm, "forward", _no_norm_pass)
         m.setattr(nn_core, "upsample_nearest2",
                   lambda t: upsampled.append(t) or upsample_nearest2(t))
         folded = [t.data for t in forward(module, x)]
     assert len(upsampled) == UPSAMPLES.get(case, 0)
-    with _unfolded(monkeypatch):   # a recorded graph: every merge runs as its own ops
+    with _unfolded(monkeypatch):
         unfolded = [t.data for t in forward(module, x)]
     for got, ref in zip(folded, unfolded):
         assert got.dtype == ref.dtype == np.float64 and got.shape == ref.shape
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-@pytest.mark.parametrize("case", TENSOR_CASES)
-def test_eval_with_graph_matches_unfolded_input_gradient(monkeypatch, case):
-    """An eval forward that records a graph keeps the upsampled conv, and its
-    output and input gradient match the unfolded path. The folded convs take
-    their weights as constants, so only the input receives a gradient."""
-    runs = []
-    for explicit in (False, True):
-        module, x, forward = _build(case)
-        module.eval()
-        with _unfolded(monkeypatch) if explicit else contextlib.nullcontext():
-            outs = forward(module, x)
-            sum(projected_loss(o, random_cotangent(o.shape, seed=40 + i))
-                for i, o in enumerate(outs)).backward()
-        runs.append(([o.data for o in outs], x.grad))
-    (outs, grad), (outs_ref, grad_ref) = runs
-    for got, ref in zip(outs + [grad], outs_ref + [grad_ref]):
-        assert got.shape == ref.shape
-        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+def _toy_detector():
+    """A 12×12-cell toy detector, its one-scene grid and its forward."""
+    cfg = toy_config(range_min=(0.0, -2.4, -3.0), range_max=(4.8, 2.4, 1.0),
+                     part_bounds=((0, 5), (3, 9), (7, 12)))
+    grid = voxelize(make_toy_dataset(cfg, n_scenes=1)[0].cloud, cfg.voxelizer())
+
+    def forward(model, g):
+        out = model.forward([g])
+        return [out.bev, out.probability, out.fused] + [t for part in out.parts
+                                                        for t in _outputs(part)]
+    return VehicleDetector(cfg), grid, forward
+
+
+@pytest.mark.parametrize("case", [*CASES, "vehicle_detector"])
+def test_eval_forward_records_no_graph(case):
+    """An eval forward, with no ``no_grad`` around it, returns outputs that
+    record no graph and gives no parameter or input a gradient; ``backward``
+    from a loss of them raises. The training forward records a graph that
+    reaches every parameter."""
+    module, x, forward = _toy_detector() if case == "vehicle_detector" else _build(case)
+    leaves = list(module.named_parameters().values())
+    leaves += [x] if isinstance(x, Tensor) else []
+    for training in (False, True):
+        module.train(training)
+        outs = forward(module, x)
+        loss = sum(projected_loss(o, random_cotangent(o.shape, seed=40 + i))
+                   for i, o in enumerate(outs))
+        if training:
+            assert all(o.requires_grad for o in outs)
+            loss.backward()
+            assert all(t.grad is not None for t in leaves)
+        else:
+            assert not any(o.requires_grad or o._parents for o in outs)
+            with pytest.raises(ValueError, match="records no graph"):
+                loss.backward()
+            assert all(t.grad is None for t in leaves)
 
 
 @pytest.mark.parametrize("case", ["residual_block", "segmentation_branch",
                                   "semantic_context_encoder"])
-def test_in_place_merges_are_bit_identical_to_graph_ops(case):
-    """Without a graph the skips, pyramid merges and R are written in place;
-    in float32 their bits equal those of the ops a recorded graph runs. Only
-    R's detection half, which the sub-pixel up-conv computes, may differ."""
+def test_in_place_merges_are_bit_identical_to_graph_ops(monkeypatch, case):
+    """Eval mode writes the skips, pyramid merges and R in place; in float32
+    their bits equal those of the op chains ``relu(x + y)``,
+    ``fine + upsample_nearest2(coarse)`` and ``fuse(concat([bev, U]), M)``."""
     module, x, forward = _build(case)
     module.eval()
-    x32 = Tensor(x.data.astype(np.float32), requires_grad=True)
-    with no_grad():
-        in_place = [t.data for t in forward(module, x32)]
-    with_graph = [t.data for t in forward(module, x32)]
-    if case == "semantic_context_encoder":   # (R, M): keep R's (1 + M)·bev half
-        c = x.shape[1]
-        in_place[0], with_graph[0] = in_place[0][:, :c], with_graph[0][:, :c]
-    for got, ref in zip(in_place, with_graph):
+    x32 = Tensor(x.data.astype(np.float32))
+    in_place = [t.data for t in forward(module, x32)]
+    with monkeypatch.context() as m:
+        m.setattr(ResidualBlock, "forward", residual_block_ops)
+        m.setattr(seg_context, "_merge", merge_ops)
+        m.setattr(SemanticContextEncoder, "forward", encoder_ops)
+        ops = [t.data for t in forward(module, x32)]
+    for got, ref in zip(in_place, ops):
         assert got.dtype == np.float32
         np.testing.assert_array_equal(got, ref)
 
@@ -207,8 +234,7 @@ def test_eval_forward_without_graph_leaves_input_bytes_unchanged(case):
     module.eval()
     bev = Tensor(x.data.astype(np.float32))
     before = bev.data.tobytes()
-    with no_grad():
-        forward(module, bev)
+    forward(module, bev)
     assert bev.data.tobytes() == before
 
 
@@ -242,8 +268,7 @@ def test_eval_forward_leaves_state_dict_unchanged(case):
     module, x, forward = _build(case)
     module.eval()
     before = {k: v.copy() for k, v in module.state_dict().items()}
-    with no_grad():
-        forward(module, x)
+    forward(module, x)
     after = module.state_dict()
     assert after.keys() == before.keys()
     for name in before:
@@ -268,7 +293,7 @@ def test_conv2d_relu_keyword_matches_relu_op(monkeypatch):
 
 
 def test_eval_forward_conv_flops_of_default_config(monkeypatch):
-    """2 × the conv2d multiply-adds of one no-grad eval forward of the default
+    """2 × the conv2d multiply-adds of one eval forward of the default
     (full-scale) config. They depend only on map shapes, so a few sites
     suffice: 83.74 GFLOP, of which the detection branch's sub-pixel up-conv
     takes 4.71 where a 3×3 conv of the upsampled map would take 10.38."""
@@ -287,6 +312,5 @@ def test_eval_forward_conv_flops_of_default_config(monkeypatch):
         return out
 
     monkeypatch.setattr(nn_core, "conv2d", counting_conv2d)
-    with no_grad():
-        model.forward([grid])
+    model.forward([grid])
     assert round(sum(flops) / 1e9, 2) == 83.74

@@ -43,7 +43,7 @@ class TestPointCloudIO:
     def test_empty_file(self, tmp_path):
         p = tmp_path / "scan.bin"
         p.write_bytes(b"")
-        assert len(read_point_cloud(p)) == 0
+        assert len(read_point_cloud(p).points) == 0
 
     def test_truncated_rejected(self, tmp_path):
         p = tmp_path / "scan.bin"
@@ -57,7 +57,7 @@ class TestPointCloudIO:
         p.write_bytes(pts.tobytes())
         with caplog.at_level("WARNING"):
             cloud = read_point_cloud(p)
-        assert len(cloud) == 1
+        assert len(cloud.points) == 1
         assert "non-finite" in caplog.text
 
     def test_roundtrip_identity(self, tmp_path):

@@ -10,6 +10,10 @@ Conv–BN(–ReLU) unit, which runs the conv's backward inside its own) call
 Each conv kind has one kernel, which its input gradient runs too: in
 ``nn_core`` only ``conv2d`` reads a window view or calls ``np.matmul``, and
 in ``sparse_conv`` only ``sparse_conv_forward`` scatters.
+
+Eval mode is the one switch for inference: no ``Module`` subclass defines
+``__call__``, so every layer runs through ``Module.__call__``, the only
+place that names ``no_grad``.
 """
 
 import ast
@@ -42,6 +46,28 @@ def calls(name):
         getattr(node.func, "id", None) == name or getattr(node.func, "attr", None) == name)
 
 
+def reads(name):
+    """Matches a use of ``name`` or of ``<anything>.name``."""
+    return lambda node: (isinstance(node, ast.Name) and node.id == name
+                         or isinstance(node, ast.Attribute) and node.attr == name)
+
+
+def module_classes_defining(paths, method) -> set[str]:
+    """Subclasses of ``Module`` in ``paths``, directly or through classes
+    defined there, that define ``method`` themselves."""
+    classes = [node for path in paths for node in ast.parse(path.read_text(), str(path)).body
+               if isinstance(node, ast.ClassDef)]
+    bases = {cls.name: {getattr(b, "id", getattr(b, "attr", None)) for b in cls.bases}
+             for cls in classes}
+    subclasses, grown = set(), True
+    while grown:
+        found = {name for name, names in bases.items() if names & (subclasses | {"Module"})}
+        grown, subclasses = found != subclasses, found
+    return {cls.name for cls in classes if cls.name in subclasses
+            and any(isinstance(item, ast.FunctionDef) and item.name == method
+                    for item in cls.body)}
+
+
 def scatters(node) -> bool:
     """``a[idx] += ...`` (any augmented assignment to a subscript) or a ufunc ``.at``."""
     return (isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Subscript)
@@ -70,6 +96,28 @@ def test_scanner_finds_direct_qualified_and_method_callers(tmp_path):
         "class Layer:\n    def forward(self, a):\n        return _node(a, (a,), None)\n"
     )
     assert node_callers(package) == {"_unary", "sin", "Layer.forward"}
+
+
+def test_every_layer_runs_through_module_call():
+    paths = sorted(SRC.glob("*.py"))
+    assert module_classes_defining(paths, "forward"), "no Module subclasses found"
+    assert module_classes_defining(paths, "__call__") == set()
+    assert functions_containing(paths, reads("no_grad")) == {"Module.__call__"}
+
+
+def test_call_scanners_find_subclasses_and_qualified_uses(tmp_path):
+    path = tmp_path / "layers.py"
+    path.write_text(
+        "class Module:\n    def __call__(self, x):\n        with no_grad():\n"
+        "            return self.forward(x)\n\n\n"
+        "class Layer(nn_core.Module):\n    def forward(self, x):\n        return x\n\n\n"
+        "class Block(Layer):\n    def __call__(self, x):\n        return x\n\n\n"
+        "class Plain:\n    def __call__(self, x):\n        return x\n\n\n"
+        "def infer(layer, x):\n    with nn_core.no_grad():\n        return layer(x)\n"
+    )
+    assert module_classes_defining([path], "__call__") == {"Block"}
+    assert module_classes_defining([path], "forward") == {"Layer"}
+    assert functions_containing([path], reads("no_grad")) == {"Module.__call__", "infer"}
 
 
 def test_only_conv2d_runs_the_dense_conv_kernel():

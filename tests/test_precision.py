@@ -30,7 +30,6 @@ from voxeldet.nn_core import (
     maxpool2,
     mul,
     narrow,
-    no_grad,
     power,
     reduce_mean,
     reduce_sum,
@@ -227,8 +226,7 @@ def micro_setup():
 
 def _eval_forward(model, plan):
     model.eval()
-    with no_grad():
-        out = model.forward_from_plan(plan)
+    out = model.forward_from_plan(plan)
     model.train()
     return out
 

@@ -42,7 +42,7 @@ class TestMakeMask:
         ])
         grid = voxelize(PointCloud(pts), TOY_CFG)
         mask = make_mask(grid, [], MaskKind.BOX_TYPE, TOY_CFG)
-        assert mask.shape == (24, 24)
+        assert mask.labels.shape == (24, 24)
         assert not mask.labels.any()
 
     def test_box_type_aligned_rasterization(self):

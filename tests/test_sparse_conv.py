@@ -415,13 +415,13 @@ class TestVfe:
         ])
         idx = np.unique(idx, axis=0)
         grid = make_grid((1408, 1600, 40), idx, rng.normal(size=(len(idx), 4)))
-        bev = enc(grid)
+        bev = enc.forward(enc.build_plan(grid))
         assert bev.shape == (1, 128, 200, 176)
 
     def test_empty_grid_zero_bev(self):
         enc = VfeEncoder((64, 64, 8))
         grid = make_grid((64, 64, 8), np.empty((0, 3)), np.empty((0, 4)))
-        bev = enc(grid)
+        bev = enc.forward(enc.build_plan(grid))
         # z extent 8 collapses to one level: 64 channels
         assert bev.shape == (1, 64, 8, 8)
         assert not bev.data.any()
@@ -451,7 +451,7 @@ class TestVfe:
                 rng.integers(0, 32, 9), rng.integers(0, 32, 9), rng.integers(0, 8, 9),
             ]), axis=0)
             grids.append(make_grid((32, 32, 8), idx, rng.normal(size=(len(idx), 4))))
-        bev = enc(grids)
+        bev = enc.forward(enc.build_plan(grids))
         assert bev.shape == (2, 64, 4, 4)
 
     def test_z_schedule_shapes(self):
