@@ -120,28 +120,38 @@ def _bev_overlap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def bev_iou(a, b) -> float:
     """Exact rotated-rectangle IoU in the BEV plane."""
-    return float(_pairwise(_as_array(a), _as_array(b), volumetric=False)[0, 0])
+    return float(_pairwise(_as_array(a), _as_array(b), bev=True)[0][0, 0])
 
 
 def iou3d(a, b) -> float:
     """Volumetric IoU: rotated BEV overlap times vertical overlap."""
-    return float(_pairwise(_as_array(a), _as_array(b), volumetric=True)[0, 0])
+    return float(_pairwise(_as_array(a), _as_array(b), volumetric=True)[1][0, 0])
 
 
 def pairwise_bev_iou(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
     """(N, M) rotated BEV IoU matrix with a center-distance prefilter."""
-    return _pairwise(boxes_a, boxes_b, volumetric=False)
+    return _pairwise(boxes_a, boxes_b, bev=True)[0]
 
 
 def pairwise_iou3d(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
-    return _pairwise(boxes_a, boxes_b, volumetric=True)
+    return _pairwise(boxes_a, boxes_b, volumetric=True)[1]
 
 
-def _pairwise(boxes_a, boxes_b, volumetric: bool) -> np.ndarray:
-    """IoU matrix; only pairs whose circumscribed BEV circles meet are clipped."""
+def pairwise_bev_and_3d_iou(boxes_a: np.ndarray, boxes_b: np.ndarray):
+    """The (N, M) BEV and 3D IoU matrices from one clip of each prefiltered pair.
+
+    Each equals :func:`pairwise_bev_iou` or :func:`pairwise_iou3d` bit for bit.
+    """
+    return _pairwise(boxes_a, boxes_b, bev=True, volumetric=True)
+
+
+def _pairwise(boxes_a, boxes_b, bev: bool = False, volumetric: bool = False):
+    """The BEV and the 3D IoU matrix, each None unless asked for; only pairs
+    whose circumscribed BEV circles meet are clipped, once for both."""
     boxes_a = np.atleast_2d(np.asarray(boxes_a, dtype=np.float64))
     boxes_b = np.atleast_2d(np.asarray(boxes_b, dtype=np.float64))
-    out = np.zeros((len(boxes_a), len(boxes_b)))
+    out_bev = np.zeros((len(boxes_a), len(boxes_b))) if bev else None
+    out_3d = np.zeros((len(boxes_a), len(boxes_b))) if volumetric else None
     rad_a = 0.5 * np.hypot(boxes_a[:, 3], boxes_a[:, 4])
     rad_b = 0.5 * np.hypot(boxes_b[:, 3], boxes_b[:, 4])
     dist = np.hypot(
@@ -150,19 +160,25 @@ def _pairwise(boxes_a, boxes_b, volumetric: bool) -> np.ndarray:
     )
     rows, cols = np.nonzero(dist <= rad_a[:, None] + rad_b[None, :])
     if len(rows) == 0:
-        return out
+        return out_bev, out_3d
     a, b = boxes_a[rows], boxes_b[cols]
     inter = _bev_overlap(a, b)
     size_a, size_b = a[:, 3] * a[:, 4], b[:, 3] * b[:, 4]
+    if bev:
+        _scatter_iou(out_bev, rows, cols, inter, size_a, size_b)
     if volumetric:
         z_overlap = (np.minimum(a[:, 2] + a[:, 5] / 2, b[:, 2] + b[:, 5] / 2)
                      - np.maximum(a[:, 2] - a[:, 5] / 2, b[:, 2] - b[:, 5] / 2))
-        inter = inter * np.maximum(z_overlap, 0.0)
-        size_a, size_b = size_a * a[:, 5], size_b * b[:, 5]
+        _scatter_iou(out_3d, rows, cols, inter * np.maximum(z_overlap, 0.0),
+                     size_a * a[:, 5], size_b * b[:, 5])
+    return out_bev, out_3d
+
+
+def _scatter_iou(out, rows, cols, inter, size_a, size_b):
+    """Write each pair's intersection over union into ``out``; degenerate pairs stay 0."""
     union = size_a + size_b - inter
     ok = (size_a > 0.0) & (size_b > 0.0) & (union > 0.0)
     out[rows[ok], cols[ok]] = np.clip(inter[ok] / union[ok], 0.0, 1.0)
-    return out
 
 
 def points_in_bev_rect(xy: np.ndarray, box) -> np.ndarray:

@@ -308,11 +308,14 @@ def _cmd_nms(args, cfg) -> int:
 
 def _cmd_eval(args, cfg) -> int:
     det_dir = args.detections_dir
-    stems = sorted(
+    # every frame on either side is evaluated, so a missing file on the
+    # other side stops the run with its path, as the KITTI devkit does
+    stems = sorted({
         os.path.splitext(name)[0]
-        for name in os.listdir(det_dir)
+        for directory in (det_dir, args.labels_dir)
+        for name in os.listdir(directory)
         if name.endswith(".txt")
-    )
+    })
     if not stems:
         raise ValueError(f"no detection files in {det_dir}")
     frames = []

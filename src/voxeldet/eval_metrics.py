@@ -1,11 +1,14 @@
 """Average precision and orientation similarity under the KITTI protocol.
 
 Ground truths are stratified into easy/moderate/hard by image-box height,
-occlusion and truncation; detections are matched greedily per frame over
-one rotated-IoU matrix (volumetric or BEV) at a fixed threshold. Precision
-is sampled on an 11-point (or 40-point) interpolated envelope. Orientation
-quality replaces precision with the mean (1 + cos(dtheta)) / 2 over true
-positives, false positives contributing zero.
+occlusion and truncation. Per frame, one rotated clip of every nearby
+detection-box pair gives both the volumetric and the BEV IoU matrix, and
+detections are matched greedily over one of them at a fixed threshold: the
+score-ordered loop visits only detections that reach a target, and the
+rest are classed in array passes. Precision is sampled on an 11-point (or
+40-point) interpolated envelope. Orientation quality replaces precision
+with the mean (1 + cos(dtheta)) / 2 over true positives, false positives
+contributing zero.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .box_geom import pairwise_bev_iou, pairwise_iou3d, wrap_angle
+from .box_geom import pairwise_bev_and_3d_iou, wrap_angle
 # not called here; bound because the traced benchmark wraps eval_metrics.bev_iou/iou3d
 from .box_geom import bev_iou, iou3d  # noqa: F401
 
@@ -74,36 +77,58 @@ def _box_array(boxes) -> np.ndarray:
     return np.array([b.as_array() for b in boxes], dtype=np.float64).reshape(-1, 7)
 
 
-def _frame_ious(detections: FrameDetections, gt: FrameGroundTruth, pairwise_fn) -> np.ndarray:
-    """(dets x columns) IoU matrix; columns are ``gt.boxes`` then ``gt.ignored_boxes``."""
-    columns = list(gt.boxes) + list(gt.ignored_boxes)
-    return pairwise_fn(_box_array(detections.boxes), _box_array(columns))
+@dataclass
+class _RankedFrames:
+    """Every frame's detections in stable descending-score order, built once
+    and shared by every stratum and IoU kind."""
+
+    scores: np.ndarray  # all frames' detections, frame by frame, each in score order
+    theta: np.ndarray   # their yaws, in the same order
+    ious: list          # per frame, a tuple of IoU matrices with rows in score order
+    gt_theta: list      # per frame, the yaws of gt.boxes
 
 
-def _greedy_match(detections: FrameDetections, ious, target, target_theta, threshold):
-    """Greedy pass over one frame's IoU matrix.
+def _rank_frames(frames, pairwise_fn) -> _RankedFrames:
+    """Order each frame's detections by score and compute its IoU matrices.
 
-    ``target`` marks the columns that may be matched (``target_theta`` holds
-    their yaws in column order); every other column is an ignore region.
-    A detection takes the unmatched target with the highest IoU >= threshold,
-    the last such column on a tie.
+    ``pairwise_fn(dets, columns)`` returns a tuple of matrices; the columns
+    are ``gt.boxes`` then ``gt.ignored_boxes``.
     """
-    order = np.argsort(-np.asarray(detections.scores), kind="stable")
-    hits = ious[:, target]
-    hits = np.where(hits >= threshold, hits, -np.inf)
-    near_ignored = (ious[:, ~target] >= threshold).any(axis=1)
-    kinds, deltas = [], []
-    for di in order:
-        best = hits[di].max(initial=-np.inf)
+    # the empty first parts keep np.concatenate defined when there are no frames
+    scores, theta, ious, gt_theta = [np.zeros(0)], [np.zeros(0)], [], []
+    for dets, gt in frames:
+        order = np.argsort(-np.asarray(dets.scores), kind="stable")
+        boxes = _box_array(dets.boxes)[order]
+        columns = _box_array(list(gt.boxes) + list(gt.ignored_boxes))
+        scores.append(np.asarray(dets.scores, dtype=np.float64)[order])
+        theta.append(boxes[:, 6])
+        ious.append(pairwise_fn(boxes, columns))
+        gt_theta.append(columns[: len(gt.boxes), 6])
+    return _RankedFrames(np.concatenate(scores), np.concatenate(theta), ious, gt_theta)
+
+
+def _greedy_match(ious, target, threshold):
+    """Greedy pass over one frame's IoU matrix, rows in score order.
+
+    ``target`` marks the columns that may be matched; every other column is
+    an ignore region. Row by row, a detection takes the unmatched target
+    with the highest IoU >= threshold, the last such column on a tie. Only
+    rows with some target IoU >= threshold can match, so only they enter
+    the loop. Returns each row's matched index among the target columns
+    (-1 for none) and whether it reaches an ignore region.
+    """
+    reached = ious >= threshold
+    near_ignored = reached[:, ~target].any(axis=1)
+    matched = np.full(len(ious), -1)
+    rows = np.flatnonzero(reached[:, target].any(axis=1))
+    hits = np.where(reached[rows][:, target], ious[rows][:, target], -np.inf)
+    for k, di in enumerate(rows):
+        best = hits[k].max()
         if best > -np.inf:
-            gi = np.flatnonzero(hits[di] == best)[-1]
-            hits[:, gi] = -np.inf
-            kinds.append("tp")
-            deltas.append(float(wrap_angle(detections.boxes[di].theta - target_theta[gi])))
-            continue
-        kinds.append("ignored" if near_ignored[di] else "fp")
-        deltas.append(0.0)
-    return kinds, deltas, order
+            gi = np.flatnonzero(hits[k] == best)[-1]
+            hits[k + 1 :, gi] = -np.inf
+            matched[di] = gi
+    return matched, near_ignored
 
 
 @dataclass
@@ -122,30 +147,28 @@ class RankedMatches:
                              self.similarities[order], self.n_gt)
 
 
-def _pool_matches(frames, matrices, include_masks, threshold) -> RankedMatches:
-    """Match every frame on its IoU matrix and pool the outcomes into one ranking."""
-    scores, is_tp, is_fp, sims = [], [], [], []
+def _pool_matches(ranked: _RankedFrames, kind: int, include_masks, threshold) -> RankedMatches:
+    """Match every frame on its ``kind``-th IoU matrix and pool the outcomes
+    into one ranking. Detections that match nothing but reach an ignore
+    region leave the ranking; the rest are false positives."""
+    is_tp, counted, target_theta = [np.zeros(0, dtype=bool)], [np.zeros(0, dtype=bool)], []
     n_gt = 0
-    for (dets, gt), ious, mask in zip(frames, matrices, include_masks):
+    for ious, gt_theta, mask in zip(ranked.ious, ranked.gt_theta, include_masks):
         mask = np.asarray(mask, dtype=bool)
-        target = np.concatenate([mask, np.zeros(len(gt.ignored_boxes), dtype=bool)])
-        theta = [b.theta for b, m in zip(gt.boxes, mask) if m]
-        n_gt += len(theta)
-        kinds, deltas, order = _greedy_match(dets, ious, target, theta, threshold)
-        for kind, delta, di in zip(kinds, deltas, order):
-            if kind == "ignored":
-                continue
-            scores.append(float(dets.scores[di]))
-            is_tp.append(kind == "tp")
-            is_fp.append(kind == "fp")
-            sims.append((1.0 + np.cos(delta)) / 2.0 if kind == "tp" else 0.0)
-    return RankedMatches(
-        np.asarray(scores, dtype=np.float64),
-        np.asarray(is_tp, dtype=bool),
-        np.asarray(is_fp, dtype=bool),
-        np.asarray(sims, dtype=np.float64),
-        n_gt,
-    ).sorted_by_score()
+        target = np.zeros(ious[kind].shape[1], dtype=bool)
+        target[: len(mask)] = mask
+        n_gt += int(mask.sum())
+        matched, near_ignored = _greedy_match(ious[kind], target, threshold)
+        hit = matched >= 0
+        is_tp.append(hit)
+        counted.append(hit | ~near_ignored)
+        target_theta.append(gt_theta[mask][matched[hit]])
+    is_tp, counted = np.concatenate(is_tp), np.concatenate(counted)
+    delta = wrap_angle(ranked.theta[is_tp] - np.concatenate([np.zeros(0), *target_theta]))
+    similarities = np.zeros(len(is_tp))
+    similarities[is_tp] = (1.0 + np.cos(delta)) / 2.0
+    return RankedMatches(ranked.scores[counted], is_tp[counted], ~is_tp[counted],
+                         similarities[counted], n_gt).sorted_by_score()
 
 
 def accumulate_matches(frames, pairwise_fn) -> RankedMatches:
@@ -156,8 +179,8 @@ def accumulate_matches(frames, pairwise_fn) -> RankedMatches:
     ``pairwise_fn`` is ``pairwise_iou3d`` or ``pairwise_bev_iou``.
     """
     include_all = [np.ones(len(gt.boxes), dtype=bool) for _, gt in frames]
-    matrices = [_frame_ious(dets, gt, pairwise_fn) for dets, gt in frames]
-    return _pool_matches(frames, matrices, include_all, CAR_IOU_THRESHOLD)
+    ranked = _rank_frames(frames, lambda dets, columns: (pairwise_fn(dets, columns),))
+    return _pool_matches(ranked, 0, include_all, CAR_IOU_THRESHOLD)
 
 
 def _recall_samples(mode: str) -> np.ndarray:
@@ -216,18 +239,18 @@ class EvalResult:
 def evaluate_frames(frames, mode: str = "R11", threshold: float = CAR_IOU_THRESHOLD) -> EvalResult:
     """Full protocol: stratify, match in 3D and BEV, sample AP and AOS.
 
-    Each frame's 3D and BEV IoU matrices are computed once and shared by
-    every stratum. AOS shares the BEV-matched ranking, so aos <= ap_bev
-    stratum by stratum.
+    Each frame's detections are put in score order once, and one rotated
+    clip of its detection-box pairs gives both its BEV and its 3D IoU
+    matrix; every stratum shares them. AOS shares the BEV-matched ranking,
+    so aos <= ap_bev stratum by stratum.
     """
     strata = [stratify(gt) for _, gt in frames]
-    ious_3d = [_frame_ious(dets, gt, pairwise_iou3d) for dets, gt in frames]
-    ious_bev = [_frame_ious(dets, gt, pairwise_bev_iou) for dets, gt in frames]
+    ranked = _rank_frames(frames, pairwise_bev_and_3d_iou)
     ap_3d, ap_bev, aos_out = {}, {}, {}
     for name in DIFFICULTY_RULES:
         masks = [s[name] for s in strata]
-        m3d = _pool_matches(frames, ious_3d, masks, threshold)
-        mbev = _pool_matches(frames, ious_bev, masks, threshold)
+        mbev = _pool_matches(ranked, 0, masks, threshold)
+        m3d = _pool_matches(ranked, 1, masks, threshold)
         ap_3d[name] = average_precision(m3d, mode)
         ap_bev[name] = average_precision(mbev, mode)
         aos_out[name] = aos(mbev, mode)

@@ -285,6 +285,7 @@ def labels_to_lidar_boxes(records, calib: CalibMatrices) -> tuple[list[Box3D], l
     for rec in records:
         if rec.is_dontcare:
             continue
+        # one solve per label: a batched solve's bits differ from the per-row ones
         boxes.append(camera_box_to_lidar(rec, calib))
         kept.append(rec)
     return boxes, kept

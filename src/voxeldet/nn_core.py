@@ -876,16 +876,22 @@ def conv_bn(x, conv: Conv2d, norm: BatchNorm, with_relu: bool = True, *,
 
 
 _ADAM_EPS = 1e-8
+# elements per AdamW update block: 32 K float64 scratch values stay in cache
+_ADAM_BLOCK = 32_768
 # last name parts that take no weight decay: biases and BatchNorm's gamma and beta
 _NO_DECAY = ("bias", "gamma", "beta")
 
 
 class AdamW:
-    """Decoupled weight-decay Adam over a named parameter dict."""
+    """Decoupled weight-decay Adam over a named parameter dict of C-contiguous
+    float64 arrays."""
 
     def __init__(self, params: dict[str, Tensor], lr: float, weight_decay: float = 0.01,
                  betas: tuple[float, float] = (0.9, 0.999)):
         self.params = dict(params)
+        for name, p in self.params.items():
+            if not p.data.flags.c_contiguous:
+                raise ValueError(f"AdamW updates {name} in flat blocks; it must be C-contiguous")
         self.lr = lr
         self.weight_decay = weight_decay
         self.beta1, self.beta2 = betas
@@ -898,30 +904,36 @@ class AdamW:
             p.zero_grad()
 
     def step(self):
-        """One update, in place: per parameter one scratch buffer and one
-        denominator buffer, and the bits of the textbook expression
+        """One update, in place, over blocks of ``_ADAM_BLOCK`` elements with
+        two scratch blocks that every parameter reuses, so the temporaries
+        stay in cache. Each element gets the bits of the textbook expression
         ``p -= lr·(m/bc1)/(√(v/bc2) + eps)``, then ``p -= lr·wd·p``."""
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
+        scratch, denominators = np.empty((2, _ADAM_BLOCK))
         for name, p in self.params.items():
             g = p.grad
             if g is None:
                 g = np.zeros_like(p.data)
-            m, v, s = self.m[name], self.v[name], np.empty_like(p.data)
-            m *= self.beta1
-            m += np.multiply(g, 1 - self.beta1, out=s)
-            v *= self.beta2
-            np.multiply(g, 1 - self.beta2, out=s)
-            v += np.multiply(s, g, out=s)
-            denom = np.divide(v, bc2)
-            np.sqrt(denom, out=denom)
-            denom += _ADAM_EPS
-            np.divide(m, bc1, out=s)
-            s /= denom
-            p.data -= np.multiply(s, self.lr, out=s)
-            if self.weight_decay and not name.split(".")[-1] in _NO_DECAY:
-                p.data -= np.multiply(p.data, self.lr * self.weight_decay, out=s)
+            decay = self.weight_decay and not name.split(".")[-1] in _NO_DECAY
+            flat = [a.reshape(-1) for a in (p.data, g, self.m[name], self.v[name])]
+            for lo in range(0, p.data.size, _ADAM_BLOCK):
+                data, grad, m, v = (a[lo : lo + _ADAM_BLOCK] for a in flat)
+                s, denom = scratch[: len(data)], denominators[: len(data)]
+                m *= self.beta1
+                m += np.multiply(grad, 1 - self.beta1, out=s)
+                v *= self.beta2
+                np.multiply(grad, 1 - self.beta2, out=s)
+                v += np.multiply(s, grad, out=s)
+                np.divide(v, bc2, out=denom)
+                np.sqrt(denom, out=denom)
+                denom += _ADAM_EPS
+                np.divide(m, bc1, out=s)
+                s /= denom
+                data -= np.multiply(s, self.lr, out=s)
+                if decay:
+                    data -= np.multiply(data, self.lr * self.weight_decay, out=s)
 
 
 # -- checkpoint format ---------------------------------------------------------------

@@ -13,6 +13,7 @@ from voxeldet.box_geom import (
     encode,
     iou3d,
     oriented_nms,
+    pairwise_bev_and_3d_iou,
     pairwise_bev_iou,
     pairwise_iou3d,
     wrap_angle,
@@ -137,7 +138,11 @@ class TestBevIou:
         a, b = _near_degenerate_pairs(8, 4)
         boxes_a = np.vstack([_random_boxes(rng, 16, 6.0), a])
         boxes_b = np.vstack([_random_boxes(rng, 16, 6.0), b])
-        for pairwise, scalar in ((pairwise_bev_iou, bev_iou), (pairwise_iou3d, iou3d)):
+        def shared_clip(k):
+            return lambda boxes_a, boxes_b: pairwise_bev_and_3d_iou(boxes_a, boxes_b)[k]
+
+        for pairwise, scalar in ((pairwise_bev_iou, bev_iou), (pairwise_iou3d, iou3d),
+                                 (shared_clip(0), bev_iou), (shared_clip(1), iou3d)):
             got = pairwise(boxes_a, boxes_b)
             want = np.array([[scalar(x, y) for y in boxes_b] for x in boxes_a])
             assert np.array_equal(got, want)

@@ -401,6 +401,28 @@ class TestSubcommands:
         assert not report.exists()
         assert f"data error: {dets}:2: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("missing", ["dets", "labels"])
+    def test_eval_frame_missing_on_one_side_exits_2_naming_it(self, tmp_path, capsys, missing):
+        """A labelled frame without a result file (or the reverse) stops eval
+        instead of dropping out of the score."""
+        cfg = _toy_cfg_file(tmp_path)
+        for d in ("dets", "labels", "calib"):
+            os.makedirs(tmp_path / d, exist_ok=True)
+        for stem in ("000000", "000001"):
+            (tmp_path / "dets" / f"{stem}.txt").write_text(GOOD_LINE)
+            (tmp_path / "labels" / f"{stem}.txt").write_text(LABEL_LINE)
+            write_calib(tmp_path / "calib" / f"{stem}.txt", _calib())
+        gone = tmp_path / missing / "000001.txt"
+        gone.unlink()
+        report = tmp_path / "report.txt"
+        assert run_cli("--config", str(cfg), "eval",
+                       "--detections-dir", str(tmp_path / "dets"),
+                       "--labels-dir", str(tmp_path / "labels"),
+                       "--calib-dir", str(tmp_path / "calib"),
+                       "--out", str(report)) == 2
+        assert not report.exists()
+        assert str(gone) in capsys.readouterr().err
+
     @pytest.mark.parametrize("line, message", BAD_DETECTION_LINES, ids=BAD_DETECTION_IDS)
     def test_render_bev_bad_row_names_file_and_line(self, tmp_path, capsys, line, message):
         code, dets, out = _run_on_detections(tmp_path, "render-bev", GOOD_LINE + line)

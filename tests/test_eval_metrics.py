@@ -261,6 +261,24 @@ def _random_frame(rng):
     return _dets(dets, rng.choice([0.3, 0.6, 0.9], len(dets))), gt
 
 
+def _edge_frames():
+    """Frames that reach every exit of the greedy loop: no detections, no
+    targets, a detection that reaches only an ignore region, and detections
+    that lose their only candidate to a higher score and end as a false
+    positive or, near an ignore region, as ignored."""
+    car, far = _box(10.0), _box(30.0, y=4.0)
+    near = replace(car, x=car.x + 0.3, theta=0.1)   # IoU 0.77 with car
+    hard_only = _gt([car], heights=[30.0], occ=[2], trunc=[0.4])
+    return [
+        (_dets([], []), _gt([car, far])),
+        (_dets([car, _box(50.0)], [0.9, 0.6]), _gt([])),
+        (_dets([near, far], [0.9, 0.6]), _gt([far], ignored=[car])),
+        (_dets([near, car], [0.6, 0.9]), _gt([car])),
+        (_dets([car, near, far], [0.9, 0.8, 0.3]), _gt([car, far], ignored=[near])),
+        (_dets([near, car], [0.9, 0.9]), hard_only),
+    ]
+
+
 class TestMatrixMatching:
     def test_iou_tie_goes_to_last_ground_truth(self):
         a = Box3D(10.0, 0.0, -0.5, 1.6, 3.9, 2.0, 0.0)
@@ -289,31 +307,38 @@ class TestMatrixMatching:
         """One frame through ``accumulate_matches`` ranks the outcomes of the
         per-pair greedy oracle."""
         rng = np.random.default_rng(11)
+        cases = [(dets, gt.boxes, gt.ignored_boxes) for dets, gt in _edge_frames()]
         for _ in range(40):
             dets, gt = _random_frame(rng)
             keep = rng.random(len(gt.boxes)) < 0.7
             targets = [b for b, k in zip(gt.boxes, keep) if k]
             ignored = [b for b, k in zip(gt.boxes, keep) if not k] + gt.ignored_boxes
+            cases.append((dets, targets, ignored))
+        outcomes = Counter()
+        for dets, targets, ignored in cases:
             frame = (dets, _gt(targets, ignored=ignored))
             for pairwise_fn, iou_fn in ((pairwise_iou3d, iou3d), (pairwise_bev_iou, bev_iou)):
                 got = accumulate_matches([frame], pairwise_fn)
                 kinds, deltas, order = match_frame_per_pair(
                     dets, targets, ignored, iou_fn, eval_metrics.CAR_IOU_THRESHOLD)
+                outcomes.update(kinds)
                 ranked = [(kind, delta, di) for kind, delta, di in zip(kinds, deltas, order)
                           if kind != "ignored"]
                 assert got.n_gt == len(targets)
                 assert got.scores.tolist() == [dets.scores[di] for _, _, di in ranked]
                 assert got.is_tp.tolist() == [kind == "tp" for kind, _, _ in ranked]
                 assert got.is_fp.tolist() == [kind == "fp" for kind, _, _ in ranked]
-                assert got.similarities.tolist() == [
-                    (1.0 + np.cos(delta)) / 2.0 if kind == "tp" else 0.0
-                    for kind, delta, _ in ranked]
+                expected = np.array([(1.0 + np.cos(delta)) / 2.0 if kind == "tp" else 0.0
+                                     for kind, delta, _ in ranked], dtype=np.float64)
+                assert got.similarities.view(np.int64).tolist() == expected.view(np.int64).tolist()
+        assert outcomes["tp"] and outcomes["fp"] and outcomes["ignored"]
 
     def test_evaluate_frames_equals_per_pair_oracle(self):
         rng = np.random.default_rng(12)
         outcomes = Counter()
-        for trial in range(16):
-            frames = [_random_frame(rng) for _ in range(int(rng.integers(1, 4)))]
+        trials = [[_random_frame(rng) for _ in range(int(rng.integers(1, 4)))]
+                  for _ in range(16)] + [_edge_frames()]
+        for trial, frames in enumerate(trials):
             mode = ("R11", "R40")[trial % 2]
             for threshold in (0.5, 0.7):
                 got = evaluate_frames(frames, mode=mode, threshold=threshold).as_flat_dict()
@@ -323,6 +348,7 @@ class TestMatrixMatching:
         assert outcomes["positive"] and outcomes["zero"] and outcomes["absent"]
 
     def test_one_matrix_pair_per_frame_whatever_the_strata(self, monkeypatch):
+        """One rotated clip per frame feeds both its BEV and its 3D matrix."""
         calls = Counter()
 
         def counted(name, fn):
@@ -334,8 +360,7 @@ class TestMatrixMatching:
         def per_pair(a, b):
             raise AssertionError("per-pair IoU call during evaluation")
 
-        monkeypatch.setattr(eval_metrics, "pairwise_iou3d", counted("3d", pairwise_iou3d))
-        monkeypatch.setattr(eval_metrics, "pairwise_bev_iou", counted("bev", pairwise_bev_iou))
+        monkeypatch.setattr(box_geom, "_bev_overlap", counted("clip", box_geom._bev_overlap))
         monkeypatch.setattr(eval_metrics, "stratify", counted("stratify", stratify))
         for module in (box_geom, eval_metrics):
             monkeypatch.setattr(module, "iou3d", per_pair)
@@ -347,5 +372,4 @@ class TestMatrixMatching:
             monkeypatch.setattr(eval_metrics, "DIFFICULTY_RULES", rules)
             calls.clear()
             assert list(evaluate_frames(frames).ap_3d) == list(rules)
-            assert calls == {"3d": 5, "bev": 5, "stratify": 5}
-
+            assert calls["stratify"] == 5 and 1 <= calls["clip"] <= 5

@@ -505,11 +505,16 @@ class TestAdamW:
         np.testing.assert_allclose(p.data, [1.0 * (1 - 0.001)])
 
 
+    def test_non_contiguous_parameter_rejected(self):
+        with pytest.raises(ValueError, match="must be C-contiguous"):
+            AdamW({"w": _param(np.zeros((3, 4)).T)}, lr=0.1)
+
     def test_in_place_step_matches_textbook_bits(self):
-        """Decayed and undecayed names and a parameter that never gets a gradient,
-        over 11 steps: the in-place update gives the textbook expression's bits."""
+        """Decayed and undecayed names, a parameter that never gets a gradient
+        and one of two whole blocks and a part block, over 11 steps: the
+        in-place update gives the textbook expression's bits."""
         shapes = {"conv.weight": (4, 3, 3, 3), "conv.bias": (4,), "norm.gamma": (4,),
-                  "idle.weight": (5,)}
+                  "idle.weight": (5,), "wide.weight": (7, 10_000)}
         runs = []
         for step in (AdamW.step, adamw_step_textbook):
             rng = np.random.default_rng(31)
