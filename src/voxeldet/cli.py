@@ -301,6 +301,10 @@ def _cmd_train_toy(args, cfg) -> int:
 def _cmd_nms(args, cfg) -> int:
     dets = [d for d in read_simple_detections(args.detections)
             if d.score >= cfg.score_threshold]
+    if len(dets) > cfg.pre_nms_top_k:
+        # the highest scores in stable order, as VehicleDetector.detect keeps them
+        order = np.argsort(-np.array([d.score for d in dets]), kind="stable")
+        dets = [dets[k] for k in order[: cfg.pre_nms_top_k]]
     kept = box_geom.oriented_nms(dets, cfg.nms_iou)
     write_simple_detections(args.out, kept)
     return EXIT_OK

@@ -2,8 +2,8 @@
 the col2im conv2d backward, the explicit BatchNorm backward chain, a training
 Conv–BN–ReLU unit as separate nodes, the SCE's in-place eval skips, merges
 and R as explicit ops, dense 3D convolution, a per-offset
-rulebook, Monte-Carlo IoU, per-pair KITTI matching, and per-part,
-per-candidate and per-scene loops over the head maps."""
+rulebook, Monte-Carlo IoU, whole-matrix NMS, per-pair KITTI matching, and
+per-part, per-candidate and per-scene loops over the head maps."""
 
 import os
 from pathlib import Path
@@ -12,7 +12,8 @@ import numpy as np
 
 import voxeldet
 from voxeldet import eval_metrics, nn_core
-from voxeldet.box_geom import Box3D, Detection, bev_iou, decode, iou3d, wrap_angle
+from voxeldet.box_geom import (Box3D, Detection, bev_iou, decode, iou3d,
+                               pairwise_bev_iou, wrap_angle)
 from voxeldet.depth_head import ANCHORS_PER_CELL, BOX_CHANNELS, DIR_CHANNELS, FusedOutput
 from voxeldet.seg_context import fuse
 from voxeldet.train import PartTargets
@@ -435,6 +436,25 @@ def monte_carlo_bev_iou(box_a, box_b, n_samples=1_000_000, seed=0):
     if union == 0:
         return 0.0
     return inter / union
+
+
+def oriented_nms_matrix(detections, iou_threshold):
+    """Whole-matrix NMS oracle: sort once, build one ``pairwise_bev_iou`` matrix
+    with each candidate as the first argument, then one greedy pass over its
+    columns, each kept column suppressing every later row it exceeds."""
+    dets = list(detections)
+    order = np.argsort(-np.array([d.score for d in dets]), kind="stable")
+    boxes = np.array([dets[k].box.as_array() for k in order]).reshape(-1, 7)
+    iou = pairwise_bev_iou(boxes, boxes)
+    suppressed = np.zeros(len(dets), dtype=bool)
+    kept = []
+    for j in range(len(dets)):
+        if suppressed[j]:
+            continue
+        kept.append(dets[order[j]])
+        # not (iou <= threshold), so a NaN suppresses as it does in oriented_nms
+        suppressed[j + 1:] |= ~(iou[j + 1:, j] <= iou_threshold)
+    return kept
 
 
 def match_frame_per_pair(detections, gt_boxes, ignored_boxes, iou_fn, threshold):

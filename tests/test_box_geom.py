@@ -18,9 +18,10 @@ from voxeldet.box_geom import (
     pairwise_iou3d,
     wrap_angle,
 )
+from voxeldet import box_geom
 from voxeldet.box_geom import _bev_overlap
 
-from helpers import clipped_bev_area, monte_carlo_bev_iou
+from helpers import clipped_bev_area, monte_carlo_bev_iou, oriented_nms_matrix
 
 
 def _box(x=0.0, y=0.0, z=0.0, w=1.0, l=1.0, h=1.0, theta=0.0):
@@ -45,6 +46,96 @@ def _near_degenerate_pairs(n, seed):
     b[:, 1] += s * along + c * across
     b[:, 6] += rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-16, -6, n)
     return a, b
+
+
+def _bits(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
+def _reach(a, b):
+    """The circle sum and the centre distance as the prefilter in ``_pairwise`` forms them."""
+    reach = 0.5 * np.hypot(a[3], a[4]) + 0.5 * np.hypot(b[3], b[4])
+    return reach, np.hypot(a[0] - b[0], a[1] - b[1])
+
+
+def _edge_pairs():
+    """Row pairs where a float shortcut for far pairs could go wrong.
+
+    Circles tangent to within 0-4 ulp and just beyond the shortcut's slack,
+    with corners pointing at each other; centres near 1e150 and 1e154, some
+    sizes 1e149 and 3e154 (squares that overflow); boxes near 1e-162 m
+    whose squares are subnormal; inf and nan x or y; zero sizes.
+    """
+    pairs = []
+    for wa, la, wb, lb in ((1.6, 3.9, 1.6, 3.9), (0.7, 2.1, 1.9, 5.3)):
+        reach = 0.5 * np.hypot(wa, la) + 0.5 * np.hypot(wb, lb)
+        dists = []
+        for k in range(5):
+            up = down = reach
+            for _ in range(k):
+                up, down = np.nextafter(up, np.inf), np.nextafter(down, 0.0)
+            dists += [up, down]
+        dists += [reach * (1.0 + 1e-8), reach * (1.0 - 1e-8)]
+        for d in dists:
+            for ux, uy in ((1.0, 0.0), (0.0, 1.0)):
+                heading = np.arctan2(uy, ux)
+                for toward in (True, False):
+                    ta = heading - np.arctan2(wa, la) if toward else 0.0
+                    tb = heading + np.pi - np.arctan2(wb, lb) if toward else 0.0
+                    a = np.array([0.0, 0.0, 0.0, wa, la, 1.5, ta])
+                    b = np.array([d * ux, d * uy, 0.3, wb, lb, 1.5, float(wrap_angle(tb))])
+                    pairs.append((a, b))
+    big = [np.array([x, y, 0.0, w, l, 1.5, 0.4])
+           for x, y in ((1e150, -1e150), (-1e150, 1e150), (1e154, 1e154), (-1e154, 0.0))
+           for w, l in ((1.6, 3.9), (1e149, 3e149), (3e154, 3e154))]
+    pairs += [(a, b) for i, a in enumerate(big) for b in big[i:]]
+    pairs += [(a, a + np.array([2e149, 0, 0, 0, 0, 0, 0])) for a in big]
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        xa, ya, wa, la, wb, lb = np.r_[rng.uniform(-3, 3, 2), rng.uniform(0.5, 5, 4)] * 1e-162
+        d = (0.5 * np.hypot(wa, la) + 0.5 * np.hypot(wb, lb)) * (1.0 - rng.uniform(0, 1e-2))
+        phi = rng.uniform(-np.pi, np.pi)
+        pairs.append((np.array([xa, ya, 0.0, wa, la, 1e-162, 0.0]),
+                      np.array([xa + d * np.cos(phi), ya + d * np.sin(phi), 0.0, wb, lb, 1e-162,
+                                phi])))
+    unit = np.array([0.0, 0.0, 0.0, 1.6, 3.9, 1.5, 0.2])
+    odd = []
+    for col in (0, 1):
+        for value in (np.inf, -np.inf, np.nan):
+            row = unit.copy()
+            row[col] = value
+            odd.append(row)
+    pairs += [(a, b) for i, a in enumerate(odd) for b in odd[i:] + [unit]]
+    zero = [np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0]),
+            np.array([0.5, 0.0, 0.0, 0.0, 2.0, 1.0, 0.3]),
+            np.array([0.0, 0.2, 0.0, 1.6, 0.0, 1.0, 0.0]),
+            np.array([30.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0])]
+    pairs += [(a, b) for i, a in enumerate(zero) for b in zero[i:] + [unit]]
+    return pairs
+
+
+def _nms_frame(seed, kind):
+    """Seeded NMS candidates: car boxes over 70 x 80 m, tight clusters, or
+    clusters with scores tied to one decimal and duplicate boxes, some of
+    them whole duplicate detections."""
+    rng = np.random.default_rng(seed)
+    if kind == "wide":
+        centres = np.column_stack([rng.uniform(0, 70, 60), rng.uniform(-40, 40, 60)])
+        yaw = rng.uniform(-np.pi, np.pi, 60)
+    else:
+        heads = rng.uniform(0, 30, (8, 2))
+        centres = np.repeat(heads, 8, axis=0) + rng.normal(0.0, 0.6, (64, 2))
+        yaw = np.repeat(rng.uniform(-np.pi, np.pi, 8), 8) + rng.normal(0.0, 0.3, 64)
+    n = len(centres)
+    boxes = np.column_stack([centres, rng.uniform(-1.2, -0.8, n), rng.uniform(1.5, 1.9, n),
+                             rng.uniform(3.5, 4.5, n), rng.uniform(1.4, 1.7, n),
+                             wrap_angle(yaw)])
+    scores = rng.uniform(0.3, 1.0, n)
+    if kind == "ties":
+        scores = np.round(scores, 1)
+        boxes[1::5] = boxes[::5][: len(boxes[1::5])]
+        scores[1::10] = scores[::10][: len(scores[1::10])]
+    return [Detection(Box3D.from_array(b), float(s)) for b, s in zip(boxes, scores)]
 
 
 box_strategy = st.builds(
@@ -149,6 +240,36 @@ class TestBevIou:
             assert 0 < np.count_nonzero(got) < got.size / 2
             assert pairwise(boxes_a[:0], boxes_b).shape == (0, len(boxes_b))
             assert pairwise(boxes_a, boxes_b[:0]).shape == (len(boxes_a), 0)
+
+    def test_scalar_equals_pairwise_on_edge_pairs(self):
+        pairs = _edge_pairs()
+        apart = [box_geom._circles_apart(a, b) for a, b in pairs]
+        assert 0 < sum(apart) < len(pairs)
+        with np.errstate(all="ignore"):
+            for a, b in pairs:
+                for p, q in ((a, b), (b, a)):
+                    reach, dist = _reach(p, q)
+                    assert not (box_geom._circles_apart(p, q) and dist <= reach)
+                    forms = [(p, q), (p[None], q[None])]
+                    if min(p[3:6].min(), q[3:6].min()) > 0:
+                        forms.append((Box3D.from_array(p), Box3D.from_array(q)))
+                    want_bev = _bits(pairwise_bev_iou(p[None], q[None])[0, 0])
+                    want_3d = _bits(pairwise_iou3d(p[None], q[None])[0, 0])
+                    for x, y in forms:
+                        assert _bits(bev_iou(x, y)) == want_bev, (p, q)
+                        assert _bits(iou3d(x, y)) == want_3d, (p, q)
+
+    def test_far_pair_builds_no_array(self, monkeypatch):
+        def clip(*args, **kwargs):
+            raise AssertionError("a far pair reached _pairwise")
+
+        monkeypatch.setattr(box_geom, "_pairwise", clip)
+        # reach = hypot(1.6, 3.9) = 4.215 m
+        a = _box(w=1.6, l=3.9)
+        b = _box(x=3.0, y=3.0, w=1.6, l=3.9, theta=1.0)
+        for p, q in ((a, b), (b, a), (a.as_array(), b.as_array()), (b.as_array(), a)):
+            assert bev_iou(p, q) == 0.0
+            assert iou3d(p, q) == 0.0
 
     @pytest.mark.parametrize("seed", range(10))
     def test_near_degenerate_stress(self, seed):
@@ -263,6 +384,44 @@ class TestNms:
 
     def test_empty(self):
         assert oriented_nms([], 0.05) == []
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.05, 1.0])
+    @pytest.mark.parametrize("kind", ["wide", "clusters", "ties"])
+    def test_equals_whole_matrix_oracle(self, kind, threshold):
+        for seed in range(3):
+            dets = _nms_frame(seed, kind)
+            for subset in (dets, dets[:1], []):
+                got = oriented_nms(subset, threshold)
+                want = oriented_nms_matrix(subset, threshold)
+                assert len(got) == len(want) and all(g is w for g, w in zip(got, want))
+                if threshold == 1.0:
+                    assert len(got) == len(subset)
+
+    @pytest.mark.parametrize("kind", ["wide", "clusters"])
+    def test_clips_only_the_greedy_pairs_within_reach(self, monkeypatch, kind):
+        dets = _nms_frame(7, kind)
+        order = np.argsort(-np.array([d.score for d in dets]), kind="stable")
+        boxes = np.array([dets[k].box.as_array() for k in order])
+        iou = pairwise_bev_iou(boxes, boxes)
+        # the pairs the greedy loop tests: each candidate against the kept ones,
+        # in kept order, until one suppresses it
+        kept, tested, near = [], 0, 0
+        for i in range(len(boxes)):
+            for j in kept:
+                reach, dist = _reach(boxes[i], boxes[j])
+                tested += 1
+                near += bool(dist <= reach)
+                if iou[i, j] > 0.05:
+                    break
+            else:
+                kept.append(i)
+        assert 0 < near < tested / 2
+        real, calls = box_geom._pairwise, []
+        monkeypatch.setattr(box_geom, "_pairwise",
+                            lambda *args, **kw: calls.append(1) or real(*args, **kw))
+        got = oriented_nms(dets, 0.05)
+        assert len(calls) == near
+        assert [d.box for d in got] == [Box3D.from_array(boxes[i]) for i in kept]
 
 
 class TestAnchors:

@@ -362,6 +362,22 @@ class TestSubcommands:
         kept = read_simple_detections(out)
         assert len(kept) == 1 and kept[0].score == pytest.approx(0.9)
 
+    def test_nms_keeps_only_the_pre_nms_top_k_highest_scores(self, tmp_path):
+        """Four disjoint boxes, so NMS alone would keep all of them; the lowest
+        score comes first in the file and is the one pre_nms_top_k = 3 drops."""
+        cfg = _toy_cfg_file(tmp_path, pre_nms_top_k=3)
+        scores = [0.6, 0.9, 0.7, 0.8]
+        dets = [Detection(Box3D(2.0 + 10.0 * k, 0.0, -1.0, 1.6, 3.9, 1.56, 0.0), s)
+                for k, s in enumerate(scores)]
+        src = tmp_path / "in.txt"
+        write_simple_detections(src, dets)
+        out = tmp_path / "out.txt"
+        assert run_cli("--config", str(cfg), "nms", "--detections", str(src),
+                       "--out", str(out)) == 0
+        kept = read_simple_detections(out)
+        assert [d.score for d in kept] == pytest.approx([0.9, 0.8, 0.7])
+        assert [d.box.x for d in kept] == [12.0, 32.0, 22.0]
+
     @pytest.mark.parametrize("line", NON_FINITE_LINES, ids=["nan_x", "inf_z"])
     def test_nms_non_finite_field_exits_2(self, tmp_path, line):
         cfg = _toy_cfg_file(tmp_path)
