@@ -13,7 +13,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .box_geom import Box3D, pairwise_bev_iou, points_in_box3d, wrap_angle
+from .box_geom import Box3D, overlaps_any, points_in_box3d, wrap_angle
+from .config import RunConfig
 from .kitti_io import PointCloud
 from .synthetic import Scene
 
@@ -149,12 +150,8 @@ def augment_scene(scene: Scene, gt_database, plane: GroundPlane,
             sample = gt_database[int(pi)]
             dz = plane.height_at(sample.box.x, sample.box.y) + sample.box.h / 2.0 - sample.box.z
             sample = _translate_sample(sample, float(dz))
-            if boxes:
-                ious = pairwise_bev_iou(
-                    sample.box.as_array()[None], np.stack([b.as_array() for b in boxes])
-                )
-                if ious.max() > 0.0:
-                    continue
+            if overlaps_any(sample.box, boxes):
+                continue
             boxes.append(sample.box)
             extra_points.append(sample.points)
 
@@ -191,3 +188,20 @@ def augment_scene(scene: Scene, gt_database, plane: GroundPlane,
         boxes = rotated
 
     return Scene(PointCloud(points), tuple(boxes))
+
+
+def augment_scenes(scenes, cfg: RunConfig, seed: int) -> list[Scene]:
+    """The ``train-toy --augment`` pipeline: one database of every scene's
+    boxes, then per scene a ground-plane fit and :func:`augment_scene` with
+    ``cfg``'s sampling settings, all drawing from ``default_rng([seed, 0xA6])``."""
+    rng = np.random.default_rng([seed, 0xA6])
+    database = build_gt_database(scenes)
+    augmented = []
+    for scene in scenes:
+        plane = fit_ground_plane(scene.cloud, cfg.ransac_iterations, cfg.ransac_inlier_tol,
+                                 seed=cfg.seed)
+        augmented.append(augment_scene(
+            scene, database, plane, rng, max_samples=cfg.aug_max_samples,
+            translation_var=cfg.aug_translation_var, box_yaw=cfg.aug_box_yaw,
+            box_yaw_range=cfg.aug_box_yaw_range, global_rotation=cfg.aug_global_rotation))
+    return augmented

@@ -187,6 +187,12 @@ def pairwise_bev_and_3d_iou(boxes_a: np.ndarray, boxes_b: np.ndarray):
     return _pairwise(boxes_a, boxes_b, bev=True, volumetric=True)
 
 
+def overlaps_any(box: Box3D, boxes) -> bool:
+    """Whether ``box`` has a positive BEV IoU with any of ``boxes`` (placement test)."""
+    return bool(boxes) and bool(pairwise_bev_iou(
+        box.as_array()[None], np.stack([b.as_array() for b in boxes])).max() > 0.0)
+
+
 def _pairwise(boxes_a, boxes_b, bev: bool = False, volumetric: bool = False):
     """The BEV and the 3D IoU matrix, each None unless asked for; only pairs
     whose circumscribed BEV circles meet are clipped, once for both."""
@@ -330,15 +336,24 @@ def build_anchor_grid(x_min: float, y_min: float, n_x: int, n_y: int, cell_size,
 # -- NMS -------------------------------------------------------------------------
 
 
+def nms_candidates(scores, threshold: float, top_k: int) -> np.ndarray:
+    """Indices of the scores >= ``threshold``, at most ``top_k`` of them,
+    highest first; equal scores keep their input order. The candidate rule
+    of ``VehicleDetector.detect`` and ``voxeldet nms``."""
+    scores = np.asarray(scores)
+    idx = np.flatnonzero(scores >= threshold)
+    return idx[np.argsort(-scores[idx], kind="stable")[:top_k]]
+
+
 def oriented_nms(detections, iou_threshold: float = 0.05):
     """Greedy descending-score suppression with rotated BEV IoU.
 
-    Score ties keep the earlier detection. Returns the kept detections in
-    descending score order. Each candidate calls :func:`bev_iou` once per
-    kept detection it is tested against, until one suppresses it; the
-    benchmark pins that per-pair call count, so there is no whole-matrix
-    pass here. Far pairs cost no array work, since :func:`bev_iou` answers
-    them from floats.
+    Score ties keep the earlier detection, so a :func:`nms_candidates` list
+    keeps its order. Returns the kept detections in descending score order.
+    Each candidate calls :func:`bev_iou` once per kept detection it is tested
+    against, until one suppresses it; the benchmark pins that per-pair call
+    count, so there is no whole-matrix pass here. Far pairs cost no array
+    work, since :func:`bev_iou` answers them from floats.
     """
     if not 0.0 <= iou_threshold <= 1.0:
         raise ValueError(f"iou_threshold out of range: {iou_threshold}")

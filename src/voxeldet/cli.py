@@ -262,7 +262,7 @@ def _cmd_forward(args, cfg) -> int:
     calib = kitti_io.read_calib(args.calib) if args.kitti_out else None
     detector = _load_model(cfg, args.checkpoint)
     grid = voxel_grid.voxelize(kitti_io.read_point_cloud(args.cloud), cfg.voxelizer())
-    output = detector.forward([grid])
+    output = detector([grid])
     detections = detector.detect(output)[0]
     write_simple_detections(args.out, detections)
     if args.kitti_out:
@@ -275,21 +275,7 @@ def _cmd_train_toy(args, cfg) -> int:
         raise UsageError("--steps must be >= 1")
     scenes = synthetic.make_toy_dataset(cfg)
     if args.augment:
-        rng = np.random.default_rng([cfg.data_seed, 0xA6])
-        database = augment.build_gt_database(scenes)
-        augmented = []
-        for scene in scenes:
-            plane = augment.fit_ground_plane(scene.cloud, cfg.ransac_iterations,
-                                             cfg.ransac_inlier_tol, seed=cfg.seed)
-            augmented.append(
-                augment.augment_scene(scene, database, plane, rng,
-                                      max_samples=cfg.aug_max_samples,
-                                      translation_var=cfg.aug_translation_var,
-                                      box_yaw=cfg.aug_box_yaw,
-                                      box_yaw_range=cfg.aug_box_yaw_range,
-                                      global_rotation=cfg.aug_global_rotation)
-            )
-        scenes = augmented
+        scenes = augment.augment_scenes(scenes, cfg, cfg.data_seed)
     result = train.train_toy(cfg, scenes, steps=args.steps)
     nn_core.save_checkpoint(args.checkpoint, result.model.state_dict())
     lines = [train.LossReport.csv_header(len(cfg.parts()))]
@@ -299,13 +285,10 @@ def _cmd_train_toy(args, cfg) -> int:
 
 
 def _cmd_nms(args, cfg) -> int:
-    dets = [d for d in read_simple_detections(args.detections)
-            if d.score >= cfg.score_threshold]
-    if len(dets) > cfg.pre_nms_top_k:
-        # the highest scores in stable order, as VehicleDetector.detect keeps them
-        order = np.argsort(-np.array([d.score for d in dets]), kind="stable")
-        dets = [dets[k] for k in order[: cfg.pre_nms_top_k]]
-    kept = box_geom.oriented_nms(dets, cfg.nms_iou)
+    dets = read_simple_detections(args.detections)
+    keep = box_geom.nms_candidates([d.score for d in dets], cfg.score_threshold,
+                                   cfg.pre_nms_top_k)
+    kept = box_geom.oriented_nms([dets[k] for k in keep], cfg.nms_iou)
     write_simple_detections(args.out, kept)
     return EXIT_OK
 
@@ -377,7 +360,7 @@ def _cmd_bench(args, cfg) -> int:
 
     grid = timed("voxelize", lambda: voxel_grid.voxelize(cloud, cfg.voxelizer()))
     plan = timed("plan", lambda: detector.vfe.build_plan([grid]))
-    bev = timed("vfe", lambda: detector.vfe.forward(plan))
+    bev = timed("vfe", lambda: detector.vfe(plan))
     fused, probability = timed("sce", lambda: detector.sce(bev))
     parts = timed("head", lambda: detector.head(fused))
     output = model.ModelOutput(bev, probability, fused, parts)

@@ -128,6 +128,8 @@ def _parse_label_line(line: str) -> LabelRecord:
     vals = [float(v) for v in fields[1:]]
     if not np.isfinite(vals).all():
         raise ValueError("numeric fields must be finite")
+    if not (vals[1].is_integer() and -1 <= vals[1] <= 3):   # -1: DontCare
+        raise ValueError(f"occlusion must be an integer in -1..3, got {fields[2]!r}")
     rec = LabelRecord(
         cls=cls,
         truncation=vals[0],

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .box_geom import Box3D, Detection, build_anchor_grid, decode, oriented_nms
+from .box_geom import Box3D, Detection, build_anchor_grid, decode, nms_candidates, oriented_nms
 from .config import RunConfig
 from .depth_head import ANCHORS_PER_CELL, DepthAwareHead, FusedOutput, fuse_scores
 from .nn_core import Module, Tensor
@@ -55,7 +55,7 @@ class VehicleDetector(Module):
         )
 
     def forward_from_plan(self, plan: VfePlan) -> ModelOutput:
-        bev = self.vfe.forward(plan)
+        bev = self.vfe(plan)
         fused, probability = self.sce(bev)
         parts = self.head(fused)
         return ModelOutput(bev, probability, fused, parts)
@@ -85,13 +85,10 @@ class VehicleDetector(Module):
         dirs = fused.dir_logits.reshape(b, ANCHORS_PER_CELL, 2, h, w)
         results = []
         for bi in range(b):
-            cand = np.nonzero(fused.scores[bi] >= cfg.score_threshold)   # (a, iy, ix)
-            scores = fused.scores[bi][cand]
-            if len(scores) > cfg.pre_nms_top_k:
-                order = np.argsort(-scores, kind="stable")[: cfg.pre_nms_top_k]
-                cand = tuple(axis[order] for axis in cand)
-                scores = scores[order]
-            a, iy, ix = cand
+            flat = fused.scores[bi].ravel()
+            cand = nms_candidates(flat, cfg.score_threshold, cfg.pre_nms_top_k)
+            a, iy, ix = np.unravel_index(cand, fused.scores[bi].shape)
+            scores = flat[cand]
             fits = (box[bi, a, 3:6, iy, ix] <= log_size_limit[iy, ix, a]).all(axis=1)
             a, iy, ix, scores = a[fits], iy[fits], ix[fits], scores[fits]
             bits = dirs[bi, a, :, iy, ix].argmax(axis=1)

@@ -15,9 +15,9 @@ features travel through the same engine as (sites, channels) matrices.
 node's closure and saved buffers are freed as soon as its gradient has been
 passed on, and a training step's memory peak is about its forward graph.
 
-Layers define ``forward``, and :meth:`Module.__call__` runs it, in eval mode
-under :class:`no_grad`: eval is inference, which folds each BatchNorm into
-its conv, records no graph and writes into the fresh maps it made.
+Layers define ``forward``, and only :meth:`Module.__call__` runs it, in eval
+mode under :class:`no_grad`: eval is inference, which folds each BatchNorm
+into its conv, records no graph and writes into the fresh maps it made.
 
 Ops build their graph nodes through two builders. A one-input op computes
 its output and calls ``_unary(a, out_data, grad)``, whose backward adds

@@ -4,10 +4,10 @@ Ground-truth masks live on the grid of the voxel encoder's BEV map: one cell
 per ``bev_stride`` x ``bev_stride`` voxel columns, where ``bev_stride`` is the
 product of the encoder blocks' x/y strides (``RunConfig.bev_stride``). The
 segmentation branch is a small feature pyramid that predicts a per-cell
-foreground probability map M; the detection branch is a shallow U-Net whose
-output is concatenated with its input; the fusion scales each detection
-feature by (1 + M). Only the segmentation loss L_S trains M: the encoder
-fuses a detached copy of M.
+foreground probability map M; the detection branch is a shallow U-Net, and
+the encoder concatenates its output U with its input; the fusion scales each
+feature of that concat by (1 + M). Only the segmentation loss L_S trains M:
+the encoder fuses a detached copy of M.
 """
 
 from __future__ import annotations
@@ -177,7 +177,7 @@ class SegmentationBranch(Module):
 
 
 class DetectionBranch(Module):
-    """Shallow U-Net: stride-2 descent, upsample back, concat with the input.
+    """Shallow U-Net, C channels in and out: stride-2 descent, upsample back.
 
     The upsample and the last conv run as one ``conv_bn(..., upsample=True)``,
     which eval mode computes as sub-pixel convs of the half-resolution map.
@@ -194,12 +194,7 @@ class DetectionBranch(Module):
         self.up = Conv2d(ConvSpec(channels, channels, 3, padding=1, bias=False), rng)
         self.up_norm = BatchNorm(channels)
 
-    @property
-    def out_channels(self) -> int:
-        return 2 * self.channels
-
-    def unet(self, bev: Tensor) -> Tensor:
-        """The U-Net's C-channel output, before the concat with ``bev``."""
+    def forward(self, bev: Tensor) -> Tensor:
         _, c, h, w = bev.shape
         if c != self.channels:
             raise ValueError(f"expected {self.channels} channels, got {c}")
@@ -208,9 +203,6 @@ class DetectionBranch(Module):
         x = nn_core.conv_bn(bev, self.down, self.down_norm)
         x = nn_core.conv_bn(x, self.mid, self.mid_norm)
         return nn_core.conv_bn(x, self.up, self.up_norm, upsample=True)
-
-    def forward(self, bev: Tensor) -> Tensor:
-        return nn_core.concat([bev, self.unet(bev)])
 
 
 def fuse(features: Tensor, probability: Tensor) -> Tensor:
@@ -254,12 +246,12 @@ class SemanticContextEncoder(Module):
 
     @property
     def out_channels(self) -> int:
-        return self.detection.out_channels
+        return 2 * self.detection.channels
 
     def forward(self, bev: Tensor) -> tuple[Tensor, Tensor]:
         """Returns (fused feature map R, probability map M)."""
         m = self.segmentation(bev)
-        u = self.detection.unet(bev)
+        u = self.detection(bev)
         if self.training:
             return fuse(nn_core.concat([bev, u]), m.detach()), m
         c = bev.shape[1]

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .box_geom import Box3D, pairwise_bev_iou
+from .box_geom import Box3D, overlaps_any
 from .config import RunConfig
 from .kitti_io import PointCloud
 
@@ -71,12 +71,8 @@ def make_scene(cfg: RunConfig, rng: np.random.Generator) -> Scene:
             h=h * rng.uniform(0.95, 1.05),
             theta=rng.uniform(-np.pi, np.pi),
         )
-        if boxes:
-            ious = pairwise_bev_iou(
-                cand.as_array()[None], np.stack([b.as_array() for b in boxes])
-            )
-            if ious.max() > 0.0:
-                continue
+        if overlaps_any(cand, boxes):
+            continue
         boxes.append(cand)
         points.append(_car_surface_points(rng, cand, cfg.toy_car_points))
 

@@ -2,8 +2,9 @@
 the col2im conv2d backward, the explicit BatchNorm backward chain, a training
 Conv–BN–ReLU unit as separate nodes, the SCE's in-place eval skips, merges
 and R as explicit ops, dense 3D convolution, a per-offset
-rulebook, Monte-Carlo IoU, whole-matrix NMS, per-pair KITTI matching, and
-per-part, per-candidate and per-scene loops over the head maps."""
+rulebook, Monte-Carlo IoU, whole-matrix NMS, per-pair KITTI matching,
+per-part, per-candidate and per-scene loops over the head maps, and the
+augmentation pipeline as a loop over the ``augment`` steps."""
 
 import os
 from pathlib import Path
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 import voxeldet
-from voxeldet import eval_metrics, nn_core
+from voxeldet import augment, eval_metrics, nn_core
 from voxeldet.box_geom import (Box3D, Detection, bev_iou, decode, iou3d,
                                pairwise_bev_iou, wrap_angle)
 from voxeldet.depth_head import ANCHORS_PER_CELL, BOX_CHANNELS, DIR_CHANNELS, FusedOutput
@@ -238,7 +239,7 @@ def encoder_ops(encoder, bev):
     """``SemanticContextEncoder.forward`` with R as the ops
     ``fuse(concat([bev, U]), M)``: the oracle of the eval write of R."""
     m = encoder.segmentation(bev)
-    return fuse(nn_core.concat([bev, encoder.detection.unet(bev)]), m.detach()), m
+    return fuse(nn_core.concat([bev, encoder.detection(bev)]), m.detach()), m
 
 
 def adamw_step_textbook(opt):
@@ -629,3 +630,20 @@ def build_part_targets_per_scene(assignments, height, width, lo, hi):
         dir_mask[bi] = pos
     n_positive = int((cls_labels == 1).sum())
     return PartTargets(cls_labels, box_target, box_mask, dir_onehot, dir_mask, n_positive)
+
+
+def augment_scenes_loop(scenes, cfg, seed):
+    """``augment.augment_scenes`` written out step by step, the loop that the
+    benchmark's ``ToyTrain.setup`` runs: the database, then per scene a plane
+    fit and ``augment_scene`` with the config's settings, one generator."""
+    rng = np.random.default_rng([seed, 0xA6])
+    database = augment.build_gt_database(scenes)
+    augmented = []
+    for scene in scenes:
+        plane = augment.fit_ground_plane(scene.cloud, cfg.ransac_iterations,
+                                         cfg.ransac_inlier_tol, seed=cfg.seed)
+        augmented.append(augment.augment_scene(
+            scene, database, plane, rng, max_samples=cfg.aug_max_samples,
+            translation_var=cfg.aug_translation_var, box_yaw=cfg.aug_box_yaw,
+            box_yaw_range=cfg.aug_box_yaw_range, global_rotation=cfg.aug_global_rotation))
+    return augmented

@@ -283,7 +283,7 @@ def _gradcheck_cases():
         branch = DetectionBranch(channels=4, seed=seed)
         rng = np.random.default_rng(seed + 1)
         x = Tensor(rng.normal(size=(1, 4, 6, 6)), requires_grad=True)
-        cot = Tensor(rng.normal(size=(1, 8, 6, 6)))
+        cot = Tensor(rng.normal(size=(1, 4, 6, 6)))
         return (lambda: projected_loss(branch(x), cot)), [x, branch.down.weight,
                                                           branch.up.weight]
 

@@ -5,6 +5,7 @@ from voxeldet.augment import (
     GroundPlane,
     GtSample,
     augment_scene,
+    augment_scenes,
     build_gt_database,
     fit_ground_plane,
 )
@@ -12,6 +13,8 @@ from voxeldet.box_geom import Box3D, bev_iou, points_in_box3d
 from voxeldet.config import toy_config
 from voxeldet.kitti_io import PointCloud
 from voxeldet.synthetic import Scene, make_toy_dataset
+
+from helpers import augment_scenes_loop
 
 FLAT = GroundPlane((0.0, 0.0, 1.0), 1.7)   # z = -1.7
 
@@ -150,6 +153,20 @@ class TestAugmentScene:
         assert n_after == n_before
         # center radius preserved by the rigid motion
         assert np.hypot(rotated.x, rotated.y) == pytest.approx(np.hypot(box.x, box.y))
+
+
+class TestAugmentScenes:
+    def test_equals_the_step_by_step_loop(self):
+        cfg = toy_config(toy_scenes=6)
+        scenes = make_toy_dataset(cfg)
+        got = augment_scenes(scenes, cfg, seed=3)
+        want = augment_scenes_loop(scenes, cfg, seed=3)
+        assert [s.gt_boxes for s in got] == [s.gt_boxes for s in want]
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g.cloud.points, w.cloud.points)
+        # samples were pasted, so the loop's database and generator were exercised
+        assert sum(map(len, (s.gt_boxes for s in got))) > sum(
+            map(len, (s.gt_boxes for s in scenes)))
 
 
 class TestSyntheticScenes:

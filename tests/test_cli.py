@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from voxeldet.box_geom import Box3D, Detection
-from voxeldet.config import RunConfig, dump_config, parse_config, toy_config
+from voxeldet.config import RunConfig, dump_config, load_config, parse_config, toy_config
 from voxeldet.kitti_io import (
     CalibMatrices,
     PointCloud,
@@ -22,9 +22,10 @@ from voxeldet.cli import main, read_simple_detections, write_simple_detections
 from voxeldet.model import VehicleDetector
 from voxeldet.nn_core import save_checkpoint
 from voxeldet.synthetic import make_toy_dataset
+from voxeldet.train import LossReport, train_toy
 from voxeldet.voxel_grid import voxelize
 
-from helpers import child_env
+from helpers import augment_scenes_loop, child_env
 
 KITTI_R = np.array([[0.0, -1.0, 0.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]])
 
@@ -518,6 +519,28 @@ class TestSubcommands:
         err = capsys.readouterr().err
         assert f"{tmp_path / 'labels' / '000001.txt'}:3: {message}" in err
 
+    @pytest.mark.parametrize("value", ["1.7", "7"])
+    def test_eval_bad_occlusion_names_file_and_line(self, tmp_path, capsys, value):
+        cfg = _toy_cfg_file(tmp_path)
+        for d in ("dets", "labels", "calib"):
+            os.makedirs(tmp_path / d, exist_ok=True)
+        (tmp_path / "dets" / "000000.txt").write_text(GOOD_LINE)
+        write_calib(tmp_path / "calib" / "000000.txt", _calib())
+        good = "Car 0.00 0 1.57 0.0 0.0 100.0 100.0 1.56 1.6 3.9 0.0 1.78 10.0 -1.57"
+        bad = good.split()
+        bad[2] = value
+        (tmp_path / "labels" / "000000.txt").write_text(good + "\n" + " ".join(bad) + "\n")
+        report = tmp_path / "report.txt"
+        assert run_cli("--config", str(cfg), "eval",
+                       "--detections-dir", str(tmp_path / "dets"),
+                       "--labels-dir", str(tmp_path / "labels"),
+                       "--calib-dir", str(tmp_path / "calib"),
+                       "--out", str(report)) == 2
+        assert not report.exists()
+        err = capsys.readouterr().err
+        assert (f"{tmp_path / 'labels' / '000000.txt'}:2: occlusion must be an integer "
+                f"in -1..3, got '{value}'") in err
+
     def test_forward_kitti_out_without_calib_writes_nothing(self, tmp_path):
         cfg_path = _toy_cfg_file(tmp_path)
         ckpt = tmp_path / "model.bin"
@@ -724,6 +747,35 @@ class TestTrainForwardPipeline:
                            "--checkpoint", str(ckpt), "--trace", str(trace)) == 0
             outs.append((ckpt.read_bytes(), trace.read_bytes()))
         assert outs[0] == outs[1]
+
+
+    def test_train_toy_augment_deterministic_across_runs_and_threads(self, micro_cfg_file,
+                                                                     tmp_path):
+        outs = []
+        for run, threads in enumerate(["1", "1", "8"]):
+            ckpt = tmp_path / f"m{run}.bin"
+            trace = tmp_path / f"t{run}.csv"
+            assert run_cli("--threads", threads, "--config", str(micro_cfg_file), "train-toy",
+                           "--augment", "--checkpoint", str(ckpt), "--trace", str(trace)) == 0
+            outs.append((ckpt.read_bytes(), trace.read_bytes()))
+        assert outs[0] == outs[1] == outs[2]
+
+    def test_train_toy_augment_equals_the_step_by_step_pipeline(self, micro_cfg_file, tmp_path):
+        cfg = load_config(micro_cfg_file)
+        scenes = make_toy_dataset(cfg)
+        result = train_toy(cfg, augment_scenes_loop(scenes, cfg, cfg.data_seed))
+        save_checkpoint(tmp_path / "oracle.bin", result.model.state_dict())
+        rows = [LossReport.csv_header(len(cfg.parts()))]
+        rows += [r.csv_row(i) for i, r in enumerate(result.reports)]
+        ckpt = tmp_path / "model.bin"
+        trace = tmp_path / "trace.csv"
+        assert run_cli("--config", str(micro_cfg_file), "train-toy", "--augment",
+                       "--checkpoint", str(ckpt), "--trace", str(trace)) == 0
+        assert trace.read_text() == "\n".join(rows) + "\n"
+        assert ckpt.read_bytes() == (tmp_path / "oracle.bin").read_bytes()
+        # the flag changes what is trained on
+        plain = [r.csv_row(i) for i, r in enumerate(train_toy(cfg, scenes).reports)]
+        assert plain != rows[1:]
 
 
 class TestBench:

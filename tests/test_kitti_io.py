@@ -128,6 +128,26 @@ class TestLabels:
             read_labels(p)
 
 
+    @pytest.mark.parametrize("value", ["1.7", "-0.5", "7", "-2", "1e300"])
+    def test_occlusion_outside_levels_names_line(self, tmp_path, value):
+        fields = CANONICAL_LABEL.split()
+        fields[2] = value
+        p = tmp_path / "label.txt"
+        p.write_text(CANONICAL_LABEL + "\n" + " ".join(fields) + "\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"label.txt:2: occlusion must be an integer in -1..3, got '{value}'")):
+            read_labels(p)
+
+    @pytest.mark.parametrize("value", ["-1", "0", "1", "2", "3"])
+    def test_occlusion_levels_parse_as_int(self, tmp_path, value):
+        fields = CANONICAL_LABEL.split()
+        fields[2] = value
+        p = tmp_path / "label.txt"
+        p.write_text(" ".join(fields) + "\n")
+        (rec,) = read_labels(p)
+        assert rec.occlusion == int(value) and type(rec.occlusion) is int
+
+
 class TestFrameConversion:
     def test_identity_calib_yaw(self):
         calib = CalibMatrices(np.eye(3), np.eye(3, 4), np.eye(3, 4))

@@ -12,8 +12,8 @@ Each conv kind has one kernel, which its input gradient runs too: in
 in ``sparse_conv`` only ``sparse_conv_forward`` scatters.
 
 Eval mode is the one switch for inference: no ``Module`` subclass defines
-``__call__``, so every layer runs through ``Module.__call__``, the only
-place that names ``no_grad``.
+``__call__``, and no program code calls ``.forward`` but ``Module.__call__``,
+so every layer runs through it, the only place that names ``no_grad``.
 """
 
 import ast
@@ -118,6 +118,24 @@ def test_call_scanners_find_subclasses_and_qualified_uses(tmp_path):
     assert module_classes_defining([path], "__call__") == {"Block"}
     assert module_classes_defining([path], "forward") == {"Layer"}
     assert functions_containing([path], reads("no_grad")) == {"Module.__call__", "infer"}
+
+
+def test_only_module_call_calls_forward():
+    assert functions_containing(sorted(SRC.glob("*.py")), calls("forward")) == {"Module.__call__"}
+
+
+def test_forward_scanner_finds_attribute_and_lambda_calls(tmp_path):
+    path = tmp_path / "pipeline.py"
+    path.write_text(
+        "class Module:\n    def __call__(self, x):\n        return self.forward(x)\n\n\n"
+        "class Detector(Module):\n    def forward(self, grids):\n"
+        "        return self.forward_from_plan(self.vfe.build_plan(grids))\n\n"
+        "    def forward_from_plan(self, plan):\n        return self.vfe.forward(plan)\n\n\n"
+        "def bench(detector, plan):\n    return timed(lambda: detector.vfe.forward(plan))\n\n\n"
+        "def run(detector, grid):\n    return detector([grid])\n"
+    )
+    assert functions_containing([path], calls("forward")) == {
+        "Module.__call__", "Detector.forward_from_plan", "bench"}
 
 
 def test_only_conv2d_runs_the_dense_conv_kernel():

@@ -114,7 +114,7 @@ class TestDetectionBranch:
         branch = DetectionBranch(channels=8, seed=0)
         x = Tensor(np.random.default_rng(1).normal(size=(2, 8, 6, 10)))
         out = branch(x)
-        assert out.shape == (2, 16, 6, 10)
+        assert out.shape == (2, 8, 6, 10)
 
     def test_zero_input_zero_output(self):
         branch = DetectionBranch(channels=8, seed=0)
@@ -124,7 +124,7 @@ class TestDetectionBranch:
     def test_gradcheck_small(self):
         branch = DetectionBranch(channels=4, seed=4)
         x = Tensor(np.random.default_rng(5).normal(size=(1, 4, 6, 6)), requires_grad=True)
-        cot = random_cotangent((1, 8, 6, 6), seed=6)
+        cot = random_cotangent((1, 4, 6, 6), seed=6)
         params = [x, branch.down.weight, branch.up.weight]
 
         def loss():

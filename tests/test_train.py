@@ -3,8 +3,10 @@ import warnings
 import numpy as np
 import pytest
 
+from voxeldet import box_geom, cli
+from voxeldet import model as model_module
 from voxeldet.box_geom import Box3D, build_anchor_grid, encode, iou3d, oriented_nms
-from voxeldet.config import toy_config
+from voxeldet.config import dump_config, load_config, toy_config
 from voxeldet.depth_head import PartOutput, fuse_scores
 from voxeldet.model import ModelOutput, VehicleDetector
 from voxeldet.nn_core import Tensor
@@ -386,3 +388,42 @@ class TestDetectOracle:
         # the coarse logits tie, so the cut falls inside a run of equal scores
         ranked = np.sort(fused.scores[0].ravel())[::-1]
         assert ranked[cfg.pre_nms_top_k - 1] == ranked[cfg.pre_nms_top_k]
+
+    def test_detect_and_cli_nms_pass_oriented_nms_the_same_candidates(self, tmp_path,
+                                                                      monkeypatch):
+        """``voxeldet nms`` over a frame's pre-NMS list, written in the anchor
+        order ``detect`` reads, hands ``oriented_nms`` what ``detect`` does:
+        more candidates than ``pre_nms_top_k`` (set in a config file), with
+        the cut inside a run of tied scores."""
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(dump_config(micro_config(score_threshold=0.02, pre_nms_top_k=7)))
+        cfg = load_config(cfg_path)
+        output = self._outputs(cfg, 5)
+        fused = fuse_scores(output.parts, cfg.parts(), 12)
+        extent = max(np.subtract(cfg.range_max, cfg.range_min))
+        candidates = decode_per_candidate(fused, VehicleDetector(cfg).anchors,
+                                          cfg.score_threshold, np.inf, extent)[0]
+        ranked = np.sort([d.score for d in candidates])[::-1]
+        assert len(ranked) > cfg.pre_nms_top_k
+        assert ranked[cfg.pre_nms_top_k - 1] == ranked[cfg.pre_nms_top_k]
+        dets_path = tmp_path / "dets.txt"
+        cli.write_simple_detections(dets_path, candidates)
+
+        handed = []
+
+        def recording_nms(dets, iou):
+            handed.append(list(dets))
+            return oriented_nms(dets, iou)
+
+        monkeypatch.setattr(model_module, "oriented_nms", recording_nms)
+        monkeypatch.setattr(box_geom, "oriented_nms", recording_nms)
+        VehicleDetector(cfg).detect(output)
+        assert cli.main(["--config", str(cfg_path), "nms", "--detections", str(dets_path),
+                         "--out", str(tmp_path / "kept.txt")]) == 0
+        from_detect, from_cli = handed[0], handed[2]
+        assert len(from_detect) == len(from_cli) == cfg.pre_nms_top_k
+        # the file holds each value to 9 digits, which round-trips a float32 score
+        assert [np.float32(d.score) for d in from_cli] == [np.float32(d.score)
+                                                           for d in from_detect]
+        np.testing.assert_allclose([d.box.as_array() for d in from_cli],
+                                   [d.box.as_array() for d in from_detect], rtol=1e-8)
