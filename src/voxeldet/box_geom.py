@@ -16,11 +16,15 @@ import numpy as np
 
 TWO_PI = 2.0 * np.pi
 # relative slack on the squared reach in _circles_apart: far above the few
-# ulps by which its float sums and the array prefilter in _pairwise can differ
+# ulps by which its float sums and the array prefilter in _pairwise_blocks can differ
 _REACH_SLACK = 1.0 + 1e-9
 # below this reach the squares underflow and lose that precision, so such
 # pairs go to the exact path
 _MIN_REACH = 1e-150
+# near pairs per _bev_overlap call in _pairwise_blocks. The clip's scratch
+# peaks near 1.1 kB a row, so a chunk stays near 2 MB, and past about 2,000
+# rows its time per row levels off. Entries do not depend on it.
+_CLIP_CHUNK = 2048
 
 
 def wrap_angle(theta):
@@ -159,7 +163,7 @@ def _circles_apart(a, b) -> bool:
 
     Compares the squared centre distance with the squared reach (the sum of
     the half-diagonals) times ``_REACH_SLACK``, so True only where the
-    prefilter in :func:`_pairwise` drops the pair too. Other inputs, NaNs,
+    prefilter in :func:`_pairwise_blocks` drops the pair too. Other inputs, NaNs,
     an overflowed squared reach and a reach below ``_MIN_REACH`` give False.
     """
     disc_a, disc_b = _bev_disc(a), _bev_disc(b)
@@ -171,11 +175,13 @@ def _circles_apart(a, b) -> bool:
 
 
 def pairwise_bev_iou(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
-    """(N, M) rotated BEV IoU matrix with a center-distance prefilter."""
+    """(N, M) rotated BEV IoU matrix; the one-block case of
+    :func:`blockwise_bev_and_3d_iou`, with its prefilter and clip."""
     return _pairwise(boxes_a, boxes_b, bev=True)[0]
 
 
 def pairwise_iou3d(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
+    """(N, M) volumetric IoU matrix; the one-block case of :func:`blockwise_bev_and_3d_iou`."""
     return _pairwise(boxes_a, boxes_b, volumetric=True)[1]
 
 
@@ -187,6 +193,12 @@ def pairwise_bev_and_3d_iou(boxes_a: np.ndarray, boxes_b: np.ndarray):
     return _pairwise(boxes_a, boxes_b, bev=True, volumetric=True)
 
 
+def blockwise_bev_and_3d_iou(blocks) -> list:
+    """Per (boxes_a, boxes_b) block, its :func:`pairwise_bev_and_3d_iou` pair,
+    bit for bit, from one clip of every block's near pairs, in fixed chunks."""
+    return _pairwise_blocks(blocks, bev=True, volumetric=True)
+
+
 def overlaps_any(box: Box3D, boxes) -> bool:
     """Whether ``box`` has a positive BEV IoU with any of ``boxes`` (placement test)."""
     return bool(boxes) and bool(pairwise_bev_iou(
@@ -194,39 +206,73 @@ def overlaps_any(box: Box3D, boxes) -> bool:
 
 
 def _pairwise(boxes_a, boxes_b, bev: bool = False, volumetric: bool = False):
-    """The BEV and the 3D IoU matrix, each None unless asked for; only pairs
-    whose circumscribed BEV circles meet are clipped, once for both."""
-    boxes_a = np.atleast_2d(np.asarray(boxes_a, dtype=np.float64))
-    boxes_b = np.atleast_2d(np.asarray(boxes_b, dtype=np.float64))
-    out_bev = np.zeros((len(boxes_a), len(boxes_b))) if bev else None
-    out_3d = np.zeros((len(boxes_a), len(boxes_b))) if volumetric else None
-    rad_a = 0.5 * np.hypot(boxes_a[:, 3], boxes_a[:, 4])
-    rad_b = 0.5 * np.hypot(boxes_b[:, 3], boxes_b[:, 4])
-    dist = np.hypot(
-        boxes_a[:, 0, None] - boxes_b[None, :, 0],
-        boxes_a[:, 1, None] - boxes_b[None, :, 1],
-    )
-    rows, cols = np.nonzero(dist <= rad_a[:, None] + rad_b[None, :])
-    if len(rows) == 0:
-        return out_bev, out_3d
-    a, b = boxes_a[rows], boxes_b[cols]
-    inter = _bev_overlap(a, b)
+    """The BEV and the 3D IoU matrix of one block, each None unless asked for."""
+    return _pairwise_blocks([(boxes_a, boxes_b)], bev, volumetric)[0]
+
+
+def _pairwise_blocks(blocks, bev: bool = False, volumetric: bool = False) -> list:
+    """Per (boxes_a, boxes_b) block, its BEV and its 3D IoU matrix, each None
+    unless asked for.
+
+    Each block keeps only the pairs whose circumscribed BEV circles meet.
+    Those of all blocks are clipped together, at most ``_CLIP_CHUNK`` rows
+    per :func:`_bev_overlap` call, and each clip serves both kinds. The
+    kernel sums each row's area slot by slot, so an entry does not depend on
+    which blocks or chunks share its clip. The matrices are views into one
+    buffer per kind.
+    """
+    if not blocks:
+        return []
+    near_a, near_b, flat, shapes = [], [], [], []
+    size = 0
+    for boxes_a, boxes_b in blocks:
+        boxes_a = np.atleast_2d(np.asarray(boxes_a, dtype=np.float64))
+        boxes_b = np.atleast_2d(np.asarray(boxes_b, dtype=np.float64))
+        rad_a = 0.5 * np.hypot(boxes_a[:, 3], boxes_a[:, 4])
+        rad_b = 0.5 * np.hypot(boxes_b[:, 3], boxes_b[:, 4])
+        dist = np.hypot(
+            boxes_a[:, 0, None] - boxes_b[None, :, 0],
+            boxes_a[:, 1, None] - boxes_b[None, :, 1],
+        )
+        rows, cols = np.nonzero(dist <= rad_a[:, None] + rad_b[None, :])
+        near_a.append(boxes_a[rows])
+        near_b.append(boxes_b[cols])
+        flat.append(size + rows * len(boxes_b) + cols)
+        shapes.append((len(boxes_a), len(boxes_b)))
+        size += len(boxes_a) * len(boxes_b)
+    a, b, flat = _joined(near_a), _joined(near_b), _joined(flat)
+    inter = _joined([_bev_overlap(a[lo : lo + _CLIP_CHUNK], b[lo : lo + _CLIP_CHUNK])
+                     for lo in range(0, len(a), _CLIP_CHUNK)] or [np.zeros(0)])
     size_a, size_b = a[:, 3] * a[:, 4], b[:, 3] * b[:, 4]
+    out_bev = np.zeros(size) if bev else None
+    out_3d = np.zeros(size) if volumetric else None
     if bev:
-        _scatter_iou(out_bev, rows, cols, inter, size_a, size_b)
+        _scatter_iou(out_bev, flat, inter, size_a, size_b)
     if volumetric:
         z_overlap = (np.minimum(a[:, 2] + a[:, 5] / 2, b[:, 2] + b[:, 5] / 2)
                      - np.maximum(a[:, 2] - a[:, 5] / 2, b[:, 2] - b[:, 5] / 2))
-        _scatter_iou(out_3d, rows, cols, inter * np.maximum(z_overlap, 0.0),
+        _scatter_iou(out_3d, flat, inter * np.maximum(z_overlap, 0.0),
                      size_a * a[:, 5], size_b * b[:, 5])
-    return out_bev, out_3d
+    out, start = [], 0
+    for n, m in shapes:
+        stop = start + n * m
+        out.append((out_bev[start:stop].reshape(n, m) if bev else None,
+                    out_3d[start:stop].reshape(n, m) if volumetric else None))
+        start = stop
+    return out
 
 
-def _scatter_iou(out, rows, cols, inter, size_a, size_b):
-    """Write each pair's intersection over union into ``out``; degenerate pairs stay 0."""
+def _joined(parts):
+    """``np.concatenate(parts)``, without the copy when there is one part."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _scatter_iou(out, flat, inter, size_a, size_b):
+    """Write each pair's intersection over union at its ``flat`` index of
+    ``out``; degenerate pairs stay 0."""
     union = size_a + size_b - inter
     ok = (size_a > 0.0) & (size_b > 0.0) & (union > 0.0)
-    out[rows[ok], cols[ok]] = np.clip(inter[ok] / union[ok], 0.0, 1.0)
+    out[flat[ok]] = np.clip(inter[ok] / union[ok], 0.0, 1.0)
 
 
 def points_in_bev_rect(xy: np.ndarray, box) -> np.ndarray:

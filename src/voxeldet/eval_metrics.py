@@ -1,14 +1,15 @@
 """Average precision and orientation similarity under the KITTI protocol.
 
 Ground truths are stratified into easy/moderate/hard by image-box height,
-occlusion and truncation. Per frame, one rotated clip of every nearby
-detection-box pair gives both the volumetric and the BEV IoU matrix, and
-detections are matched greedily over one of them at a fixed threshold: the
-score-ordered loop visits only detections that reach a target, and the
-rest are classed in array passes. Precision is sampled on an 11-point (or
-40-point) interpolated envelope. Orientation quality replaces precision
-with the mean (1 + cos(dtheta)) / 2 over true positives, false positives
-contributing zero.
+occlusion and truncation. One clip of every frame's near pairs, in fixed
+chunks, gives each frame both its volumetric and its BEV IoU matrix, and
+detections are matched greedily over one of them at a fixed threshold.
+Each kind is compared with the threshold once for all frames and strata;
+the score-ordered loop visits only the (detection, target) entries that
+reach it, and the rest are classed in array passes. Precision is sampled
+on an 11-point (or 40-point) interpolated envelope. Orientation quality
+replaces precision with the mean (1 + cos(dtheta)) / 2 over true
+positives, false positives contributing zero.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .box_geom import pairwise_bev_and_3d_iou, wrap_angle
+from .box_geom import blockwise_bev_and_3d_iou, wrap_angle
 # not called here; bound because the traced benchmark wraps eval_metrics.bev_iou/iou3d
 from .box_geom import bev_iou, iou3d  # noqa: F401
 
@@ -79,56 +80,82 @@ def _box_array(boxes) -> np.ndarray:
 
 @dataclass
 class _RankedFrames:
-    """Every frame's detections in stable descending-score order, built once
-    and shared by every stratum and IoU kind."""
+    """Every frame's detections in stable descending-score order and its IoU
+    matrices, built once and shared by every stratum and IoU kind.
 
-    scores: np.ndarray  # all frames' detections, frame by frame, each in score order
-    theta: np.ndarray   # their yaws, in the same order
-    ious: list          # per frame, a tuple of IoU matrices with rows in score order
-    gt_theta: list      # per frame, the yaws of gt.boxes
+    Rows and columns are numbered across frames: the rows are all frames'
+    detections, frame by frame, each in score order; the columns are each
+    frame's ``gt.boxes`` then its ``gt.ignored_boxes``, frame by frame.
+    """
+
+    scores: np.ndarray     # per row
+    theta: np.ndarray      # per row, the detection's yaw
+    col_theta: np.ndarray  # per column, the box's yaw
+    gt_cols: np.ndarray    # the columns of gt.boxes, frame by frame
+    ious: list             # per frame, a tuple of IoU matrices (its rows by its columns)
+
+    def targets(self, masks) -> np.ndarray:
+        """Boolean mask over the columns: the ``gt.boxes`` that ``masks``
+        (one include-mask per frame) include."""
+        target = np.zeros(len(self.col_theta), dtype=bool)
+        target[self.gt_cols] = np.concatenate([np.zeros(0, dtype=bool), *masks])
+        return target
 
 
-def _rank_frames(frames, pairwise_fn) -> _RankedFrames:
+def _rank_frames(frames, pairwise_blocks) -> _RankedFrames:
     """Order each frame's detections by score and compute its IoU matrices.
 
-    ``pairwise_fn(dets, columns)`` returns a tuple of matrices; the columns
-    are ``gt.boxes`` then ``gt.ignored_boxes``.
+    ``pairwise_blocks`` maps a list of (detections, columns) box arrays, one
+    per frame, to one tuple of IoU matrices per frame; the columns are
+    ``gt.boxes`` then ``gt.ignored_boxes``.
     """
     # the empty first parts keep np.concatenate defined when there are no frames
-    scores, theta, ious, gt_theta = [np.zeros(0)], [np.zeros(0)], [], []
+    scores, blocks, gt_cols = [np.zeros(0)], [], [np.zeros(0, dtype=np.int64)]
+    n_cols = 0
     for dets, gt in frames:
         order = np.argsort(-np.asarray(dets.scores), kind="stable")
-        boxes = _box_array(dets.boxes)[order]
         columns = _box_array(list(gt.boxes) + list(gt.ignored_boxes))
         scores.append(np.asarray(dets.scores, dtype=np.float64)[order])
-        theta.append(boxes[:, 6])
-        ious.append(pairwise_fn(boxes, columns))
-        gt_theta.append(columns[: len(gt.boxes), 6])
-    return _RankedFrames(np.concatenate(scores), np.concatenate(theta), ious, gt_theta)
+        blocks.append((_box_array(dets.boxes)[order], columns))
+        gt_cols.append(n_cols + np.arange(len(gt.boxes)))
+        n_cols += len(columns)
+    theta = np.concatenate([np.zeros(0)] + [boxes[:, 6] for boxes, _ in blocks])
+    col_theta = np.concatenate([np.zeros(0)] + [columns[:, 6] for _, columns in blocks])
+    return _RankedFrames(np.concatenate(scores), theta, col_theta, np.concatenate(gt_cols),
+                         pairwise_blocks(blocks))
 
 
-def _greedy_match(ious, target, threshold):
-    """Greedy pass over one frame's IoU matrix, rows in score order.
+def _reached(ranked: _RankedFrames, kind: int, threshold):
+    """The (row, column) entries of every frame's ``kind``-th IoU matrix
+    that reach ``threshold``, in greedy order: row by row, the highest IoU
+    first and the last column on a tie. One comparison over all frames."""
+    mats = [ious[kind] for ious in ranked.ious]
+    shapes = np.array([m.shape for m in mats], dtype=np.int64).reshape(-1, 2)
+    first = np.cumsum(shapes, axis=0) - shapes       # each frame's first row and column
+    sizes = shapes[:, 0] * shapes[:, 1]
+    starts = np.cumsum(sizes) - sizes
+    values = np.concatenate([np.zeros(0)] + [m.ravel() for m in mats])
+    idx = np.flatnonzero(values >= threshold)
+    # an empty frame shares its start with the next one, which holds the entry
+    frame = np.searchsorted(starts, idx, side="right") - 1
+    rows, cols = np.divmod(idx - starts[frame], shapes[frame, 1])
+    rows, cols = rows + first[frame, 0], cols + first[frame, 1]
+    order = np.lexsort((-cols, -values[idx], rows))
+    return rows[order], cols[order]
 
-    ``target`` marks the columns that may be matched; every other column is
-    an ignore region. Row by row, a detection takes the unmatched target
-    with the highest IoU >= threshold, the last such column on a tie. Only
-    rows with some target IoU >= threshold can match, so only they enter
-    the loop. Returns each row's matched index among the target columns
-    (-1 for none) and whether it reaches an ignore region.
-    """
-    reached = ious >= threshold
-    near_ignored = reached[:, ~target].any(axis=1)
-    matched = np.full(len(ious), -1)
-    rows = np.flatnonzero(reached[:, target].any(axis=1))
-    hits = np.where(reached[rows][:, target], ious[rows][:, target], -np.inf)
-    for k, di in enumerate(rows):
-        best = hits[k].max()
-        if best > -np.inf:
-            gi = np.flatnonzero(hits[k] == best)[-1]
-            hits[k + 1 :, gi] = -np.inf
-            matched[di] = gi
-    return matched, near_ignored
+
+def _greedy_match(rows, cols, n_rows) -> np.ndarray:
+    """Greedy matching over reached (row, target column) entries in greedy
+    order: each row, in score order, takes its first entry whose column no
+    earlier row took. Returns each row's matched column (-1 for none)."""
+    match, taken = {}, set()
+    for r, c in zip(rows.tolist(), cols.tolist()):
+        if r not in match and c not in taken:
+            match[r] = c
+            taken.add(c)
+    matched = np.full(n_rows, -1)
+    matched[np.fromiter(match, dtype=np.int64, count=len(match))] = list(match.values())
+    return matched
 
 
 @dataclass
@@ -147,28 +174,24 @@ class RankedMatches:
                              self.similarities[order], self.n_gt)
 
 
-def _pool_matches(ranked: _RankedFrames, kind: int, include_masks, threshold) -> RankedMatches:
-    """Match every frame on its ``kind``-th IoU matrix and pool the outcomes
-    into one ranking. Detections that match nothing but reach an ignore
-    region leave the ranking; the rest are false positives."""
-    is_tp, counted, target_theta = [np.zeros(0, dtype=bool)], [np.zeros(0, dtype=bool)], []
-    n_gt = 0
-    for ious, gt_theta, mask in zip(ranked.ious, ranked.gt_theta, include_masks):
-        mask = np.asarray(mask, dtype=bool)
-        target = np.zeros(ious[kind].shape[1], dtype=bool)
-        target[: len(mask)] = mask
-        n_gt += int(mask.sum())
-        matched, near_ignored = _greedy_match(ious[kind], target, threshold)
-        hit = matched >= 0
-        is_tp.append(hit)
-        counted.append(hit | ~near_ignored)
-        target_theta.append(gt_theta[mask][matched[hit]])
-    is_tp, counted = np.concatenate(is_tp), np.concatenate(counted)
-    delta = wrap_angle(ranked.theta[is_tp] - np.concatenate([np.zeros(0), *target_theta]))
+def _pool_matches(ranked: _RankedFrames, reached, target) -> RankedMatches:
+    """Match every frame on one IoU kind's ``reached`` entries, with the
+    ``target`` columns as targets and every other column as an ignore
+    region, and pool the outcomes into one ranking. Detections that match
+    nothing but reach an ignore region leave the ranking; the rest are
+    false positives."""
+    rows, cols = reached
+    on_target = target[cols]
+    near_ignored = np.zeros(len(ranked.scores), dtype=bool)
+    near_ignored[rows[~on_target]] = True
+    matched = _greedy_match(rows[on_target], cols[on_target], len(ranked.scores))
+    is_tp = matched >= 0
+    counted = is_tp | ~near_ignored
+    delta = wrap_angle(ranked.theta[is_tp] - ranked.col_theta[matched[is_tp]])
     similarities = np.zeros(len(is_tp))
     similarities[is_tp] = (1.0 + np.cos(delta)) / 2.0
     return RankedMatches(ranked.scores[counted], is_tp[counted], ~is_tp[counted],
-                         similarities[counted], n_gt).sorted_by_score()
+                         similarities[counted], int(target.sum())).sorted_by_score()
 
 
 def accumulate_matches(frames, pairwise_fn) -> RankedMatches:
@@ -178,9 +201,9 @@ def accumulate_matches(frames, pairwise_fn) -> RankedMatches:
     ``frames`` is a sequence of (FrameDetections, FrameGroundTruth);
     ``pairwise_fn`` is ``pairwise_iou3d`` or ``pairwise_bev_iou``.
     """
-    include_all = [np.ones(len(gt.boxes), dtype=bool) for _, gt in frames]
-    ranked = _rank_frames(frames, lambda dets, columns: (pairwise_fn(dets, columns),))
-    return _pool_matches(ranked, 0, include_all, CAR_IOU_THRESHOLD)
+    ranked = _rank_frames(frames, lambda blocks: [(pairwise_fn(*block),) for block in blocks])
+    target = ranked.targets([np.ones(len(gt.boxes), dtype=bool) for _, gt in frames])
+    return _pool_matches(ranked, _reached(ranked, 0, CAR_IOU_THRESHOLD), target)
 
 
 def _recall_samples(mode: str) -> np.ndarray:
@@ -239,18 +262,20 @@ class EvalResult:
 def evaluate_frames(frames, mode: str = "R11", threshold: float = CAR_IOU_THRESHOLD) -> EvalResult:
     """Full protocol: stratify, match in 3D and BEV, sample AP and AOS.
 
-    Each frame's detections are put in score order once, and one rotated
-    clip of its detection-box pairs gives both its BEV and its 3D IoU
-    matrix; every stratum shares them. AOS shares the BEV-matched ranking,
-    so aos <= ap_bev stratum by stratum.
+    Each frame's detections are put in score order once, and one clip of
+    every frame's near pairs, in fixed chunks, gives each frame both its BEV
+    and its 3D IoU matrix. Each kind is compared with ``threshold`` once, and
+    every stratum shares that comparison. AOS shares the BEV-matched
+    ranking, so aos <= ap_bev stratum by stratum.
     """
     strata = [stratify(gt) for _, gt in frames]
-    ranked = _rank_frames(frames, pairwise_bev_and_3d_iou)
+    ranked = _rank_frames(frames, blockwise_bev_and_3d_iou)
+    reached_bev, reached_3d = (_reached(ranked, kind, threshold) for kind in (0, 1))
     ap_3d, ap_bev, aos_out = {}, {}, {}
     for name in DIFFICULTY_RULES:
-        masks = [s[name] for s in strata]
-        mbev = _pool_matches(ranked, 0, masks, threshold)
-        m3d = _pool_matches(ranked, 1, masks, threshold)
+        target = ranked.targets([s[name] for s in strata])
+        mbev = _pool_matches(ranked, reached_bev, target)
+        m3d = _pool_matches(ranked, reached_3d, target)
         ap_3d[name] = average_precision(m3d, mode)
         ap_bev[name] = average_precision(mbev, mode)
         aos_out[name] = aos(mbev, mode)

@@ -130,6 +130,8 @@ def _parse_label_line(line: str) -> LabelRecord:
         raise ValueError("numeric fields must be finite")
     if not (vals[1].is_integer() and -1 <= vals[1] <= 3):   # -1: DontCare
         raise ValueError(f"occlusion must be an integer in -1..3, got {fields[2]!r}")
+    if not (0.0 <= vals[0] <= 1.0 or vals[0] == -1.0 and cls == "DontCare"):
+        raise ValueError(f"truncation must be in [0, 1] (-1 for DontCare), got {fields[1]!r}")
     rec = LabelRecord(
         cls=cls,
         truncation=vals[0],
@@ -153,7 +155,9 @@ def _parse_label_line(line: str) -> LabelRecord:
 def read_labels(path) -> list[LabelRecord]:
     """One record per non-empty line; DontCare rows are kept and flagged.
 
-    A malformed line raises ValueError prefixed with ``<path>:<line>:``.
+    Truncation must lie in [0, 1] (-1 only on a DontCare row) and occlusion
+    be an integer in -1..3. A malformed line raises ValueError prefixed
+    with ``<path>:<line>:``.
     """
     records = []
     with open(path, "r") as f:

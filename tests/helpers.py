@@ -381,6 +381,18 @@ def clipped_bev_area(box_a, box_b):
     return 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
 
 
+def near_pairs(blocks) -> int:
+    """The (a, b) pairs, over all (boxes_a, boxes_b) blocks, whose centre
+    distance is at most the sum of their half-diagonals: the pairs the
+    rotated-IoU prefilter sends to the clip."""
+    count = 0
+    for a, b in blocks:
+        dist = np.hypot(a[:, 0, None] - b[None, :, 0], a[:, 1, None] - b[None, :, 1])
+        reach = 0.5 * np.hypot(a[:, 3], a[:, 4])[:, None] + 0.5 * np.hypot(b[:, 3], b[:, 4])
+        count += int(np.count_nonzero(dist <= reach))
+    return count
+
+
 # samples per block of the Monte-Carlo oracle: its buffers (~0.8 MB) stay in cache
 _MC_BLOCK = 16_384
 

@@ -7,6 +7,7 @@ from voxeldet.box_geom import (
     Box3D,
     Detection,
     bev_iou,
+    blockwise_bev_and_3d_iou,
     build_anchor_grid,
     decode,
     direction_bit,
@@ -21,7 +22,7 @@ from voxeldet.box_geom import (
 from voxeldet import box_geom
 from voxeldet.box_geom import _bev_overlap
 
-from helpers import clipped_bev_area, monte_carlo_bev_iou, oriented_nms_matrix
+from helpers import clipped_bev_area, monte_carlo_bev_iou, near_pairs, oriented_nms_matrix
 
 
 def _box(x=0.0, y=0.0, z=0.0, w=1.0, l=1.0, h=1.0, theta=0.0):
@@ -53,7 +54,8 @@ def _bits(value) -> bytes:
 
 
 def _reach(a, b):
-    """The circle sum and the centre distance as the prefilter in ``_pairwise`` forms them."""
+    """The circle sum and the centre distance as the prefilter in
+    ``_pairwise_blocks`` forms them."""
     reach = 0.5 * np.hypot(a[3], a[4]) + 0.5 * np.hypot(b[3], b[4])
     return reach, np.hypot(a[0] - b[0], a[1] - b[1])
 
@@ -280,6 +282,65 @@ class TestBevIou:
         for pairwise in (pairwise_bev_iou, pairwise_iou3d):
             iou = pairwise(a[:200], b[:200])
             assert np.all((iou >= 0.0) & (iou <= 1.0))
+
+
+def _blocks(seed):
+    """Box-array pairs of a few frames: empty on either side or both, near
+    and far pairs, and equal boxes."""
+    rng = np.random.default_rng(seed)
+    blocks = [(np.zeros((0, 7)), _random_boxes(rng, 3, 6.0)),
+              (_random_boxes(rng, 4, 6.0), np.zeros((0, 7))),
+              (np.zeros((0, 7)), np.zeros((0, 7)))]
+    for _ in range(5):
+        a = _random_boxes(rng, int(rng.integers(1, 9)), 6.0)
+        b = np.concatenate([_random_boxes(rng, int(rng.integers(0, 6)), 6.0), a[:2]])
+        blocks.append((a, b))
+    return [blocks[k] for k in rng.permutation(len(blocks))]
+
+
+class TestBlockwise:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_each_block_equals_its_own_clip_bit_for_bit(self, seed):
+        blocks = _blocks(seed)
+        got = blockwise_bev_and_3d_iou(blocks)
+        assert len(got) == len(blocks)
+        nonzero = 0
+        for (a, b), (bev, vol) in zip(blocks, got):
+            want_bev, want_3d = pairwise_bev_and_3d_iou(a, b)
+            assert bev.shape == vol.shape == (len(a), len(b))
+            assert bev.tobytes() == want_bev.tobytes() and vol.tobytes() == want_3d.tobytes()
+            for i, j in np.ndindex(bev.shape):
+                alone = pairwise_bev_and_3d_iou(a[i : i + 1], b[j : j + 1])
+                assert _bits(bev[i, j]) == _bits(alone[0][0, 0])
+                assert _bits(vol[i, j]) == _bits(alone[1][0, 0])
+            nonzero += int(np.count_nonzero(bev))
+        assert nonzero > len(blocks)
+
+    @pytest.mark.parametrize("chunk", [None, 1, 3])
+    def test_one_clip_per_chunk_and_the_same_bits(self, monkeypatch, chunk):
+        blocks = _blocks(11)
+        want = [tuple(m.tobytes() for m in pair) for pair in blockwise_bev_and_3d_iou(blocks)]
+        if chunk is not None:
+            monkeypatch.setattr(box_geom, "_CLIP_CHUNK", chunk)
+        rows = []
+        real = box_geom._bev_overlap
+        monkeypatch.setattr(box_geom, "_bev_overlap",
+                            lambda a, b: rows.append(len(a)) or real(a, b))
+        got = [tuple(m.tobytes() for m in pair) for pair in blockwise_bev_and_3d_iou(blocks)]
+        near, size = near_pairs(blocks), box_geom._CLIP_CHUNK
+        assert got == want and 0 < near and sum(rows) == near
+        assert len(rows) == -(-near // size) and max(rows) == min(near, size)
+
+    def test_no_near_pair_makes_no_clip(self, monkeypatch):
+        def clip(*args):
+            raise AssertionError("clip without near pairs")
+
+        monkeypatch.setattr(box_geom, "_bev_overlap", clip)
+        far = np.array([[100.0, 0.0, 0.0, 1.6, 3.9, 1.5, 0.0]])
+        got = blockwise_bev_and_3d_iou([(far, far - [[200.0, 0, 0, 0, 0, 0, 0]]),
+                                        (np.zeros((0, 7)), far)])
+        assert [m.shape for pair in got for m in pair] == [(1, 1), (1, 1), (0, 1), (0, 1)]
+        assert not got[0][0].any() and blockwise_bev_and_3d_iou([]) == []
 
 
 class TestIou3d:

@@ -3,6 +3,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from voxeldet.kitti_io import (
     write_labels,
     write_point_cloud,
 )
+from voxeldet import cli
 from voxeldet.cli import main, read_simple_detections, write_simple_detections
 from voxeldet.model import VehicleDetector
 from voxeldet.nn_core import save_checkpoint
@@ -541,6 +543,28 @@ class TestSubcommands:
         assert (f"{tmp_path / 'labels' / '000000.txt'}:2: occlusion must be an integer "
                 f"in -1..3, got '{value}'") in err
 
+    @pytest.mark.parametrize("value", ["-3.0", "7.5", "1.01"])
+    def test_eval_bad_truncation_names_file_and_line(self, tmp_path, capsys, value):
+        cfg = _toy_cfg_file(tmp_path)
+        for d in ("dets", "labels", "calib"):
+            os.makedirs(tmp_path / d, exist_ok=True)
+        (tmp_path / "dets" / "000000.txt").write_text(GOOD_LINE)
+        write_calib(tmp_path / "calib" / "000000.txt", _calib())
+        good = "Car 0.00 0 1.57 0.0 0.0 100.0 100.0 1.56 1.6 3.9 0.0 1.78 10.0 -1.57"
+        bad = good.split()
+        bad[1] = value
+        (tmp_path / "labels" / "000000.txt").write_text(good + "\n" + " ".join(bad) + "\n")
+        report = tmp_path / "report.txt"
+        assert run_cli("--config", str(cfg), "eval",
+                       "--detections-dir", str(tmp_path / "dets"),
+                       "--labels-dir", str(tmp_path / "labels"),
+                       "--calib-dir", str(tmp_path / "calib"),
+                       "--out", str(report)) == 2
+        assert not report.exists()
+        assert capsys.readouterr().err == (
+            f"data error: {tmp_path / 'labels' / '000000.txt'}:2: truncation must be in "
+            f"[0, 1] (-1 for DontCare), got '{value}'\n")
+
     def test_forward_kitti_out_without_calib_writes_nothing(self, tmp_path):
         cfg_path = _toy_cfg_file(tmp_path)
         ckpt = tmp_path / "model.bin"
@@ -577,6 +601,43 @@ class TestSubcommands:
                        "--calib-dir", str(tmp_path / "calib"),
                        "--out", str(report), "--machine-out", str(machine)) == 0
         assert "ap_3d_moderate = 100.000000" in machine.read_text()
+
+    def test_one_parser_serves_every_call_in_a_process(self, tmp_path, capsys):
+        """Eval, two usage errors, a data error and eval again through one
+        parser: each call gets its own exit code and the reports match."""
+        calib = _calib()
+        for d in ("dets", "labels", "calib", "bad"):
+            os.makedirs(tmp_path / d, exist_ok=True)
+        boxes = [Box3D(10.0, 0.0, -1.0, 1.6, 3.9, 1.56, 0.3),
+                 Box3D(20.0, 4.0, -1.0, 1.6, 3.9, 1.56, -0.5)]
+        for stem, dets in (("000000", [Detection(boxes[0], 0.9), Detection(boxes[1], 0.4)]),
+                           ("000001", [Detection(replace(boxes[1], x=21.5), 0.8)])):
+            write_simple_detections(tmp_path / "dets" / f"{stem}.txt", dets)
+            write_calib(tmp_path / "calib" / f"{stem}.txt", calib)
+            labels = [detection_to_label(Detection(b, 1.0), calib) for b in boxes]
+            write_labels(tmp_path / "labels" / f"{stem}.txt",
+                         [replace(rec, bbox=(0.0, 0.0, 100.0, 100.0), score=None)
+                          for rec in labels])
+        (tmp_path / "bad" / "000000.txt").write_text(GOOD_LINE + NON_FINITE_LINES[0])
+
+        def evaluate(det_dir, out):
+            return run_cli("--toy", "eval", "--detections-dir", str(det_dir),
+                           "--labels-dir", str(tmp_path / "labels"),
+                           "--calib-dir", str(tmp_path / "calib"), "--out", str(out))
+
+        codes = [evaluate(tmp_path / "dets", tmp_path / "first.txt"),
+                 run_cli("--toy", "nms", "--detections", str(tmp_path / "dets" / "000000.txt")),
+                 run_cli("--threads", "0", "dump-config"),
+                 evaluate(tmp_path / "bad", tmp_path / "bad.txt"),
+                 evaluate(tmp_path / "dets", tmp_path / "second.txt")]
+        assert codes == [0, 1, 1, 2, 0]
+        err = capsys.readouterr().err
+        assert "required: --out" in err and "--threads must be >= 1" in err
+        assert "000000.txt:2: fields must be finite" in err
+        first = (tmp_path / "first.txt").read_bytes()
+        assert first == (tmp_path / "second.txt").read_bytes()
+        assert "100.00" not in first.decode() and not (tmp_path / "bad.txt").exists()
+        assert cli._build_parser() is cli._build_parser()
 
     def test_render_bev_ppm(self, tmp_path):
         cfg = _toy_cfg_file(tmp_path)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from voxeldet import box_geom, eval_metrics
-from voxeldet.box_geom import Box3D, bev_iou, iou3d, pairwise_bev_iou, pairwise_iou3d
+from voxeldet.box_geom import (Box3D, bev_iou, iou3d, pairwise_bev_and_3d_iou, pairwise_bev_iou,
+                               pairwise_iou3d)
 from voxeldet.eval_metrics import (
     DIFFICULTY_RULES,
     EvalResult,
@@ -21,7 +22,8 @@ from voxeldet.eval_metrics import (
     stratify,
 )
 
-from helpers import evaluate_frames_per_pair, interpolated_per_sample, match_frame_per_pair
+from helpers import (evaluate_frames_per_pair, interpolated_per_sample, match_frame_per_pair,
+                     near_pairs)
 
 
 def _box(x, y=0.0, theta=0.0, l=3.9):
@@ -348,7 +350,7 @@ class TestMatrixMatching:
         assert outcomes["positive"] and outcomes["zero"] and outcomes["absent"]
 
     def test_one_matrix_pair_per_frame_whatever_the_strata(self, monkeypatch):
-        """One rotated clip per frame feeds both its BEV and its 3D matrix."""
+        """One clip of all frames' near pairs feeds every BEV and 3D matrix."""
         calls = Counter()
 
         def counted(name, fn):
@@ -372,4 +374,100 @@ class TestMatrixMatching:
             monkeypatch.setattr(eval_metrics, "DIFFICULTY_RULES", rules)
             calls.clear()
             assert list(evaluate_frames(frames).ap_3d) == list(rules)
-            assert calls["stratify"] == 5 and 1 <= calls["clip"] <= 5
+            assert calls["stratify"] == 5 and calls["clip"] == 1
+
+
+def _mixed_frames(rng, n):
+    """``n`` frames, each a random one or one with no detections, no ground
+    truths, or only ignored boxes."""
+    edge = [lambda: (_dets([], []), _gt([_box(10.0)], ignored=[_box(20.0)])),
+            lambda: (_dets([_box(10.2), _box(30.0)], [0.9, 0.6]), _gt([])),
+            lambda: (_dets([_box(10.1), _box(15.3)], [0.7, 0.7]),
+                     _gt([], ignored=[_box(10.0), _box(15.0)]))]
+    return [edge[int(rng.integers(0, 3))]() if rng.random() < 0.4 else _random_frame(rng)
+            for _ in range(n)]
+
+
+def _record_blocks(monkeypatch):
+    """Record each call of the blockwise IoU that ``evaluate_frames`` makes."""
+    seen = []
+    real = eval_metrics.blockwise_bev_and_3d_iou
+
+    def recorded(blocks):
+        seen.append((blocks, real(blocks)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(eval_metrics, "blockwise_bev_and_3d_iou", recorded)
+    return seen
+
+
+class TestSharedClip:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_each_frame_gets_its_pairwise_matrices_bit_for_bit(self, monkeypatch, seed):
+        rng = np.random.default_rng(40 + seed)
+        frames = _mixed_frames(rng, 6)
+        seen = _record_blocks(monkeypatch)
+        evaluate_frames(frames)
+        ((blocks, got),) = seen
+        assert len(blocks) == len(got) == len(frames)
+        for (dets, gt), (rows, columns), (bev, vol) in zip(frames, blocks, got):
+            order = np.argsort(-dets.scores, kind="stable")
+            assert rows.tolist() == [dets.boxes[k].as_array().tolist() for k in order]
+            assert columns.tolist() == [b.as_array().tolist()
+                                        for b in gt.boxes + gt.ignored_boxes]
+            want_bev, want_3d = pairwise_bev_and_3d_iou(rows, columns)
+            assert bev.tobytes() == want_bev.tobytes() and vol.tobytes() == want_3d.tobytes()
+        assert any(bev.any() for bev, _ in got)
+
+    def test_one_clip_per_chunk_whatever_the_chunk(self, monkeypatch):
+        rng = np.random.default_rng(44)
+        frames = _mixed_frames(rng, 6)
+        want = evaluate_frames(frames).as_flat_dict()
+        seen = _record_blocks(monkeypatch)
+        rows = []
+        real = box_geom._bev_overlap
+        monkeypatch.setattr(box_geom, "_bev_overlap",
+                            lambda a, b: rows.append(len(a)) or real(a, b))
+        for chunk in (box_geom._CLIP_CHUNK, 1, 3):
+            monkeypatch.setattr(box_geom, "_CLIP_CHUNK", chunk)
+            seen.clear()
+            rows.clear()
+            got = evaluate_frames(frames)
+            near = near_pairs(seen[0][0])
+            assert near > 3 and sum(rows) == near and len(rows) == -(-near // chunk)
+            assert got.as_flat_dict() == want
+
+    def test_evaluate_frames_equals_per_pair_oracle_on_1_to_6_frames(self):
+        rng = np.random.default_rng(45)
+        outcomes = Counter()
+        for trial in range(20):
+            frames = _mixed_frames(rng, int(rng.integers(1, 7)))
+            mode = ("R11", "R40")[trial % 2]
+            for threshold in (0.5, 0.7):
+                got = evaluate_frames(frames, mode=mode, threshold=threshold).as_flat_dict()
+                assert got == evaluate_frames_per_pair(frames, mode, threshold).as_flat_dict()
+                outcomes.update("absent" if v is None else "zero" if v == 0.0 else "positive"
+                                for v in got.values())
+        assert outcomes["positive"] and outcomes["zero"] and outcomes["absent"]
+
+    def test_accumulate_matches_pools_frames_like_the_per_pair_oracle(self):
+        rng = np.random.default_rng(46)
+        for _ in range(12):
+            frames = _mixed_frames(rng, int(rng.integers(1, 7)))
+            for pairwise_fn, iou_fn in ((pairwise_iou3d, iou3d), (pairwise_bev_iou, bev_iou)):
+                scores, kinds, sims = [], [], []
+                for dets, gt in frames:
+                    for kind, delta, di in zip(*match_frame_per_pair(
+                            dets, gt.boxes, gt.ignored_boxes, iou_fn,
+                            eval_metrics.CAR_IOU_THRESHOLD)):
+                        if kind != "ignored":
+                            scores.append(dets.scores[di])
+                            kinds.append(kind)
+                            sims.append((1.0 + np.cos(delta)) / 2.0 if kind == "tp" else 0.0)
+                want = RankedMatches(np.array(scores, dtype=float), np.array(kinds) == "tp",
+                                     np.array(kinds) == "fp", np.array(sims, dtype=float),
+                                     sum(len(gt.boxes) for _, gt in frames)).sorted_by_score()
+                got = accumulate_matches(frames, pairwise_fn)
+                assert got.n_gt == want.n_gt
+                for name in ("scores", "is_tp", "is_fp", "similarities"):
+                    assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name

@@ -147,6 +147,26 @@ class TestLabels:
         (rec,) = read_labels(p)
         assert rec.occlusion == int(value) and type(rec.occlusion) is int
 
+    @pytest.mark.parametrize("value", ["-3.0", "7.5", "1.01", "-0.01", "-1"])
+    def test_truncation_outside_unit_interval_names_line(self, tmp_path, value):
+        fields = CANONICAL_LABEL.split()
+        fields[1] = value
+        p = tmp_path / "label.txt"
+        p.write_text(CANONICAL_LABEL + "\n" + " ".join(fields) + "\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"label.txt:2: truncation must be in [0, 1] (-1 for DontCare), got '{value}'")):
+            read_labels(p)
+
+    @pytest.mark.parametrize("cls, value", [("Car", "0"), ("Car", "1"), ("Car", "0.15"),
+                                            ("DontCare", "-1")])
+    def test_truncation_in_range_parses(self, tmp_path, cls, value):
+        fields = CANONICAL_LABEL.split()
+        fields[0], fields[1] = cls, value
+        p = tmp_path / "label.txt"
+        p.write_text(" ".join(fields) + "\n")
+        (rec,) = read_labels(p)
+        assert rec.truncation == float(value) and rec.is_dontcare == (cls == "DontCare")
+
 
 class TestFrameConversion:
     def test_identity_calib_yaw(self):

@@ -14,6 +14,9 @@ in ``sparse_conv`` only ``sparse_conv_forward`` scatters.
 Eval mode is the one switch for inference: no ``Module`` subclass defines
 ``__call__``, and no program code calls ``.forward`` but ``Module.__call__``,
 so every layer runs through it, the only place that names ``no_grad``.
+
+Rotated IoU has one prefilter-and-clip path: in ``src/`` only
+``box_geom._pairwise_blocks`` calls the clip kernel ``_bev_overlap``.
 """
 
 import ast
@@ -165,3 +168,29 @@ def test_kernel_scanners_find_nested_and_qualified_uses(tmp_path):
     assert functions_containing([path], calls("_conv_windows")) == {"dense", "grad"}
     assert functions_containing([path], calls("matmul")) == {"dense", "gemm"}
     assert functions_containing([path], scatters) == {"scatter", "add_at", "Op.backward"}
+
+
+
+def call_sites(tree, name) -> int:
+    """Calls of ``name`` or ``<anything>.name`` anywhere under an AST node."""
+    return sum(calls(name)(node) for node in ast.walk(tree))
+
+
+def test_one_function_owns_the_prefilter_and_clip():
+    paths = sorted(SRC.glob("*.py"))
+    assert functions_containing(paths, calls("_bev_overlap")) == {"_pairwise_blocks"}
+    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in paths}
+    (owner,) = [fn for fn in trees["box_geom"].body
+                if isinstance(fn, ast.FunctionDef) and fn.name == "_pairwise_blocks"]
+    # no call outside a function either: every call in src/ is the owner's
+    assert (sum(call_sites(tree, "_bev_overlap") for tree in trees.values())
+            == call_sites(owner, "_bev_overlap") >= 1)
+
+
+def test_call_sites_count_module_level_calls():
+    tree = ast.parse(
+        "def _pairwise_blocks(a, b):\n    return [_bev_overlap(x, y) for x, y in zip(a, b)]\n\n\n"
+        "AREA = box_geom._bev_overlap(A, B)\n"
+    )
+    assert call_sites(tree, "_bev_overlap") == 2
+    assert call_sites(tree.body[0], "_bev_overlap") == 1
