@@ -106,7 +106,7 @@ def _bev_overlap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         d = poly - poly[prev]
         denom = ex * d[..., 1] - ey * d[..., 0]
         crosses = valid & (inside != inside[prev]) & (denom != 0.0)
-        t = -side[prev] / np.where(crosses, denom, 1.0)
+        t = -side[prev] / np.where(crosses, denom, np.inf)   # 0 where no edge crosses
         # each vertex emits its incoming edge's crossing point, then itself if inside
         cand = np.empty(poly.shape[:2] + (2, 2))
         cand[:, :, 0] = poly[prev] + t[..., None] * d

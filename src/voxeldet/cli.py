@@ -124,11 +124,6 @@ def _write_text(path, text: str):
 
 # -- detections file (LiDAR frame, one line per detection) --------------------------
 
-# Largest magnitude of a detection field. The box geometry of nms, eval and
-# render-bev multiplies up to three box fields (a BEV area times a height), and
-# (1e100)³ is still finite in float64.
-_MAX_DETECTION_FIELD = 1e100
-
 
 def write_simple_detections(path, detections):
     with open(path, "w") as f:
@@ -140,32 +135,18 @@ def write_simple_detections(path, detections):
             )
 
 
-def read_simple_detections(path):
-    """One detection per non-empty line, ``x y z w l h yaw score``.
+def _parse_detection_line(line: str):
+    fields = line.split()
+    if len(fields) != 8:
+        raise ValueError(f"expected 8 fields, got {len(fields)}")
+    vals = kitti_io.parse_numbers(fields)
+    return box_geom.Detection(box_geom.Box3D(*vals[:7]), vals[7])
 
-    Every field must be finite and at most 1e100 in magnitude, the sizes
-    positive and the score in [0, 1]. A line that breaks a rule or is
-    malformed raises ValueError prefixed with ``<path>:<line>:``.
-    """
-    dets = []
-    with open(path, "r") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                fields = line.split()
-                if len(fields) != 8:
-                    raise ValueError(f"expected 8 fields, got {len(fields)}")
-                vals = [float(v) for v in fields]
-                if not all(math.isfinite(v) for v in vals):
-                    raise ValueError("fields must be finite")
-                if max(abs(v) for v in vals) > _MAX_DETECTION_FIELD:
-                    raise ValueError(f"fields must be at most {_MAX_DETECTION_FIELD:g} "
-                                     "in magnitude")
-                dets.append(box_geom.Detection(box_geom.Box3D(*vals[:7]), vals[7]))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-    return dets
+
+def read_simple_detections(path):
+    """One detection per non-empty line (:func:`kitti_io.read_rows`),
+    ``x y z w l h yaw score``, with positive sizes and a score in [0, 1]."""
+    return kitti_io.read_rows(path, _parse_detection_line)
 
 
 # -- image emitters ------------------------------------------------------------------
@@ -185,7 +166,7 @@ def _edge_params_in_view(a, b, steps, lo, cell, extent):
     ``a + t·(b − a)`` can land in the view ``[lo, lo + extent·cell)`` (with one
     cell of margin), so an edge gets no more samples than the view can hold."""
     step = 1.0 / (steps - 1)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         t0 = (lo - cell - a) / (b - a)
         t1 = (lo + (extent + 1) * cell - a) / (b - a)
     t_lo, t_hi = max(0.0, np.fmin(t0, t1).max()), min(1.0, np.fmax(t0, t1).min())
@@ -207,10 +188,9 @@ def render_bev_image(cfg, cloud, gt_boxes=(), det_boxes=()):
     img = np.zeros((ny, nx, 3), dtype=np.float64)
     pts = cloud.points
     if len(pts):
-        idx = np.floor((pts[:, :2] - lo) / v).astype(np.int64)
-        ok = (idx >= 0).all(axis=1) & (idx[:, 0] < nx) & (idx[:, 1] < ny)
+        idx, _ = voxel_grid.cell_indices(pts[:, :2], lo, v, (nx, ny))
         counts = np.zeros((ny, nx))
-        np.add.at(counts, (idx[ok, 1], idx[ok, 0]), 1.0)
+        np.add.at(counts, (idx[:, 1], idx[:, 0]), 1.0)
         shade = np.minimum(counts * 80.0, 220.0)
         img[:] = shade[:, :, None]
 
@@ -220,10 +200,9 @@ def render_bev_image(cfg, cloud, gt_boxes=(), det_boxes=()):
             a, b = corners[i], corners[(i + 1) % 4]
             steps = max(2, int(np.hypot(*(b - a)) / min(v) * 2))
             ts = _edge_params_in_view(a, b, steps, lo, v, np.array([nx, ny]))
-            seg = a[None] + ts[:, None] * (b - a)[None]
-            cells = np.floor((seg - lo) / v).astype(np.int64)
-            ok = (cells >= 0).all(axis=1) & (cells[:, 0] < nx) & (cells[:, 1] < ny)
-            img[cells[ok, 1], cells[ok, 0]] = color
+            cells, _ = voxel_grid.cell_indices(a[None] + ts[:, None] * (b - a)[None], lo, v,
+                                               (nx, ny))
+            img[cells[:, 1], cells[:, 0]] = color
 
     for box in gt_boxes:
         draw(box, (0.0, 255.0, 0.0))

@@ -13,6 +13,7 @@ space-separated text files.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,10 @@ POINT_RECORD_BYTES = 16
 _ORTHO_TOL = 1e-4
 # value count of each calibration row read, in CalibMatrices field order
 _CALIB_SIZES = {"R0_rect": 9, "Tr_velo_to_cam": 12, "P2": 12}
+# Largest magnitude of a number in a label, calibration or detection row. Box
+# geometry multiplies up to three fields (a BEV area times a height), and
+# (1e100)³ is still finite in float64.
+MAX_FIELD = 1e100
 
 
 @dataclass(frozen=True)
@@ -120,18 +125,47 @@ def write_point_cloud(path, cloud: PointCloud):
         f.write(np.ascontiguousarray(cloud.points, dtype="<f4").tobytes())
 
 
+def parse_numbers(fields, what="fields", check=None) -> list[float]:
+    """The number rule of every text row: each field is a finite float, passes
+    ``check(values)`` (the row's own field rules), and is at most ``MAX_FIELD``."""
+    vals = [float(v) for v in fields]
+    if not all(map(math.isfinite, vals)):
+        raise ValueError(f"{what} must be finite")
+    if check is not None:
+        check(vals)
+    if max(map(abs, vals), default=0.0) > MAX_FIELD:
+        raise ValueError(f"{what} must be at most {MAX_FIELD:g} in magnitude")
+    return vals
+
+
+def read_rows(path, parse) -> list:
+    """``parse(line)`` of every non-blank line; a line that is not UTF-8 or that
+    ``parse`` rejects raises ValueError prefixed with ``<path>:<line>:``."""
+    rows = []
+    with open(path, "rb") as f:
+        for lineno, raw in enumerate(f, start=1):
+            try:
+                line = raw.decode()
+                if line.strip():
+                    rows.append(parse(line))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+    return rows
+
+
 def _parse_label_line(line: str) -> LabelRecord:
     fields = line.split()
     if len(fields) not in (15, 16):
         raise ValueError(f"expected 15 or 16 fields, got {len(fields)}")
     cls = fields[0]
-    vals = [float(v) for v in fields[1:]]
-    if not np.isfinite(vals).all():
-        raise ValueError("numeric fields must be finite")
-    if not (vals[1].is_integer() and -1 <= vals[1] <= 3):   # -1: DontCare
-        raise ValueError(f"occlusion must be an integer in -1..3, got {fields[2]!r}")
-    if not (0.0 <= vals[0] <= 1.0 or vals[0] == -1.0 and cls == "DontCare"):
-        raise ValueError(f"truncation must be in [0, 1] (-1 for DontCare), got {fields[1]!r}")
+
+    def levels(vals):
+        if not (vals[1].is_integer() and -1 <= vals[1] <= 3):   # -1: DontCare
+            raise ValueError(f"occlusion must be an integer in -1..3, got {fields[2]!r}")
+        if not (0.0 <= vals[0] <= 1.0 or vals[0] == -1.0 and cls == "DontCare"):
+            raise ValueError(f"truncation must be in [0, 1] (-1 for DontCare), got {fields[1]!r}")
+
+    vals = parse_numbers(fields[1:], "numeric fields", levels)
     rec = LabelRecord(
         cls=cls,
         truncation=vals[0],
@@ -153,22 +187,9 @@ def _parse_label_line(line: str) -> LabelRecord:
 
 
 def read_labels(path) -> list[LabelRecord]:
-    """One record per non-empty line; DontCare rows are kept and flagged.
-
-    Truncation must lie in [0, 1] (-1 only on a DontCare row) and occlusion
-    be an integer in -1..3. A malformed line raises ValueError prefixed
-    with ``<path>:<line>:``.
-    """
-    records = []
-    with open(path, "r") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                records.append(_parse_label_line(line))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-    return records
+    """One record per non-empty line (:func:`read_rows`); DontCare rows are kept
+    and flagged. Truncation is in [0, 1] (-1 on DontCare), occlusion in -1..3."""
+    return read_rows(path, _parse_label_line)
 
 
 def format_label_line(rec: LabelRecord) -> str:
@@ -196,27 +217,22 @@ def write_labels(path, records):
 def read_calib(path) -> CalibMatrices:
     """Read the ``P2``, ``R0_rect`` and ``Tr_velo_to_cam`` rows; other keys are skipped.
 
-    A missing key, a field that is not a number, a wrong value count or a
-    non-finite value raises ValueError prefixed with ``<path>: <key>:``; a
-    rotation that is not orthonormal raises one prefixed with ``<path>:``.
+    A missing key, a row that breaks :func:`parse_numbers` or a wrong value
+    count raises ValueError prefixed with ``<path>: <key>:``; a rotation
+    that is not orthonormal raises one prefixed with ``<path>:``.
     """
-    rows = {}
-    with open(path, "r") as f:
-        for line in f:
-            key, _, value = line.partition(":")
-            rows[key.strip()] = value.split()
+    rows = {key.strip(): value.split()
+            for key, _, value in read_rows(path, lambda line: line.partition(":"))}
     matrices = []
     for key, size in _CALIB_SIZES.items():
         if key not in rows:
             raise ValueError(f"{path}: missing calibration key {key!r}")
         try:
-            values = np.array([float(v) for v in rows[key]])
+            values = parse_numbers(rows[key], "values")
+            if len(values) != size:
+                raise ValueError(f"expected {size} values, got {len(values)}")
         except ValueError as exc:
             raise ValueError(f"{path}: {key}: {exc}") from None
-        if values.size != size:
-            raise ValueError(f"{path}: {key}: expected {size} values, got {values.size}")
-        if not np.isfinite(values).all():
-            raise ValueError(f"{path}: {key}: values must be finite")
         matrices.append(values)
     try:
         return CalibMatrices(*matrices)

@@ -74,10 +74,10 @@ def make_mask(grid: SparseVoxelGrid, gt_boxes, kind: MaskKind, cfg: VoxelizerCon
         for box in gt_boxes:
             b = box.as_array()
             r = 0.5 * np.hypot(b[3], b[4])
-            ix_lo = max(0, int(np.floor((b[0] - r - x0) / vx)))
-            ix_hi = min(nx, int(np.ceil((b[0] + r - x0) / vx)) + 1)
-            iy_lo = max(0, int(np.floor((b[1] - r - y0) / vy)))
-            iy_hi = min(ny, int(np.ceil((b[1] + r - y0) / vy)) + 1)
+            ix_lo = int(np.clip(np.floor((b[0] - r - x0) / vx), 0, nx))
+            ix_hi = int(np.clip(np.ceil((b[0] + r - x0) / vx) + 1, 0, nx))
+            iy_lo = int(np.clip(np.floor((b[1] - r - y0) / vy), 0, ny))
+            iy_hi = int(np.clip(np.ceil((b[1] + r - y0) / vy) + 1, 0, ny))
             gx, gy = np.meshgrid(np.arange(ix_lo, ix_hi), np.arange(iy_lo, iy_hi), indexing="ij")
             windows.append(np.column_stack([gx.ravel(), gy.ravel()]))
         cols = np.concatenate(windows)

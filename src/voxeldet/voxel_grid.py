@@ -111,6 +111,15 @@ def make_grid(shape, indices, features) -> SparseVoxelGrid:
     return SparseVoxelGrid(tuple(shape), indices[order], features[order])
 
 
+def cell_indices(points, lo, size, shape) -> tuple[np.ndarray, np.ndarray]:
+    """The int64 cells ``floor((p - lo) / size)`` of the (n, d) points inside
+    the grid ``[lo, lo + shape·size)``, and the mask of those points. Only
+    in-range coordinates are cast, so a far point is dropped on any platform."""
+    cells = np.floor((points - lo) / size)
+    inside = ((points >= lo) & (cells >= 0) & (cells < np.asarray(shape))).all(axis=1)
+    return cells[inside].astype(np.int64), inside
+
+
 def _sample_voxel(seed: int, flat_voxel: int, count: int, keep: int) -> np.ndarray:
     """Deterministic without-replacement pick keyed by (seed, voxel index)."""
     gen = np.random.Generator(np.random.Philox(key=(int(seed) << 64) | int(flat_voxel)))
@@ -120,18 +129,14 @@ def _sample_voxel(seed: int, flat_voxel: int, count: int, keep: int) -> np.ndarr
 def voxelize(cloud: PointCloud, cfg: VoxelizerConfig) -> SparseVoxelGrid:
     """Bin a point cloud into the sparse voxel grid with mean features.
 
-    Points outside the range are discarded. The per-voxel subsample is keyed
+    Points outside the range are dropped (:func:`cell_indices`). The per-voxel subsample is keyed
     by (seed, voxel index) over a canonical within-voxel point order, so the
     result is independent of point arrival order.
     """
     shape = cfg.grid_shape
-    pts = cloud.points
-    lo = np.array(cfg.range_min)
-    v = np.array(cfg.voxel_size)
-    idx = np.floor((pts[:, :3] - lo) / v).astype(np.int64)
-    in_range = ((pts[:, :3] >= lo) & (idx >= 0) & (idx < np.array(shape))).all(axis=1)
-    pts = pts[in_range]
-    idx = idx[in_range]
+    idx, in_range = cell_indices(cloud.points[:, :3], np.array(cfg.range_min),
+                                 np.array(cfg.voxel_size), shape)
+    pts = cloud.points[in_range]
     if len(pts) == 0:
         return SparseVoxelGrid(shape, np.empty((0, 3), np.int64),
                                np.empty((0, FEATURE_CHANNELS)))

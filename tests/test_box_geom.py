@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -511,3 +513,18 @@ class TestValidation:
     def test_score_range_enforced(self):
         with pytest.raises(ValueError):
             Detection(_box(), 1.5)
+
+
+def test_clip_of_a_box_as_large_as_the_field_bound_stays_finite():
+    """A 1e100 box clipped by a turned car, batched with other pairs: each
+    entry is its single-pair value and no step overflows."""
+    a = np.array([[5.0, 1.0, -1.0, 1e100, 1e100, 1.56, 0.0],
+                  [5.2, 1.1, -1.0, 1.6, 3.9, 1.56, 0.1]])
+    b = np.array([[7.3, -1.9, -0.75, 1.7, 4.2, 1.5, -1.87],
+                  [5.3, 1.1, -0.8, 1.6, 3.9, 1.56, -8e-4]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batched = _bev_overlap(a, b)
+        single = [_bev_overlap(a[i:i + 1], b[i:i + 1])[0] for i in range(2)]
+    np.testing.assert_array_equal(batched, single)
+    assert np.isfinite(batched).all()

@@ -714,6 +714,69 @@ class TestSubcommands:
         assert out.read_text() == (tmp_path / "cfg2.txt").read_text()
 
 
+class TestInputBounds:
+    """Rows past the field bound stop with their file named, and points or
+    boxes at any distance run without a numeric warning."""
+
+    def _eval(self, tmp_path, label_line=LABEL_LINE, calib_breaks=None, det_line=GOOD_LINE):
+        for d in ("dets", "labels", "calib"):
+            os.makedirs(tmp_path / d)
+        (tmp_path / "dets" / "000000.txt").write_text(det_line)
+        (tmp_path / "labels" / "000000.txt").write_text(label_line)
+        _bad_calib(tmp_path / "calib" / "000000.txt", "Tr_velo_to_cam",
+                   calib_breaks or (lambda v: v))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return run_cli("--config", str(_toy_cfg_file(tmp_path)), "eval",
+                           "--detections-dir", str(tmp_path / "dets"),
+                           "--labels-dir", str(tmp_path / "labels"),
+                           "--calib-dir", str(tmp_path / "calib"),
+                           "--out", str(tmp_path / "report.txt"))
+
+    def test_eval_label_dims_beyond_bound_exits_2(self, tmp_path, capsys):
+        fields = LABEL_LINE.split()
+        fields[9] = "1e200"
+        assert self._eval(tmp_path, label_line=" ".join(fields) + "\n") == 2
+        assert capsys.readouterr().err == (
+            f"data error: {tmp_path / 'labels' / '000000.txt'}:1: "
+            "numeric fields must be at most 1e+100 in magnitude\n")
+
+    def test_eval_calibration_beyond_bound_exits_2(self, tmp_path, capsys):
+        assert self._eval(tmp_path, calib_breaks=lambda v: v[:-1] + ["1e200"]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {tmp_path / 'calib' / '000000.txt'}: Tr_velo_to_cam: "
+            "values must be at most 1e+100 in magnitude\n")
+
+    def test_eval_detection_as_large_as_the_bound_over_two_cars(self, tmp_path):
+        """Both cars lie inside the detection, one of them turned, so eval
+        clips both pairs in one batch."""
+        turned = "Car 0.00 0 1.57 0.0 0.0 100.0 100.0 1.50 1.7 4.2 2.0 1.70 7.0 0.30\n"
+        assert self._eval(tmp_path, label_line=LABEL_LINE + turned,
+                          det_line="10.0 0.0 -1.0 1e100 1e100 1.56 0.0 0.9\n") == 0
+
+    @pytest.mark.parametrize("command", ["voxelize", "render-bev", "masks"])
+    def test_points_at_float32_extremes_are_dropped(self, tmp_path, command):
+        """±3e38 points lie outside the grid: the output is the bytes of the
+        cloud without them."""
+        pts = np.array([[1.0, 2.0, -1.0, 0.5], [4.0, -1.0, 0.0, 0.1]], dtype=np.float32)
+        far = np.array([[3e38, 0.0, 0.0, 0.0], [-3e38, 1.0, -1.0, 0.0],
+                        [1.0, 3e38, -3e38, 0.0]], dtype=np.float32)
+        labels, calib = tmp_path / "labels.txt", tmp_path / "calib.txt"
+        labels.write_text(LABEL_LINE)
+        write_calib(calib, _calib())
+        outputs = []
+        for name, cloud in (("near", pts), ("far", np.concatenate([far[:2], pts, far[2:]]))):
+            (tmp_path / f"{name}.bin").write_bytes(cloud.tobytes())
+            args = ["--cloud", str(tmp_path / f"{name}.bin"), "--out", str(tmp_path / name)]
+            if command != "voxelize":
+                args += ["--labels", str(labels), "--calib", str(calib)]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert run_cli("--config", str(_toy_cfg_file(tmp_path)), command, *args) == 0
+            outputs.append((tmp_path / name).read_bytes())
+        assert outputs[0] == outputs[1]
+
+
 @pytest.fixture(scope="module")
 def micro_cfg_file(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("pipe")

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from voxeldet.box_geom import Box3D, Detection, wrap_angle
 from voxeldet.kitti_io import (
+    MAX_FIELD,
     CalibMatrices,
     LabelRecord,
     PointCloud,
@@ -14,9 +15,11 @@ from voxeldet.kitti_io import (
     detection_to_label,
     labels_to_lidar_boxes,
     lidar_box_to_camera,
+    parse_numbers,
     read_calib,
     read_labels,
     read_point_cloud,
+    read_rows,
     write_calib,
     write_detections,
     write_point_cloud,
@@ -284,3 +287,66 @@ class TestCalibIO:
     def test_non_orthonormal_rejected(self):
         with pytest.raises(ValueError, match="orthonormal"):
             CalibMatrices(np.eye(3) * 2.0, np.eye(3, 4), np.eye(3, 4))
+
+
+class TestRowRules:
+    """One row reader and one number rule serve labels, calibrations and detections."""
+
+    def test_read_rows_skips_blank_lines_and_names_the_line(self, tmp_path):
+        p = tmp_path / "rows.txt"
+        p.write_text("1 2\n\n   \n3 4\n")
+        assert read_rows(p, str.split) == [["1", "2"], ["3", "4"]]
+
+        def second(line):
+            fields = line.split()
+            if len(fields) < 2:
+                raise ValueError("too short")
+            return fields[1]
+
+        p.write_text("1 2\n\nbad\n")
+        with pytest.raises(ValueError, match=re.escape(f"{p}:3: too short")):
+            read_rows(p, second)
+
+    @pytest.mark.parametrize("reader", [read_labels, read_calib])
+    def test_undecodable_line_names_file_and_line(self, tmp_path, reader):
+        p = tmp_path / "rows.txt"
+        p.write_bytes(CANONICAL_LABEL.encode() + b"\n" + b"Car \xff 0\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{p}:2: 'utf-8' codec can't decode byte 0xff in position 4")):
+            reader(p)
+
+    def test_parse_numbers_checks_finite_then_field_rules_then_bound(self):
+        def positive(vals):
+            if min(vals) <= 0:
+                raise ValueError("must be positive")
+
+        assert parse_numbers(["1e100", "-0.5", "1e-320"]) == [1e100, -0.5, 1e-320]
+        assert MAX_FIELD == 1e100
+        for fields, message in [(["1", "nan"], "values must be finite"),
+                                (["-1e200", "inf"], "values must be finite"),
+                                (["-1e200", "2"], "must be positive"),
+                                (["1e200", "2"], "values must be at most 1e+100 in magnitude")]:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                parse_numbers(fields, "values", positive)
+
+    @pytest.mark.parametrize("field", [8, 9, 10, 11, 13])
+    def test_label_field_beyond_bound_names_line(self, tmp_path, field):
+        fields = CANONICAL_LABEL.split()
+        fields[field] = "1e200"
+        p = tmp_path / "label.txt"
+        p.write_text(CANONICAL_LABEL + "\n" + " ".join(fields) + "\n")
+        with pytest.raises(ValueError, match=re.escape(
+                "label.txt:2: numeric fields must be at most 1e+100 in magnitude")):
+            read_labels(p)
+        fields[field] = "1e100"
+        p.write_text(" ".join(fields) + "\n")
+        (rec,) = read_labels(p)
+        assert 1e100 in rec.dims + rec.location
+
+    def test_calib_value_beyond_bound_names_file_and_key(self, tmp_path):
+        path = tmp_path / "calib.txt"
+        write_calib(path, CalibMatrices(np.eye(3), np.eye(3, 4), np.eye(3, 4)))
+        path.write_text(path.read_text().replace("P2: 1.000000000000e+00", "P2: 1e200"))
+        with pytest.raises(ValueError) as info:
+            read_calib(path)
+        assert str(info.value) == f"{path}: P2: values must be at most 1e+100 in magnitude"

@@ -17,6 +17,10 @@ so every layer runs through it, the only place that names ``no_grad``.
 
 Rotated IoU has one prefilter-and-clip path: in ``src/`` only
 ``box_geom._pairwise_blocks`` calls the clip kernel ``_bev_overlap``.
+
+Input rules have one owner each: in ``src/`` only ``kitti_io.read_rows``
+builds a ``<path>:<line>:`` prefix, and only ``voxel_grid.cell_indices``
+floors coordinates and casts them to int64 cells.
 """
 
 import ast
@@ -194,3 +198,51 @@ def test_call_sites_count_module_level_calls():
     )
     assert call_sites(tree, "_bev_overlap") == 2
     assert call_sites(tree.body[0], "_bev_overlap") == 1
+
+
+def prefixes_path_and_line(node) -> bool:
+    """An f-string holding ``{a}:{b}:``, the shape of a ``<path>:<line>:`` prefix."""
+    parts = node.values if isinstance(node, ast.JoinedStr) else []
+    return any(isinstance(a, ast.FormattedValue) and isinstance(colon, ast.Constant)
+               and colon.value == ":" and isinstance(b, ast.FormattedValue)
+               and isinstance(rest, ast.Constant) and rest.value.startswith(":")
+               for a, colon, b, rest in zip(parts, parts[1:], parts[2:], parts[3:]))
+
+
+def casts_to_int64(node) -> bool:
+    """``<expr>.astype(np.int64)``, ``.astype(int64)`` or ``.astype("int64")``."""
+    if not (calls("astype")(node) and node.args):
+        return False
+    dtype = node.args[0]
+    return "int64" in (getattr(dtype, "attr", None), getattr(dtype, "id", None),
+                       getattr(dtype, "value", None))
+
+
+def cell_binners(paths) -> set[str]:
+    """Functions that both call ``floor`` and cast to int64."""
+    return (functions_containing(paths, calls("floor"))
+            & functions_containing(paths, casts_to_int64))
+
+
+def test_one_function_owns_each_input_rule():
+    paths = sorted(SRC.glob("*.py"))
+    assert functions_containing(paths, prefixes_path_and_line) == {"read_rows"}
+    assert cell_binners(paths) == {"cell_indices"}
+
+
+def test_input_rule_scanners_find_nested_and_qualified_uses(tmp_path):
+    path = tmp_path / "io.py"
+    path.write_text(
+        "def read_rows(path, parse):\n    raise ValueError(f'{path}:{lineno}: {exc}')\n\n\n"
+        "def read_calib(path, key):\n    raise ValueError(f'{path}: {key}: bad')\n\n\n"
+        "def reader(path):\n    def parse(n):\n        return f'{path}:{n}:{n}'\n"
+        "    return parse\n\n\n"
+        "class Table:\n    def read(self, i):\n        return f'at {self.path}:{i}: x'\n\n\n"
+        "def cells(p, s):\n    return np.floor(p / s).astype(np.int64)\n\n\n"
+        "def cells_in(p, m):\n    c = numpy.floor(p)\n    return c[m].astype('int64')\n\n\n"
+        "def keys(p):\n    return (p >= 0).astype(np.int64)\n\n\n"
+        "def window(x):\n    return int(np.floor(x))\n"
+    )
+    assert functions_containing([path], prefixes_path_and_line) == {
+        "read_rows", "reader", "Table.read"}
+    assert cell_binners([path]) == {"cells", "cells_in"}

@@ -54,6 +54,13 @@ class TestMakeMask:
         assert xs.min() == 7 and xs.max() == 16   # 10 cells along x
         assert ys.min() == 10 and ys.max() == 13  # 4 cells along y
 
+    @pytest.mark.parametrize("x, y", [(1e99, 0.0), (-1e99, 0.0), (4.8, 1e99), (4.8, -1e99)])
+    def test_box_type_window_off_the_grid_marks_nothing(self, x, y):
+        far = make_mask(_empty_grid(), [_car(x, y), _car(4.8, 0.0)], MaskKind.BOX_TYPE, TOY_CFG)
+        near = make_mask(_empty_grid(), [_car(4.8, 0.0)], MaskKind.BOX_TYPE, TOY_CFG)
+        np.testing.assert_array_equal(far.labels, near.labels)
+        assert near.labels.any()
+
     def test_voxel_type_empty_grid_background(self):
         mask = make_mask(_empty_grid(), [_car(4.8, 0.0)], MaskKind.VOXEL_TYPE, TOY_CFG)
         assert not mask.labels.any()

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from voxeldet.kitti_io import PointCloud
 from voxeldet.voxel_grid import (
     SparseVoxelGrid,
     VoxelizerConfig,
+    cell_indices,
     decode_site_keys,
     format_grid_dump,
     make_grid,
@@ -193,3 +195,25 @@ class TestSiteKeys:
         order = np.lexsort((idx[:, 0], idx[:, 1], idx[:, 2]))
         np.testing.assert_array_equal(grid.indices, idx[order])
         np.testing.assert_array_equal(grid.features, feats[order])
+
+
+class TestCellIndices:
+    def test_keeps_the_half_open_grid_and_casts_only_its_cells(self):
+        pts = np.array([[0.0, 0.0], [1.99, 0.5], [2.0, 0.5], [-1e-9, 0.5], [0.5, 0.99],
+                        [3e38, 0.0], [-3e38, 0.5], [np.nan, 0.5], [0.5, np.inf], [1e300, 1e300]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cells, inside = cell_indices(pts, np.array([0.0, 0.0]), np.array([0.5, 0.25]), (4, 4))
+        np.testing.assert_array_equal(inside, [1, 1, 0, 0, 1, 0, 0, 0, 0, 0])
+        np.testing.assert_array_equal(cells, [[0, 0], [3, 2], [1, 3]])
+        assert cells.dtype == np.int64
+
+    def test_points_at_float32_extremes_drop_out_of_voxelize(self):
+        rng = np.random.default_rng(3)
+        near = np.column_stack([rng.uniform(0, 4, 50), rng.uniform(-2, 2, 50),
+                                rng.uniform(-3, 1, 50), rng.uniform(0, 1, 50)])
+        far = np.array([[3e38, 0, 0, 0], [-3e38, 0, 0, 0], [1, -3e38, 3e38, 0]], dtype=np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grids = [voxelize(PointCloud(pts), TOY) for pts in (near, np.vstack([far, near]))]
+        assert format_grid_dump(grids[0]) == format_grid_dump(grids[1])
